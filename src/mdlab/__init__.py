@@ -3,7 +3,8 @@ random-walk maxima.
 
 Subpackages by responsibility:
 
-* :mod:`mdlab.distributions` - centered increment laws, moments, tilting
+* :mod:`mdlab.distributions` - centered increment laws, closed-form
+  truncated moments and tail probabilities, exponential tilting
 * :mod:`mdlab.theory` - moment functionals, regime flags, normal tails
 * :mod:`mdlab.oracle` - exact enumeration and lattice dynamic programs
 * :mod:`mdlab.mc` - reproducible (counter-based) Monte Carlo with
@@ -17,16 +18,11 @@ __version__ = "0.1.0"
 from .distributions import (  # noqa: F401
     CenteredExponential,
     Distribution,
-    MomentQuery,
     Rademacher,
     StudentT,
-    TiltedDistribution,
     TwoPoint,
     Uniform,
     from_literal,
-    moment,
-    sample,
-    tilt,
 )
 from .errors import (  # noqa: F401
     BudgetExceededError,

@@ -89,17 +89,13 @@ def _estimate_from_records(
     records: tuple[ChunkRecord, ...],
     method: str,
     event: str,
-    seed: int,
     dist_label: str,
     n: int,
     x: float,
 ) -> TailEstimate:
     records = tuple(sorted(records))
-    if records:
-        seed = records[0][0]  # order-independent provenance for merged runs
+    seed = records[0][0]  # order-independent provenance for merged runs
     total = sum(r[2] for r in records)
-    if total == 0:
-        return TailEstimate(0.0, 0.0, 0, method, seed, event, dist_label, n, x, records)
     sum_w = math.fsum(r[3] for r in records)
     sum_w2 = math.fsum(r[4] for r in records)
     p_hat = sum_w / total
@@ -114,14 +110,6 @@ def _estimate_from_records(
     return TailEstimate(
         p_hat, stderr, total, method, seed, event, dist_label, n, x, records
     )
-
-
-def empty_estimate(
-    method: str, event: str, seq: SequenceSpec, x: float, seed: int = 0
-) -> TailEstimate:
-    """Identity element for :func:`merge`."""
-    label = json.dumps(seq.dist.literal(), sort_keys=True)
-    return _estimate_from_records((), method, event, seed, label, seq.n, x)
 
 
 @dataclass(frozen=True)
@@ -312,10 +300,10 @@ def simulate(
 
     label = json.dumps(seq.dist.literal(), sort_keys=True)
     est_max = _estimate_from_records(
-        tuple(r[0] for r in results), method, "max", seed, label, seq.n, x
+        tuple(r[0] for r in results), method, "max", label, seq.n, x
     )
     est_sum = _estimate_from_records(
-        tuple(r[1] for r in results), method, "sum", seed, label, seq.n, x
+        tuple(r[1] for r in results), method, "sum", label, seq.n, x
     )
     return est_max, est_sum
 
@@ -327,28 +315,21 @@ def merge(a: TailEstimate, b: TailEstimate) -> TailEstimate:
     and re-reduced exactly. Seeds may differ (pooling independent runs);
     duplicate (seed, chunk) records are rejected.
     """
-    if a.n_samples == 0:
-        base, other = b, a
-    else:
-        base, other = a, b
-    if other.n_samples != 0:
-        mismatched = [
-            name
-            for name, va, vb in (
-                ("method", a.method, b.method),
-                ("event", a.event, b.event),
-                ("dist", a.dist_label, b.dist_label),
-                ("n", a.n, b.n),
-                ("x", a.x, b.x),
-            )
-            if va != vb
-        ]
-        if mismatched:
-            raise ConfigError(f"cannot merge estimates differing in {mismatched}")
+    mismatched = [
+        name
+        for name, va, vb in (
+            ("method", a.method, b.method),
+            ("event", a.event, b.event),
+            ("dist", a.dist_label, b.dist_label),
+            ("n", a.n, b.n),
+            ("x", a.x, b.x),
+        )
+        if va != vb
+    ]
+    if mismatched:
+        raise ConfigError(f"cannot merge estimates differing in {mismatched}")
     combined = a.records + b.records
     keys = [(r[0], r[1]) for r in combined]
     if len(set(keys)) != len(keys):
         raise ConfigError("cannot merge estimates sharing a (seed, chunk) record")
-    return _estimate_from_records(
-        combined, base.method, base.event, base.seed, base.dist_label, base.n, base.x
-    )
+    return _estimate_from_records(combined, a.method, a.event, a.dist_label, a.n, a.x)

@@ -128,25 +128,14 @@ class SequenceSpec:
         """sum_j E|X_j|^p 1{|X_j| <= level} (below) or 1{|X_j| > level}."""
         if self.is_iid:
             return self.n * self.dist.truncated_abs_moment(p, level, side)
-        return float(
-            sum(
-                s**p * self.dist.truncated_abs_moment(p, level / s, side)
-                for s in self.scales
-            )
-        )
+        s = self.scales
+        return float(np.sum(s**p * self.dist.truncated_abs_moment(p, level / s, side)))
 
     def tail_prob_sum(self, level: float) -> float:
         """sum_j P(|X_j| >= level)."""
         if self.is_iid:
             return self.n * self.dist.abs_tail_prob(level)
-        return float(sum(self.dist.abs_tail_prob(level / s) for s in self.scales))
-
-    # -- suffix sums (sum over j = k..n, 1-based k) ------------------------
-    def suffix_abs_moment(self, p: float, k: int) -> float:
-        base = self.dist.abs_moment(p)
-        if self.is_iid:
-            return (self.n - k + 1) * base
-        return base * float(np.sum(self.scales[k - 1 :] ** p))
+        return float(np.sum(self.dist.abs_tail_prob(level / self.scales)))
 
 
 @dataclass(frozen=True)
@@ -367,18 +356,8 @@ def check_tail_segment_ratio(
     rhs = bn / x ** (1.0 + delta)
     if n0 >= seq.n:
         return TailSegmentCheck("inapplicable", None, n0, math.nan, rhs)
-    level = bn / x
-    if seq.is_iid:
-        count = seq.n - n0
-        num = count * seq.dist.truncated_abs_moment(3.0, level, "below")
-        den = count * seq.dist.variance()
-    else:
-        tail = seq.scales[n0:]
-        num = float(
-            sum(s**3 * seq.dist.truncated_abs_moment(3.0, level / s, "below") for s in tail)
-        )
-        den = float(np.sum(tail**2)) * seq.dist.variance()
-    lhs = num / den
+    segment = SequenceSpec(seq.dist, seq.n - n0, None if seq.is_iid else seq.scales[n0:])
+    lhs = segment.truncated_sum(3.0, bn / x, "below") / segment.variance_sum()
     status = "ok" if 0 < n0 < seq.n else "inapplicable"
     holds = (lhs <= rhs) if status == "ok" else None
     return TailSegmentCheck(status, holds, n0, lhs, rhs)

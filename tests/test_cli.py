@@ -1,11 +1,13 @@
 """Command line surface: payload schemas, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import mdlab
 from mdlab.cli import main
 from mdlab.experiments import CSV_COLUMNS
 
@@ -179,3 +181,12 @@ def test_module_invocation_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["p_max"] == 0.375
+
+
+def test_cli_import_loads_neither_quadrature_nor_stats():
+    src = os.path.dirname(os.path.dirname(mdlab.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = "import sys, mdlab.cli; print([m for m in ('scipy.integrate', 'scipy.stats') if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,15 +11,11 @@ from scipy import stats as sps
 
 from mdlab import (
     CenteredExponential,
-    MomentQuery,
     Rademacher,
     StudentT,
     TwoPoint,
     Uniform,
     from_literal,
-    moment,
-    sample,
-    tilt,
 )
 from mdlab.errors import ConfigError, InfiniteMomentError, TiltUnsupportedError
 
@@ -84,6 +81,30 @@ def oracle_abs_moment(dist, p, c=math.inf, side="below"):
     return _oracle_quad(f, slo, min(shi, -c)) + _oracle_quad(f, max(slo, c), shi)
 
 
+def mp_truncated_abs_moment(dist, p, c, side):
+    """50-digit E|X|^p 1{|X| <= c} or 1{|X| > c} for the unbounded families,
+    from mpmath's incomplete beta and gamma functions; quadrature only over
+    the finite negative support of the exponential."""
+    with mp.workdps(50):
+        p, c = mp.mpf(p), mp.mpf(c)
+        if isinstance(dist, StudentT):
+            nu = mp.mpf(dist.nu)
+            u = c**2 / (nu + c**2)
+            x1, x2 = (0, u) if side == "below" else (u, 1)
+            scale = nu ** (p / 2) / mp.beta(mp.mpf(1) / 2, nu / 2)
+            return float(scale * mp.betainc((p + 1) / 2, (nu - p) / 2, x1, x2))
+        lam = mp.mpf(dist.rate)
+
+        def negative(a):  # E|X|^p 1{-a <= X < 0}
+            return mp.quad(lambda y: lam / mp.e * y**p * mp.exp(lam * y), [0, a])
+
+        cut = min(c, 1 / lam)
+        if side == "below":
+            return float(negative(cut) + mp.gammainc(p + 1, 0, lam * c) / (mp.e * lam**p))
+        positive = mp.gammainc(p + 1, lam * c, mp.inf) / (mp.e * lam**p)
+        return float(negative(1 / lam) - negative(cut) + positive)
+
+
 # ---------------------------------------------------------------------------
 # support and sampling
 # ---------------------------------------------------------------------------
@@ -112,11 +133,11 @@ def test_centered_exponential_lower_bound():
 def test_scalar_sample_advances_stream():
     d = Uniform(1.0)
     rng = np.random.default_rng(3)
-    a = sample(d, rng)
-    b = sample(d, rng)
+    a = d.sample(rng)
+    b = d.sample(rng)
     assert isinstance(a, float) and a != b
     rng2 = np.random.default_rng(3)
-    assert sample(d, rng2) == a
+    assert d.sample(rng2) == a
 
 
 @pytest.mark.parametrize("dist", ALL, ids=IDS)
@@ -137,7 +158,7 @@ def test_sampling_second_moment(dist):
     rng = np.random.default_rng(12345)
     draws = np.asarray(dist.sample(rng, n), dtype=float)
     ex2 = dist.variance()
-    ex4 = moment(dist, MomentQuery(4.0)) if dist.abs_moment_is_finite(4.0) else None
+    ex4 = dist.abs_moment(4.0) if dist.abs_moment_is_finite(4.0) else None
     assert ex4 is not None, "all test families have finite fourth moments"
     stderr = math.sqrt((ex4 - ex2 * ex2) / n)
     assert abs(float(np.mean(draws * draws)) - ex2) <= 5.0 * stderr
@@ -148,8 +169,8 @@ def test_sampling_second_moment(dist):
 # ---------------------------------------------------------------------------
 
 def test_moment_examples_trivial():
-    assert moment(Rademacher(1.0), MomentQuery(3.0)) == 1.0
-    assert moment(Uniform(math.sqrt(3.0)), MomentQuery(2.0)) == pytest.approx(1.0, abs=1e-15)
+    assert Rademacher(1.0).abs_moment(3.0) == 1.0
+    assert Uniform(math.sqrt(3.0)).abs_moment(2.0) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_uniform_third_moment_closed_form():
@@ -157,7 +178,7 @@ def test_uniform_third_moment_closed_form():
     d = Uniform(math.sqrt(3.0))
     expected = math.sqrt(3.0) ** 3 / 4.0
     assert expected == pytest.approx(1.2990381056766578, abs=1e-15)
-    assert moment(d, MomentQuery(3.0)) == pytest.approx(expected, abs=1e-12)
+    assert d.abs_moment(3.0) == pytest.approx(expected, abs=1e-12)
     assert oracle_abs_moment(d, 3.0) == pytest.approx(expected, abs=1e-10)
 
 
@@ -165,9 +186,9 @@ def test_uniform_third_moment_closed_form():
 @pytest.mark.parametrize("p", [2.0, 2.5, 3.0])
 @pytest.mark.parametrize("c", [0.1, 1.0, 10.0])
 def test_below_above_decomposition(dist, p, c):
-    below = moment(dist, MomentQuery(p, c, "below"))
-    above = moment(dist, MomentQuery(p, c, "above"))
-    total = moment(dist, MomentQuery(p))
+    below = dist.truncated_abs_moment(p, c, "below")
+    above = dist.truncated_abs_moment(p, c, "above")
+    total = dist.abs_moment(p)
     assert below + above == pytest.approx(total, abs=1e-9, rel=1e-9)
 
 
@@ -175,9 +196,55 @@ def test_below_above_decomposition(dist, p, c):
 @pytest.mark.parametrize("p", [2.0, 3.0])
 def test_truncated_moments_match_oracle(dist, p):
     for c in (0.05, 0.3, 0.9, 2.0, 7.0):
-        got = moment(dist, MomentQuery(p, c, "below"))
+        got = dist.truncated_abs_moment(p, c, "below")
         want = oracle_abs_moment(dist, p, c, "below")
         assert got == pytest.approx(want, abs=1e-9, rel=1e-8)
+
+
+UNBOUNDED = [
+    StudentT(3.5),
+    StudentT(4.5),
+    StudentT(7.0),
+    CenteredExponential(0.3),
+    CenteredExponential(1.0),
+    CenteredExponential(2.5),
+]
+
+
+@pytest.mark.parametrize("dist", UNBOUNDED, ids=repr)
+@pytest.mark.parametrize("side", ["below", "above"])
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_truncated_moments_match_mpmath_far_tail(dist, side, p):
+    for c in (0.05, 0.3, 1.0, 2.0, 7.0, 30.0, 1e3, 1e6):
+        want = mp_truncated_abs_moment(dist, p, c, side)
+        got = dist.truncated_abs_moment(p, c, side)
+        assert got == pytest.approx(want, rel=1e-9, abs=0.0), c
+
+
+@pytest.mark.parametrize("p", [3.5, 4.0])
+@pytest.mark.parametrize("c", [0.3, 1.0, 20.0])
+def test_student_t_below_matches_mpmath_at_orders_past_nu(p, c):
+    d = StudentT(3.5)
+    want = mp_truncated_abs_moment(d, p, c, "below")
+    assert d.truncated_abs_moment(p, c, "below") == pytest.approx(want, rel=1e-9, abs=0.0)
+
+
+LEVELS = np.array([0.0, 0.05, 0.3, 0.5, 0.7, 1.0, 1.3, 2.0, 7.0, 30.0, 1e3, 1e6, math.inf])
+
+
+@pytest.mark.parametrize("dist", ALL, ids=IDS)
+@pytest.mark.parametrize("side", ["below", "above"])
+def test_array_levels_equal_scalar_calls(dist, side):
+    for p in (2.0, 2.5, 3.0):
+        values = dist.truncated_abs_moment(p, LEVELS, side)
+        scalars = [dist.truncated_abs_moment(p, c, side) for c in LEVELS]
+        assert isinstance(values, np.ndarray) and values.shape == LEVELS.shape
+        assert all(type(v) is float for v in scalars)
+        np.testing.assert_array_equal(values, scalars)
+    tails = dist.abs_tail_prob(LEVELS)
+    scalar_tails = [dist.abs_tail_prob(float(t)) for t in LEVELS]
+    assert all(type(v) is float for v in scalar_tails)
+    np.testing.assert_array_equal(tails, scalar_tails)
 
 
 @settings(max_examples=40, deadline=None)
@@ -189,22 +256,19 @@ def test_truncated_moments_match_oracle(dist, p):
 )
 def test_below_monotone_above_antitone(dist, p, c1, c2):
     lo, hi = min(c1, c2), max(c1, c2)
-    assert moment(dist, MomentQuery(p, lo, "below")) <= moment(
-        dist, MomentQuery(p, hi, "below")
-    ) + 1e-12
-    assert moment(dist, MomentQuery(p, lo, "above")) >= moment(
-        dist, MomentQuery(p, hi, "above")
-    ) - 1e-12
+    below = dist.truncated_abs_moment(p, np.array([lo, hi]), "below")
+    above = dist.truncated_abs_moment(p, np.array([lo, hi]), "above")
+    assert below[0] <= below[1] + 1e-12
+    assert above[0] >= above[1] - 1e-12
 
 
 @pytest.mark.parametrize("dist", [CenteredExponential(1.0), StudentT(7.0)])
 @pytest.mark.parametrize("c", [1e3, 1e6, 5e11, 1e300])
 def test_truncated_below_stable_at_huge_levels(dist, c):
-    # quadrature over one astronomically wide interval used to lose the
-    # integrand mass; geometric splitting must keep the decomposition exact
-    total = moment(dist, MomentQuery(3.0))
-    below = moment(dist, MomentQuery(3.0, c, "below"))
-    above = moment(dist, MomentQuery(3.0, c, "above"))
+    # the decomposition must stay exact however far out the level sits
+    total = dist.abs_moment(3.0)
+    below = dist.truncated_abs_moment(3.0, c, "below")
+    above = dist.truncated_abs_moment(3.0, c, "above")
     assert below == pytest.approx(total - above, rel=1e-9)
     assert below == pytest.approx(total, rel=1e-6)  # tail mass is tiny out here
 
@@ -212,20 +276,22 @@ def test_truncated_below_stable_at_huge_levels(dist, c):
 def test_student_t_raw_moment_beta_identity():
     # nu^{p/2} G((p+1)/2) G((nu-p)/2) / (sqrt(pi) G(nu/2)) at nu=7, p=3
     d = StudentT(7.0)
-    assert moment(d, MomentQuery(3.0)) == pytest.approx(3.1440968484635165, rel=1e-13)
-    assert moment(d, MomentQuery(2.0)) == pytest.approx(7.0 / 5.0, rel=1e-13)
+    assert d.abs_moment(3.0) == pytest.approx(3.1440968484635165, rel=1e-13)
+    assert d.abs_moment(2.0) == pytest.approx(7.0 / 5.0, rel=1e-13)
     assert oracle_abs_moment(d, 3.0) == pytest.approx(3.1440968484635165, rel=1e-8)
 
 
 def test_student_t_infinite_moment_errors():
     d = StudentT(3.5)
     with pytest.raises(InfiniteMomentError):
-        moment(d, MomentQuery(3.5))
+        d.abs_moment(3.5)
     with pytest.raises(InfiniteMomentError):
-        moment(d, MomentQuery(4.0, 1.0, "above"))
+        d.truncated_abs_moment(4.0, 1.0, "above")
+    with pytest.raises(InfiniteMomentError):
+        d.truncated_abs_moment(3.5, math.inf, "below")
     # truncated-below moments stay finite at any order
-    assert moment(d, MomentQuery(4.0, 1.0, "below")) < math.inf
-    assert moment(d, MomentQuery(3.4)) < math.inf
+    assert d.truncated_abs_moment(4.0, 1.0, "below") < math.inf
+    assert d.abs_moment(3.4) < math.inf
 
 
 @pytest.mark.parametrize("dist", ALL, ids=IDS)
@@ -247,19 +313,19 @@ def test_abs_tail_prob_matches_oracle(dist):
 # ---------------------------------------------------------------------------
 
 def test_tilt_zero_is_identity():
-    tilted, log_mgf = tilt(Rademacher(1.0), 0.0)
-    assert log_mgf == 0.0
-    assert tilted.mean() == 0.0
+    d = Rademacher(1.0)
+    assert d.log_mgf(0.0) == 0.0
+    assert d.tilted_mean(0.0) == 0.0
 
 
 def test_rademacher_tilted_probability():
     # forced by the tilt definition: P(+1) = e^t / (e^t + e^-t)
     theta = 0.8
-    tilted, _ = tilt(Rademacher(1.0), theta)
+    d = Rademacher(1.0)
     p_plus = math.exp(theta) / (math.exp(theta) + math.exp(-theta))
-    assert tilted.mean() == pytest.approx(2.0 * p_plus - 1.0, abs=1e-14)
+    assert d.tilted_mean(theta) == pytest.approx(2.0 * p_plus - 1.0, abs=1e-14)
     rng = np.random.default_rng(5)
-    draws = tilted.sample(rng, 200_000)
+    draws = d.tilted_sample(theta, rng, 200_000)
     freq = float(np.mean(draws > 0))
     assert abs(freq - p_plus) <= 5.0 * math.sqrt(p_plus * (1 - p_plus) / 200_000)
 
@@ -267,7 +333,7 @@ def test_rademacher_tilted_probability():
 def test_uniform_log_mgf_value():
     # log(sinh(sqrt(3))/sqrt(3)), cross-checked by direct quadrature
     d = Uniform(math.sqrt(3.0))
-    _, log_mgf = tilt(d, 1.0)
+    log_mgf = d.log_mgf(1.0)
     assert log_mgf == pytest.approx(0.45779602090904486, abs=1e-13)
     a = d.half_width
     mgf_quad, _ = integrate.quad(lambda y: math.exp(y) / (2 * a), -a, a)
@@ -292,25 +358,23 @@ def test_tilted_mean_strictly_increasing(dist):
 @pytest.mark.parametrize("dist", BOUNDED, ids=BOUNDED_IDS)
 def test_tilted_sampling_mean(dist):
     theta = 0.7
-    tilted, _ = tilt(dist, theta)
     rng = np.random.default_rng(99)
     n = 200_000
-    draws = np.asarray(tilted.sample(rng, n), dtype=float)
+    draws = np.asarray(dist.tilted_sample(theta, rng, n), dtype=float)
     spread = float(np.std(draws))
     assert float(np.mean(draws)) == pytest.approx(
-        tilted.mean(), abs=5.0 * spread / math.sqrt(n)
+        dist.tilted_mean(theta), abs=5.0 * spread / math.sqrt(n)
     )
 
 
 @pytest.mark.parametrize("dist", [CenteredExponential(1.0), StudentT(5.0)])
 def test_tilt_unbounded_raises(dist):
     with pytest.raises(TiltUnsupportedError):
-        tilt(dist, 0.5)
-
-
-def test_tilt_rejects_nonfinite_theta():
-    with pytest.raises(ConfigError):
-        tilt(Rademacher(1.0), math.inf)
+        dist.log_mgf(0.5)
+    with pytest.raises(TiltUnsupportedError):
+        dist.tilted_mean(0.5)
+    with pytest.raises(TiltUnsupportedError):
+        dist.tilted_sample(0.5, np.random.default_rng(0), 4)
 
 
 # ---------------------------------------------------------------------------
@@ -347,12 +411,3 @@ def test_from_literal_defaults_and_errors():
 def test_parameter_validation(bad):
     with pytest.raises(ConfigError):
         bad()
-
-
-def test_moment_query_validation():
-    with pytest.raises(ConfigError):
-        MomentQuery(0.5)
-    with pytest.raises(ConfigError):
-        MomentQuery(2.0, -1.0)
-    with pytest.raises(ConfigError):
-        MomentQuery(2.0, 1.0, "between")

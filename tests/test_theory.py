@@ -160,7 +160,8 @@ def test_compute_quantities_validation():
     with pytest.raises(ConfigError):
         compute_quantities(seq, 1.0, 1.5, 1.0)
     # nu > 3 guarantees E|X|^{2+r} < inf for every r <= 1, so student_t is
-    # always admissible here; the diverging-moment surface lives in moment()
+    # always admissible here; the diverging-moment surface lives in the
+    # distributions' abs_moment/truncated_abs_moment
     q = compute_quantities(SequenceSpec(StudentT(4.5), 10), 1.0, 1.0, 1.0)
     assert math.isfinite(q.lnr)
 
@@ -223,6 +224,28 @@ def test_iid_and_explicit_unit_scales_agree():
         assert a.delta_nx == pytest.approx(b.delta_nx, rel=1e-10)
         assert a.n0 == b.n0
         assert a.lnr == pytest.approx(b.lnr, rel=1e-12)
+
+
+@pytest.mark.parametrize("dist", FAMILIES, ids=IDS)
+def test_scaled_sums_match_per_index_loop(dist):
+    # the per-index definitions, summed exactly; the schedule sums are one
+    # array expression and differ only in summation order
+    scales = np.random.default_rng(4).lognormal(0.0, 0.5, 400)
+    seq = SequenceSpec(dist, 400, scales=scales)
+    for level in (0.3, 2.0, 25.0):
+        for p, side in ((2.0, "above"), (3.0, "below")):
+            want = math.fsum(s**p * dist.truncated_abs_moment(p, level / s, side) for s in scales)
+            assert seq.truncated_sum(p, level, side) == pytest.approx(want, rel=1e-12)
+        want = math.fsum(dist.abs_tail_prob(level / s) for s in scales)
+        assert seq.tail_prob_sum(level) == pytest.approx(want, rel=1e-12)
+    x = 30.0
+    res = check_tail_segment_ratio(seq, x, 1.0)
+    assert 0 < res.n0 < 400
+    level = math.sqrt(seq.variance_sum()) / x
+    tail = scales[res.n0 :]
+    num = math.fsum(s**3 * dist.truncated_abs_moment(3.0, level / s, "below") for s in tail)
+    den = math.fsum(s**2 for s in tail) * dist.variance()
+    assert res.lhs == pytest.approx(num / den, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
