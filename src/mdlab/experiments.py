@@ -33,7 +33,7 @@ from . import __version__
 from .distributions import Distribution, Rademacher, from_literal
 from .errors import BudgetExceededError, ConfigError
 from .mc import DEFAULT_SEED, simulate
-from .oracle import DP_MAX_N, ENUMERATION_BUDGET, enumerate_exact, lattice_dp_max
+from .oracle import ENUMERATION_BUDGET, enumerate_exact, lattice_dp_max
 from .theory import SequenceSpec, compute_quantities, error_envelope, normal_tail
 
 __all__ = [
@@ -277,7 +277,7 @@ def compute_row(cfg: SweepConfig, row_index: int, n: int, x: float) -> RatioRow:
     ci_low = ci_high = None
     if cfg.engine == "oracle":
         support = dist.finite_support()
-        if isinstance(dist, Rademacher) and n <= DP_MAX_N:
+        if isinstance(dist, Rademacher):
             res = lattice_dp_max(n, x, dist.scale)
             p_max, p_sum, method = res.p_max, res.p_sum, res.method
         elif support is not None and len(support[0]) ** n <= ENUMERATION_BUDGET:

@@ -1,14 +1,16 @@
-"""Exact tail probabilities for the self-normalized walk at desk scale.
+"""Exact tail probabilities for the self-normalized walk.
 
 Two independent exact methods:
 
 * :func:`enumerate_exact` sums path probabilities over every outcome of a
   finite-support schedule (budget ``support^n <= 2^24``), handling
-  path-dependent normalization ``V_n``.
-* :func:`lattice_dp_max` / :func:`lattice_dp_sum` run an absorbing-barrier
-  (resp. free) dynamic program over partial-sum states for symmetric
-  two-point increments, where ``V_n^2 = n c^2`` is deterministic, up to
-  ``n = 10^5``.
+  path-dependent normalization ``V_n``. The outcomes of the first steps
+  and of the remaining steps are built once each; every (prefix, suffix)
+  pair is then scored from their sums, running maxima and squared norms.
+* :func:`lattice_dp_max` / :func:`lattice_dp_sum` evaluate the symmetric
+  two-point walk, where ``V_n^2 = n c^2`` is deterministic, in closed form
+  for every ``n >= 1``: the reflection principle turns the max event into
+  two binomial tails, computed as regularized incomplete beta functions.
 
 Both evaluate the events ``max_{1<=k<=n} S_k >= x V_n`` and
 ``S_n >= x V_n`` with ties counted in (the event is ``>=``). Results are
@@ -21,6 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .errors import BudgetExceededError, ConfigError
 from .theory import SequenceSpec
@@ -31,12 +34,10 @@ __all__ = [
     "lattice_dp_max",
     "lattice_dp_sum",
     "ENUMERATION_BUDGET",
-    "DP_MAX_N",
 ]
 
 ENUMERATION_BUDGET = 1 << 24
-DP_MAX_N = 100_000
-_ENUM_CHUNK = 1 << 15
+_ENUM_CHUNK = 1 << 15  # prefix outcomes scored per vector op
 
 
 @dataclass(frozen=True)
@@ -59,17 +60,36 @@ class ExactResult:
         }
 
 
+def _check_x(x: float) -> None:
+    if not (math.isfinite(x) and x >= 0.0):
+        raise ConfigError(f"x must be finite and >= 0, got {x}")
+
+
+def _path_states(values: np.ndarray, probs: np.ndarray, scales: np.ndarray):
+    """Weight, final sum, running max over steps ``1..len(scales)`` (``-inf``
+    for no steps) and sum of squared steps of every outcome of the steps."""
+    weight, total, peak, sq = np.ones(1), np.zeros(1), np.full(1, -np.inf), np.zeros(1)
+    for c in scales:
+        steps = values * c
+        weight = np.multiply.outer(weight, probs).ravel()
+        total = np.add.outer(total, steps).ravel()
+        peak = np.maximum(np.repeat(peak, len(steps)), total)
+        sq = np.add.outer(sq, steps * steps).ravel()
+    return weight, total, peak, sq
+
+
 def enumerate_exact(seq: SequenceSpec, x: float) -> ExactResult:
     """Exhaustive path enumeration for finite-support increments.
 
-    Path probabilities are accumulated from per-step log masses
-    (log-stable) and summed chunk-wise with exact cross-chunk addition.
-    Barrier comparisons absorb 1e-12 relative float fuzz so exact ties
-    (which belong to the >= event) survive rescaled instances, keeping the
-    result scale free like the event itself.
+    A path is a prefix of ``L = floor(log_s _ENUM_CHUNK)`` steps followed by
+    a suffix of the remaining ones, so ``max_k S_k = max(M_pre, S_pre +
+    M_suf)``, ``S_n = S_pre + S_suf`` and ``V_n^2 = Q_pre + Q_suf``. Each
+    suffix scores all prefixes at once; the per-suffix masses are summed
+    with ``math.fsum``. Barrier comparisons absorb 1e-12 relative float fuzz so exact
+    ties (which belong to the >= event) survive rescaled instances, keeping
+    the result scale free like the event itself.
     """
-    if x < 0.0:
-        raise ConfigError(f"x must be >= 0, got {x}")
+    _check_x(x)
     support = seq.dist.finite_support()
     if support is None:
         raise ConfigError(
@@ -78,28 +98,25 @@ def enumerate_exact(seq: SequenceSpec, x: float) -> ExactResult:
         )
     values, probs = support
     s = len(values)
-    total = s**seq.n
-    if total > ENUMERATION_BUDGET:
+    if s**seq.n > ENUMERATION_BUDGET:
         raise BudgetExceededError(
             f"{s}^{seq.n} outcomes exceed the {ENUMERATION_BUDGET} budget; "
             "use lattice_dp (rademacher) or Monte Carlo"
         )
     scales = seq.scale_array()
-    log_probs = np.log(probs)
-    powers = s ** np.arange(seq.n, dtype=np.int64)
+    split = min(seq.n, int(math.log(_ENUM_CHUNK, s) + 1e-9))
+    pre_w, pre_sum, pre_max, pre_sq = _path_states(values, probs, scales[:split])
 
     max_parts: list[float] = []
     sum_parts: list[float] = []
-    for start in range(0, total, _ENUM_CHUNK):
-        idx = np.arange(start, min(start + _ENUM_CHUNK, total), dtype=np.int64)
-        digits = (idx[:, None] // powers[None, :]) % s
-        steps = values[digits] * scales[None, :]
-        weights = np.exp(log_probs[digits].sum(axis=1))
-        partial = np.cumsum(steps, axis=1)
-        barrier = x * np.sqrt((steps * steps).sum(axis=1))
-        cut = barrier - 1e-12 * np.maximum(1.0, np.abs(barrier))
-        max_parts.append(float(weights[partial.max(axis=1) >= cut].sum()))
-        sum_parts.append(float(weights[partial[:, -1] >= cut].sum()))
+    for w, total, peak, sq in zip(*_path_states(values, probs, scales[split:])):
+        with np.errstate(over="ignore"):  # a huge x gives an inf barrier: no hit
+            barrier = x * np.sqrt(pre_sq + sq)
+        # 1e-12 below the barrier, relative above 1; stays inf if it is inf
+        cut = np.minimum(barrier - 1e-12, barrier * (1.0 - 1e-12))
+        hit_max = np.maximum(pre_max, pre_sum + peak) >= cut
+        max_parts.append(float(w * pre_w[hit_max].sum()))
+        sum_parts.append(float(w * pre_w[pre_sum + total >= cut].sum()))
     return ExactResult(
         p_max=math.fsum(max_parts),
         p_sum=math.fsum(sum_parts),
@@ -111,73 +128,53 @@ def enumerate_exact(seq: SequenceSpec, x: float) -> ExactResult:
 
 def _lattice_barrier(n: int, x: float) -> int:
     """Smallest lattice point >= x*sqrt(n), snapping away float fuzz so an
-    exact hit stays on the barrier (the event is >=)."""
-    target = x * math.sqrt(n)
+    exact hit stays on the barrier (the event is >=). Capped at n + 1,
+    which no walk of n steps reaches."""
+    target = min(x * math.sqrt(n), n + 1.0)
     nearest = round(target)
     if abs(target - nearest) <= 1e-9 * max(1.0, abs(target)):
         return int(nearest)
     return int(math.ceil(target))
 
 
-def _check_dp_args(n: int, x: float, scale: float):
-    if n < 1 or n > DP_MAX_N:
-        raise BudgetExceededError(f"lattice DP supports 1 <= n <= {DP_MAX_N}, got {n}")
-    if x < 0.0:
-        raise ConfigError(f"x must be >= 0, got {x}")
-    if not scale > 0.0:
-        raise ConfigError(f"scale must be > 0, got {scale}")
+def _walk_tail(n: int, t: int) -> float:
+    """P(S_n >= t) for the +-1 walk: S_n = 2U - n with U ~ Bin(n, 1/2), and
+    P(U >= k) = I_{1/2}(k, n - k + 1)."""
+    k = -(-(n + t) // 2)
+    if k <= 0:
+        return 1.0
+    if k > n:
+        return 0.0
+    return float(special.betainc(k, n - k + 1, 0.5))
+
+
+def _walk_max_tail(n: int, b: int) -> float:
+    """P(max_{1<=k<=n} S_k >= b) for the +-1 walk, with max over no steps
+    being -inf. For b >= 1 the reflection principle gives
+    P(S_n >= b) + P(S_n >= b + 1); b = 0 is reached at step 1 or, after a
+    first step down, by the remaining n - 1 steps climbing 1."""
+    if n == 0:
+        return 0.0
+    if b == 0:
+        return 0.5 + 0.5 * _walk_max_tail(n - 1, 1)
+    return _walk_tail(n, b) + _walk_tail(n, b + 1)
 
 
 def lattice_dp_max(n: int, x: float, scale: float = 1.0) -> ExactResult:
-    """Absorbing-barrier DP for P(max_k S_k >= x V_n) on the +-scale walk.
+    """P(max_k S_k >= x V_n) and P(S_n >= x V_n) on the +-scale walk.
 
-    ``V_n = scale * sqrt(n)`` is deterministic, so the walk is tracked in
-    units of ``scale`` and the result does not depend on it. The absorbed
-    mass is accumulated with Kahan compensation. ``p_sum`` is filled from
-    the free DP so the result carries both events.
+    ``V_n = scale * sqrt(n)`` is deterministic, so both events are lattice
+    events on the +-1 walk and the result does not depend on ``scale``.
     """
-    _check_dp_args(n, x, scale)
+    if n < 1:
+        raise ConfigError(f"n must be >= 1, got {n}")
+    _check_x(x)
+    if not scale > 0.0:
+        raise ConfigError(f"scale must be > 0, got {scale}")
     barrier = _lattice_barrier(n, x)
-    p_sum = lattice_dp_sum(n, x, scale)
-    if barrier > n:
-        return ExactResult(0.0, p_sum, n, x, "lattice_dp")
-
-    # alive states s in [-n, barrier + 1], absorbed once s >= barrier; the
-    # slot above the barrier only matters for the first step when barrier=0
-    size = n + max(barrier, 0) + 2
-    origin = n  # index of state 0
-    probs = np.zeros(size)
-    probs[origin] = 1.0
-    absorbed = 0.0
-    comp = 0.0  # Kahan compensation
-    cut = origin + barrier  # first index at or above the barrier
-    for _ in range(n):
-        nxt = np.zeros(size)
-        nxt[1:] += 0.5 * probs[:-1]
-        nxt[:-1] += 0.5 * probs[1:]
-        crossing = float(nxt[cut:].sum())
-        nxt[cut:] = 0.0
-        y = crossing - comp
-        t = absorbed + y
-        comp = (t - absorbed) - y
-        absorbed = t
-        probs = nxt
-    return ExactResult(float(absorbed), p_sum, n, x, "lattice_dp")
+    return ExactResult(_walk_max_tail(n, barrier), _walk_tail(n, barrier), n, x, "lattice_dp")
 
 
 def lattice_dp_sum(n: int, x: float, scale: float = 1.0) -> float:
-    """Free DP for P(S_n >= x V_n) on the +-scale walk."""
-    _check_dp_args(n, x, scale)
-    barrier = _lattice_barrier(n, x)
-    if barrier > n:
-        return 0.0
-    size = 2 * n + 1
-    origin = n
-    probs = np.zeros(size)
-    probs[origin] = 1.0
-    for _ in range(n):
-        nxt = np.zeros(size)
-        nxt[1:] += 0.5 * probs[:-1]
-        nxt[:-1] += 0.5 * probs[1:]
-        probs = nxt
-    return math.fsum(probs[origin + barrier :].tolist())
+    """P(S_n >= x V_n) on the +-scale walk."""
+    return lattice_dp_max(n, x, scale).p_sum

@@ -70,6 +70,14 @@ def test_enumerate_payload(capsys):
     }
 
 
+@pytest.mark.parametrize("x", ["nan", "inf", "-inf", "-0.5"])
+def test_enumerate_bad_x_is_config_error(capsys, x):
+    code, out, err = run_cli(capsys, "enumerate", "--dist", "rademacher", "--n", "4", f"--x={x}")
+    assert code == 2
+    assert out == ""
+    assert "x must be finite and >= 0" in err
+
+
 def test_simulate_payload(capsys):
     code, out, _ = run_cli(
         capsys, "simulate", "--dist", "rademacher", "--n", "16", "--x", "1",

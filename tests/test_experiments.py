@@ -177,6 +177,16 @@ def test_oracle_prefers_enumeration_for_twopoint(tmp_path):
     assert row.method == "enumeration"
 
 
+def test_oracle_rademacher_exact_at_any_n(tmp_path):
+    cfg = oracle_cfg(
+        tmp_path, name="big.csv", n_grid=[100_001, 10**6], x_values=[1.5], mc_fallback=False,
+    )
+    for row, n in zip(run_sweep(cfg), (100_001, 10**6)):
+        assert row.method == "lattice_dp"
+        assert row.samples == 0
+        assert row.p_max == lattice_dp_max(n, 1.5).p_max
+
+
 def test_oracle_falls_back_to_mc(tmp_path):
     cfg = oracle_cfg(
         tmp_path, name="fb.csv", dist={"family": "uniform", "half_width": 1.0},

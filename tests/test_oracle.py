@@ -1,14 +1,18 @@
-"""Exact oracles: enumeration vs lattice DP vs independent references."""
+"""Exact oracles: enumeration vs the Rademacher closed form vs independent
+references (itertools enumeration, the absorbing-barrier DP, exact binomial
+sums, scipy.stats.binom)."""
 
 import itertools
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import binom
 
-from mdlab import Rademacher, SequenceSpec, TwoPoint, Uniform
+from mdlab import Rademacher, SequenceSpec, TwoPoint, Uniform, oracle
 from mdlab.errors import BudgetExceededError, ConfigError
 from mdlab.oracle import enumerate_exact, lattice_dp_max, lattice_dp_sum
 
@@ -97,9 +101,81 @@ def test_containment_and_bounds():
             assert 0.0 <= res.p_sum <= res.p_max <= 1.0
 
 
+SPLIT_SCALES = np.random.default_rng(7).uniform(0.5, 2.0, 7)
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+@pytest.mark.parametrize(
+    "dist,scaled",
+    [(Rademacher(1.0), False), (TwoPoint(2.0, 1.0), False), (TwoPoint(1.5, 0.8), True)],
+    ids=["rademacher", "twopoint", "twopoint-scaled"],
+)
+def test_enumerate_prefix_suffix_split_matches_brute(monkeypatch, n, dist, scaled):
+    monkeypatch.setattr(oracle, "_ENUM_CHUNK", 8)  # 3-step prefixes
+    scales = SPLIT_SCALES[:n] if scaled else None
+    for x in (0.0, 0.5, 1.7):
+        got = enumerate_exact(SequenceSpec(dist, n, scales=scales), x)
+        want_max, want_sum = brute_force(dist, n, x, scales)
+        assert got.p_max == pytest.approx(want_max, abs=1e-13)
+        assert got.p_sum == pytest.approx(want_sum, abs=1e-13)
+
+
+@pytest.mark.parametrize("chunk", [8, 2])
+def test_enumerate_split_keeps_barrier_ties(monkeypatch, chunk):
+    # n=4, x=1 hits the barrier 2c exactly; the split sums S_pre + M_suf
+    # in another order than a running cumulative sum
+    monkeypatch.setattr(oracle, "_ENUM_CHUNK", chunk)
+    for c in (1.0, 0.25, 0.3, 1e-3):
+        got = enumerate_exact(SequenceSpec(Rademacher(c), 4), 1.0)
+        assert got.p_max == 6.0 / 16.0
+        assert got.p_sum == 5.0 / 16.0
+
+
 # ---------------------------------------------------------------------------
-# lattice DP
+# Rademacher closed form
 # ---------------------------------------------------------------------------
+
+def _walk_step(probs):
+    nxt = np.zeros_like(probs)
+    nxt[1:] += 0.5 * probs[:-1]
+    nxt[:-1] += 0.5 * probs[1:]
+    return nxt
+
+
+def dp_reference(n, barrier):
+    """(P(max_k S_k >= barrier), P(S_n >= barrier)) for the +-1 walk by an
+    absorbing-barrier DP and a free DP over the states -n..n, O(n^2)."""
+    origin = n
+    alive = np.zeros(2 * n + 1)
+    alive[origin] = 1.0
+    free = alive.copy()
+    absorbed = 0.0
+    for _ in range(n):
+        alive = _walk_step(alive)
+        absorbed += float(alive[origin + barrier :].sum())
+        alive[origin + barrier :] = 0.0
+        free = _walk_step(free)
+    return absorbed, math.fsum(free[origin + barrier :].tolist())
+
+
+@pytest.mark.parametrize("n", list(range(1, 65)) + [255, 256, 1024, 2048])
+def test_closed_form_matches_dp_reference(n):
+    for x in (0.0, 0.5, 1.0, 1.5, 3.0):
+        want_max, want_sum = dp_reference(n, math.ceil(x * math.sqrt(n) - 1e-9))
+        got = lattice_dp_max(n, x)
+        assert got.p_max == pytest.approx(want_max, rel=1e-12, abs=0.0), x
+        assert got.p_sum == pytest.approx(want_sum, rel=1e-12, abs=0.0), x
+        assert lattice_dp_sum(n, x) == got.p_sum
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_dp_reference_matches_brute(n):
+    for x in (0.0, 0.5, 1.0, 1.7):
+        want_max, want_sum = brute_force(Rademacher(1.0), n, x)
+        got_max, got_sum = dp_reference(n, math.ceil(x * math.sqrt(n) - 1e-9))
+        assert got_max == pytest.approx(want_max, abs=1e-15)
+        assert got_sum == pytest.approx(want_sum, abs=1e-15)
+
 
 @pytest.mark.parametrize("n", list(range(1, 13)))
 @pytest.mark.parametrize("x", [0.5, 1.0, 1.5])
@@ -111,12 +187,16 @@ def test_cross_oracle_agreement(n, x):
 
 
 def reflection_p_max(n, barrier):
-    """P(max_k S_k >= barrier) = 2 P(S_n > barrier) + P(S_n = barrier) for
-    the symmetric unit walk (reflection identity), via the binomial law."""
-    if barrier <= 0:
-        return 1.0
+    """P(max_{1<=k<=n} S_k >= barrier) for the symmetric unit walk via the
+    binomial law. For barrier >= 1 the reflection identity gives
+    2 P(S_n > barrier) + P(S_n = barrier). For barrier 0 the walk misses
+    only by stepping down first and then never climbing back, which has
+    probability P(S_{n-1} in {0, 1}) / 2 (ballot count)."""
     if barrier > n:
         return 0.0
+    if barrier <= 0:
+        m = n - 1
+        return 1.0 - 0.5 * float(binom.pmf(math.ceil(m / 2), m, 0.5))
     k = (n + barrier) / 2.0
     if k != int(k):  # parity: S_n never hits the barrier exactly
         return 2.0 * binom.sf(math.floor(k), n, 0.5)
@@ -124,8 +204,16 @@ def reflection_p_max(n, barrier):
     return 2.0 * binom.sf(k, n, 0.5) + binom.pmf(k, n, 0.5)
 
 
+def test_reflection_helper_at_barrier_zero():
+    # n = 1: max S_1 >= 0 only when the single step is up
+    assert reflection_p_max(1, 0) == 0.5
+    for n in (1, 2, 3, 5, 8):
+        want = brute_force(Rademacher(1.0), n, 0.0)[0]
+        assert reflection_p_max(n, 0) == pytest.approx(want, abs=1e-15)
+
+
 @pytest.mark.parametrize("n", [16, 128, 1024, 4096])
-@pytest.mark.parametrize("x", [0.5, 1.3, 2.0])
+@pytest.mark.parametrize("x", [0.5, 1.3, 2.0, 0.0])
 def test_dp_max_matches_reflection_identity(n, x):
     barrier = math.ceil(x * math.sqrt(n) - 1e-9)
     got = lattice_dp_max(n, x).p_max
@@ -142,6 +230,30 @@ def test_dp_sum_matches_binomial_tail(n, x):
     assert lattice_dp_sum(n, x) == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
+@pytest.mark.parametrize("n", [256, 4096, 16384])
+def test_closed_form_matches_exact_binomial_sums(n):
+    # 1e-13 relative: scipy.special.bdtrc is off by up to ~3e-11 here
+    row = [1]
+    for j in range(n):
+        row.append(row[-1] * (n - j) // (j + 1))
+    at_least = list(itertools.accumulate(reversed(row)))[::-1]  # sum_{j >= k} C(n, j)
+
+    def tail(t):  # P(S_n >= t) = P(U >= ceil((n + t) / 2)), U ~ Bin(n, 1/2)
+        return Fraction(at_least[-(-(n + t) // 2)], 2**n)
+
+    for x in (0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0):
+        b = math.ceil(x * math.sqrt(n) - 1e-9)
+        if b == 0:
+            m = n - 1
+            want_max = 1 - Fraction(math.comb(m, -(-m // 2)), 2 ** (m + 1))
+        else:
+            want_max = tail(b) + tail(b + 1)
+        got = lattice_dp_max(n, x)
+        assert got.p_max == pytest.approx(float(want_max), rel=1e-13, abs=0.0), x
+        assert got.p_sum == pytest.approx(float(tail(b)), rel=1e-13, abs=0.0), x
+        assert lattice_dp_sum(n, x) == got.p_sum
+
+
 def test_dp_sum_even_n_x0():
     # P(S_n >= 0) = (1 + P(S_n = 0)) / 2 by symmetry
     for n in (2, 8, 64):
@@ -154,6 +266,26 @@ def test_dp_x_above_sqrt_n_is_zero():
     assert res.p_max == 0.0
     assert res.p_sum == 0.0
     assert lattice_dp_sum(16, 4.0001) == 0.0
+
+
+def test_huge_finite_x_gives_zero_without_overflow():
+    # x sqrt(n) overflows to inf; the event is still well defined and empty
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = lattice_dp_max(16, 1e308)
+        assert (res.p_max, res.p_sum) == (0.0, 0.0)
+        res = enumerate_exact(SequenceSpec(TwoPoint(2.0, 1.0), 6), 1e308)
+        assert (res.p_max, res.p_sum) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, -0.5])
+def test_oracles_reject_bad_x(x):
+    with pytest.raises(ConfigError, match="finite and >= 0"):
+        lattice_dp_max(4, x)
+    with pytest.raises(ConfigError, match="finite and >= 0"):
+        lattice_dp_sum(4, x)
+    with pytest.raises(ConfigError, match="finite and >= 0"):
+        enumerate_exact(SequenceSpec(Rademacher(1.0), 4), x)
 
 
 def test_dp_barrier_tie_counted_in():
@@ -198,8 +330,16 @@ def test_dp_monotone_in_x(n, x1, x2):
 
 
 def test_dp_budget_and_validation():
-    with pytest.raises(BudgetExceededError):
-        lattice_dp_max(100_001, 1.0)
+    # no size limit: the closed form holds far past where a DP could run
+    for n in (100_001, 10**6, 10**9):
+        for x in (0.0, 0.5, 1.5, 3.0):
+            barrier = math.ceil(x * math.sqrt(n) - 1e-9)
+            res = lattice_dp_max(n, x)
+            assert res.p_max == pytest.approx(reflection_p_max(n, barrier), rel=1e-12)
+            k_min = math.ceil((n + barrier) / 2.0)
+            assert res.p_sum == pytest.approx(float(binom.sf(k_min - 1, n, 0.5)), rel=1e-12)
+    with pytest.raises(ConfigError):
+        lattice_dp_max(0, 1.0)
     with pytest.raises(ConfigError):
         lattice_dp_max(10, -0.5)
     with pytest.raises(ConfigError):
@@ -207,9 +347,8 @@ def test_dp_budget_and_validation():
 
 
 def test_dp_probabilities_sum_to_one():
-    # absorbed mass plus the free-DP complement must agree
     n, x = 500, 1.2
     p_max = lattice_dp_max(n, x).p_max
     assert 0.0 < p_max < 1.0
-    # monotone sanity against the terminal event
+    # the max event contains the terminal one
     assert lattice_dp_sum(n, x) <= p_max
