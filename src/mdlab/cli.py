@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .distributions import from_literal
 from .errors import ConfigError, MdlabError
@@ -65,25 +66,25 @@ def build_parser() -> argparse.ArgumentParser:
         description="tail-ratio laboratory for self-normalized walk maxima",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    instance = argparse.ArgumentParser(add_help=False)
+    instance.add_argument("--dist", required=True)
+    instance.add_argument("--n", type=int, required=True)
+    instance.add_argument("--x", type=float, required=True)
 
-    p_theory = sub.add_parser("theory", help="moment functionals and regime flags")
-    p_theory.add_argument("--dist", required=True)
-    p_theory.add_argument("--n", type=int, required=True)
-    p_theory.add_argument("--x", type=float, required=True)
+    p_theory = sub.add_parser(
+        "theory", parents=[instance], help="moment functionals and regime flags"
+    )
     p_theory.add_argument("--r", type=float, default=1.0)
     p_theory.add_argument("--delta", type=float, default=1.0)
     p_theory.add_argument("--a0-constant", type=float, default=1.0)
     p_theory.add_argument("--scales", default=None, help="JSON list file of per-index scales")
 
-    p_enum = sub.add_parser("enumerate", help="exact enumeration of both tail events")
-    p_enum.add_argument("--dist", required=True)
-    p_enum.add_argument("--n", type=int, required=True)
-    p_enum.add_argument("--x", type=float, required=True)
-
-    p_sim = sub.add_parser("simulate", help="Monte Carlo estimate of both tail events")
-    p_sim.add_argument("--dist", required=True)
-    p_sim.add_argument("--n", type=int, required=True)
-    p_sim.add_argument("--x", type=float, required=True)
+    sub.add_parser(
+        "enumerate", parents=[instance], help="exact enumeration of both tail events"
+    )
+    p_sim = sub.add_parser(
+        "simulate", parents=[instance], help="Monte Carlo estimate of both tail events"
+    )
     p_sim.add_argument("--samples", type=int, required=True)
     p_sim.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_sim.add_argument("--method", choices=["naive", "tilted"], default="naive")
@@ -98,13 +99,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_theory(args) -> dict:
     dist = _parse_dist(args.dist)
     seq = SequenceSpec(dist, args.n, scales=_load_scales(args.scales))
-    q = compute_quantities(seq, args.x, args.r, args.delta, args.a0_constant)
-    return q.as_dict()
+    return asdict(compute_quantities(seq, args.x, args.r, args.delta, args.a0_constant))
 
 
 def _cmd_enumerate(args) -> dict:
     dist = _parse_dist(args.dist)
-    return enumerate_exact(SequenceSpec(dist, args.n), args.x).as_dict()
+    return asdict(enumerate_exact(SequenceSpec(dist, args.n), args.x))
 
 
 def _cmd_simulate(args) -> dict:

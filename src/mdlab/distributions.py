@@ -27,13 +27,13 @@ StudentT               ``{"family": "student_t", "nu": nu}``
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
 from scipy import special
 
-from .errors import ConfigError, InfiniteMomentError, TiltUnsupportedError
+from .errors import ConfigError, InfiniteMomentError, TiltUnsupportedError, check_finite
 
 __all__ = [
     "Distribution",
@@ -56,8 +56,11 @@ def _levelwise(fn, levels) -> float | np.ndarray:
 
 
 class Distribution:
-    """Common interface for the centered increment families."""
+    """Common interface for the centered increment families: each is a
+    frozen dataclass whose fields, with their defaults, are the parameters
+    of its config literal ``{"family": family, ...}``."""
 
+    family: str
     bounded_support: bool = False
 
     # -- moments -------------------------------------------------------
@@ -99,23 +102,20 @@ class Distribution:
         """Supremum of the support; +inf for unbounded families."""
         return math.inf
 
-    def log_mgf(self, theta: float) -> float:
-        raise TiltUnsupportedError(
+    def _tilt_unsupported(self) -> TiltUnsupportedError:
+        return TiltUnsupportedError(
             f"{type(self).__name__} has unbounded support; tilting is "
             "unsupported, use naive Monte Carlo"
         )
+
+    def log_mgf(self, theta: float) -> float:
+        raise self._tilt_unsupported()
 
     def tilted_mean(self, theta: float) -> float:
-        raise TiltUnsupportedError(
-            f"{type(self).__name__} has unbounded support; tilting is "
-            "unsupported, use naive Monte Carlo"
-        )
+        raise self._tilt_unsupported()
 
     def tilted_sample(self, theta: float, rng: np.random.Generator, size=None):
-        raise TiltUnsupportedError(
-            f"{type(self).__name__} has unbounded support; tilting is "
-            "unsupported, use naive Monte Carlo"
-        )
+        raise self._tilt_unsupported()
 
     # -- misc ----------------------------------------------------------
     def finite_support(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
@@ -123,13 +123,15 @@ class Distribution:
         return None
 
     def literal(self) -> dict:
-        raise NotImplementedError
+        """The config literal, e.g. ``{"family": "twopoint", "a": 2.0, "b": 1.0}``."""
+        return {"family": self.family, **asdict(self)}
 
 
 @dataclass(frozen=True)
 class Rademacher(Distribution):
     """P(X = +c) = P(X = -c) = 1/2."""
 
+    family = "rademacher"
     scale: float = 1.0
     bounded_support = True
 
@@ -168,14 +170,12 @@ class Rademacher(Distribution):
     def finite_support(self):
         return (np.array([self.scale, -self.scale]), np.array([0.5, 0.5]))
 
-    def literal(self) -> dict:
-        return {"family": "rademacher", "scale": self.scale}
-
 
 @dataclass(frozen=True)
 class TwoPoint(Distribution):
     """Support {a, -b}; zero mean forces P(X = a) = b/(a+b)."""
 
+    family = "twopoint"
     a: float = 1.0
     b: float = 1.0
     bounded_support = True
@@ -233,14 +233,12 @@ class TwoPoint(Distribution):
     def finite_support(self):
         return (np.array([self.a, -self.b]), np.array([self.p_plus, 1.0 - self.p_plus]))
 
-    def literal(self) -> dict:
-        return {"family": "twopoint", "a": self.a, "b": self.b}
-
 
 @dataclass(frozen=True)
 class Uniform(Distribution):
     """Uniform on [-a, a]."""
 
+    family = "uniform"
     half_width: float = 1.0
     bounded_support = True
 
@@ -293,14 +291,12 @@ class Uniform(Distribution):
         # inverse CDF of the tilted density, stable for small theta*a
         return -a + np.log1p(u * math.expm1(2.0 * theta * a)) / theta
 
-    def literal(self) -> dict:
-        return {"family": "uniform", "half_width": self.half_width}
-
 
 @dataclass(frozen=True)
 class CenteredExponential(Distribution):
     """Exponential(rate) shifted to mean zero: X = E - 1/rate, support [-1/rate, inf)."""
 
+    family = "centered_exponential"
     rate: float = 1.0
 
     def __post_init__(self):
@@ -346,9 +342,6 @@ class CenteredExponential(Distribution):
     def sample(self, rng, size=None):
         return rng.exponential(self.shift, size=size) - self.shift
 
-    def literal(self) -> dict:
-        return {"family": "centered_exponential", "rate": self.rate}
-
 
 @dataclass(frozen=True)
 class StudentT(Distribution):
@@ -366,6 +359,7 @@ class StudentT(Distribution):
     such orders.
     """
 
+    family = "student_t"
     nu: float = 5.0
 
     def __post_init__(self):
@@ -421,22 +415,17 @@ class StudentT(Distribution):
     def sample(self, rng, size=None):
         return rng.standard_t(self.nu, size=size)
 
-    def literal(self) -> dict:
-        return {"family": "student_t", "nu": self.nu}
-
 
 _FAMILIES = {
-    "rademacher": (Rademacher, {"scale": 1.0}),
-    "twopoint": (TwoPoint, {"a": 1.0, "b": 1.0}),
-    "uniform": (Uniform, {"half_width": 1.0}),
-    "centered_exponential": (CenteredExponential, {"rate": 1.0}),
-    "student_t": (StudentT, {"nu": 5.0}),
+    cls.family: cls
+    for cls in (Rademacher, TwoPoint, Uniform, CenteredExponential, StudentT)
 }
 
 
 def from_literal(lit: dict) -> Distribution:
     """Build a distribution from its config literal, e.g.
-    ``{"family": "rademacher", "scale": 1.0}``."""
+    ``{"family": "rademacher", "scale": 1.0}``; omitted parameters take
+    the family's defaults, given ones must be finite numbers."""
     if not isinstance(lit, dict) or "family" not in lit:
         raise ConfigError(f"distribution literal needs a 'family' key: {lit!r}")
     family = lit["family"]
@@ -444,12 +433,13 @@ def from_literal(lit: dict) -> Distribution:
         raise ConfigError(
             f"unknown family {family!r}; known: {sorted(_FAMILIES)}"
         )
-    cls, defaults = _FAMILIES[family]
-    kwargs = dict(defaults)
+    cls = _FAMILIES[family]
+    params = {f.name for f in fields(cls)}
+    kwargs = {}
     for key, val in lit.items():
         if key == "family":
             continue
-        if key not in defaults:
+        if key not in params:
             raise ConfigError(f"unknown key {key!r} for family {family!r}")
-        kwargs[key] = float(val)
+        kwargs[key] = check_finite(f"{family} {key}", val)
     return cls(**kwargs)

@@ -1,10 +1,13 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the finite-number
+check every entry point applies to its numeric inputs.
 
 The classes map onto CLI exit codes: :class:`ConfigError` means the caller
 asked for something malformed (exit 2), the remaining classes mean a
 well-formed request that is numerically infeasible for the given inputs
 (exit 3).
 """
+
+import math
 
 
 class MdlabError(Exception):
@@ -30,3 +33,16 @@ class BudgetExceededError(MdlabError):
 class InfeasibleError(MdlabError):
     """A numerically infeasible request, e.g. a drift target outside the
     support hull of the increment law."""
+
+
+def check_finite(name: str, value, lower: float = -math.inf) -> float:
+    """``value`` as a float; :class:`ConfigError` unless it is a finite
+    real number (a bool, string, ``None`` or list is not) and ``>= lower``."""
+    try:
+        ok = not isinstance(value, bool) and math.isfinite(value) and value >= lower
+    except (TypeError, OverflowError):
+        ok = False
+    if not ok:
+        need = "a finite number" if lower == -math.inf else f"finite and >= {lower:g}"
+        raise ConfigError(f"{name} must be {need}, got {value!r}")
+    return float(value)

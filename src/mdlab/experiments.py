@@ -26,7 +26,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 from . import __version__
@@ -44,17 +44,15 @@ __all__ = [
     "CSV_COLUMNS",
 ]
 
-CSV_COLUMNS = [
-    "n", "x", "p_max", "p_sum", "tail", "ratio_max", "ratio_sum",
-    "ci_low", "ci_high", "probe", "delta_nx", "dnr", "n0", "epsilon",
-    "method", "samples", "seed",
-]
-
 _Z95 = 1.959963984540054
 
 
 def _fmt(v: float) -> str:
     return format(float(v), ".17g")
+
+
+# declared field type -> parser for the CSV text and the flat config values
+_PARSE = {"int": int, "float": float, "Optional[float]": float, "str": str}
 
 
 @dataclass(frozen=True)
@@ -108,16 +106,13 @@ class SweepConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SweepConfig":
-        known = {
-            "dist", "n_grid", "output", "x_values", "x_c", "x_power", "r",
-            "delta", "tau", "engine", "mc_method", "mc_samples",
-            "mc_fallback", "seed", "a0_constant", "workers",
-        }
-        unknown = set(raw) - known
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "dist" not in raw or "n_grid" not in raw or "output" not in raw:
             raise ConfigError("config requires 'dist', 'n_grid', and 'output'")
+        if not isinstance(raw.get("mc_fallback", True), bool):
+            raise ConfigError(f"mc_fallback must be true or false, got {raw['mc_fallback']!r}")
         kwargs = dict(raw)
         kwargs["n_grid"] = tuple(int(n) for n in raw["n_grid"])
         if raw.get("x_values") is not None:
@@ -125,14 +120,9 @@ class SweepConfig:
         if raw.get("x_c") is not None:
             xc = raw["x_c"]
             kwargs["x_c"] = tuple(float(c) for c in (xc if isinstance(xc, list) else [xc]))
-        for key, cast in (
-            ("x_power", float), ("r", float), ("delta", float), ("tau", float),
-            ("a0_constant", float), ("mc_samples", int), ("seed", int),
-            ("workers", int), ("mc_fallback", bool), ("engine", str),
-            ("mc_method", str), ("output", str),
-        ):
-            if kwargs.get(key) is not None:
-                kwargs[key] = cast(kwargs[key])
+        for f in fields(cls):
+            if f.type in _PARSE and kwargs.get(f.name) is not None:
+                kwargs[f.name] = _PARSE[f.type](kwargs[f.name])
         return cls(**kwargs)
 
     @classmethod
@@ -167,22 +157,9 @@ class SweepConfig:
 
     def canonical(self) -> dict:
         """Semantic content only; execution details excluded."""
-        return {
-            "dist": self.dist,
-            "n_grid": list(self.n_grid),
-            "x_values": list(self.x_values) if self.x_values is not None else None,
-            "x_c": list(self.x_c) if self.x_c is not None else None,
-            "x_power": self.x_power,
-            "r": self.r,
-            "delta": self.delta,
-            "tau": self.tau,
-            "engine": self.engine,
-            "mc_method": self.mc_method,
-            "mc_samples": self.mc_samples,
-            "mc_fallback": self.mc_fallback,
-            "seed": self.seed,
-            "a0_constant": self.a0_constant,
-        }
+        out = asdict(self)
+        del out["output"], out["workers"]
+        return out
 
     def config_hash(self) -> str:
         blob = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
@@ -194,7 +171,8 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class RatioRow:
-    """One (n, x) result row; field order matches :data:`CSV_COLUMNS`."""
+    """One (n, x) result row; the fields, in declaration order, are the CSV
+    columns. Floats are written at 17 significant digits."""
 
     n: int
     x: float
@@ -216,28 +194,21 @@ class RatioRow:
 
     def to_csv_line(self) -> str:
         return ",".join(
-            [
-                str(self.n), _fmt(self.x), _fmt(self.p_max), _fmt(self.p_sum),
-                _fmt(self.tail), _fmt(self.ratio_max), _fmt(self.ratio_sum),
-                _fmt(self.ci_low), _fmt(self.ci_high), _fmt(self.probe),
-                _fmt(self.delta_nx), _fmt(self.dnr), str(self.n0),
-                _fmt(self.epsilon), self.method, str(self.samples), str(self.seed),
-            ]
+            (_fmt if f.type == "float" else str)(getattr(self, f.name))
+            for f in fields(self)
         )
 
     @classmethod
     def from_csv_line(cls, line: str) -> "RatioRow":
         parts = line.rstrip("\n").split(",")
-        if len(parts) != len(CSV_COLUMNS):
-            raise ConfigError(f"malformed CSV row: {line!r}")
-        return cls(
-            n=int(parts[0]), x=float(parts[1]), p_max=float(parts[2]),
-            p_sum=float(parts[3]), tail=float(parts[4]), ratio_max=float(parts[5]),
-            ratio_sum=float(parts[6]), ci_low=float(parts[7]), ci_high=float(parts[8]),
-            probe=float(parts[9]), delta_nx=float(parts[10]), dnr=float(parts[11]),
-            n0=int(parts[12]), epsilon=float(parts[13]), method=parts[14],
-            samples=int(parts[15]), seed=int(parts[16]),
-        )
+        try:
+            values = [_PARSE[f.type](p) for f, p in zip(fields(cls), parts, strict=True)]
+        except ValueError:
+            raise ConfigError(f"malformed CSV row: {line!r}") from None
+        return cls(*values)
+
+
+CSV_COLUMNS = [f.name for f in fields(RatioRow)]
 
 
 def _wilson_interval(p_hat: float, n: int) -> tuple[float, float]:
@@ -357,7 +328,8 @@ def run_sweep(
     strictly in row-index order, so the file content never depends on the
     worker count and any prefix of it is a valid partial result.
     ``stop_after_rows`` stops after that many newly written rows, which is
-    how tests exercise interruption and resume.
+    how tests exercise interruption and resume. A CSV without a manifest,
+    or whose rows do not match the config's jobs, is refused untouched.
     """
     workers = cfg.workers if workers is None else workers
     if workers < 1:
@@ -373,6 +345,19 @@ def run_sweep(
                 "to mix results (delete the output or change the path)"
             )
         done_lines = _read_completed(cfg.output)
+        if len(done_lines) > len(jobs):
+            raise ConfigError(f"{cfg.output} holds more rows than the config defines")
+        for line, (idx, n, x) in zip(done_lines, jobs):
+            row = RatioRow.from_csv_line(line)
+            if (row.n, row.x) != (n, x):
+                raise ConfigError(
+                    f"{cfg.output} row {idx} is for (n={row.n}, x={row.x}), "
+                    f"expected (n={n}, x={x}); refusing to resume"
+                )
+    elif os.path.exists(cfg.output):
+        raise ConfigError(
+            f"{cfg.output} exists without its manifest; refusing to overwrite it"
+        )
     else:
         outdir = os.path.dirname(os.path.abspath(cfg.output))
         os.makedirs(outdir, exist_ok=True)

@@ -31,7 +31,7 @@ import numpy as np
 from scipy import optimize
 
 from .distributions import Rademacher
-from .errors import ConfigError, InfeasibleError, TiltUnsupportedError
+from .errors import ConfigError, InfeasibleError, TiltUnsupportedError, check_finite
 from .theory import SequenceSpec
 
 __all__ = [
@@ -137,8 +137,7 @@ def choose_tilt(seq: SequenceSpec, x: float) -> TiltPlan:
     other bounded families use monotone root finding, refined until the
     drift equation holds to 1e-10.
     """
-    if x < 0.0:
-        raise ConfigError(f"x must be >= 0, got {x}")
+    check_finite("x", x, 0.0)
     dist = seq.dist
     if not dist.bounded_support:
         raise ConfigError(
@@ -267,8 +266,7 @@ def simulate(
     """
     if n_samples < 1000:
         raise ConfigError(f"n_samples must be >= 1000, got {n_samples}")
-    if x < 0.0:
-        raise ConfigError(f"x must be >= 0, got {x}")
+    check_finite("x", x, 0.0)
     if not (0 <= seed <= _MAX_UINT64):
         raise ConfigError(f"seed must fit in 64 bits, got {seed}")
     if workers < 1:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import BudgetExceededError, ConfigError
+from .errors import BudgetExceededError, ConfigError, check_finite
 from .theory import SequenceSpec
 
 __all__ = [
@@ -42,27 +42,14 @@ _ENUM_CHUNK = 1 << 15  # prefix outcomes scored per vector op
 
 @dataclass(frozen=True)
 class ExactResult:
-    """Exact probabilities of the max event and the terminal-sum event."""
+    """Exact probabilities of the max event and the terminal-sum event; the
+    fields, in declaration order, are the ``enumerate`` JSON payload."""
 
     p_max: float
     p_sum: float
     n: int
     x: float
     method: str  # "enumeration" | "lattice_dp"
-
-    def as_dict(self) -> dict:
-        return {
-            "p_max": self.p_max,
-            "p_sum": self.p_sum,
-            "n": self.n,
-            "x": self.x,
-            "method": self.method,
-        }
-
-
-def _check_x(x: float) -> None:
-    if not (math.isfinite(x) and x >= 0.0):
-        raise ConfigError(f"x must be finite and >= 0, got {x}")
 
 
 def _path_states(values: np.ndarray, probs: np.ndarray, scales: np.ndarray):
@@ -89,7 +76,7 @@ def enumerate_exact(seq: SequenceSpec, x: float) -> ExactResult:
     ties (which belong to the >= event) survive rescaled instances, keeping
     the result scale free like the event itself.
     """
-    _check_x(x)
+    check_finite("x", x, 0.0)
     support = seq.dist.finite_support()
     if support is None:
         raise ConfigError(
@@ -168,7 +155,7 @@ def lattice_dp_max(n: int, x: float, scale: float = 1.0) -> ExactResult:
     """
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
-    _check_x(x)
+    check_finite("x", x, 0.0)
     if not scale > 0.0:
         raise ConfigError(f"scale must be > 0, got {scale}")
     barrier = _lattice_barrier(n, x)

@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .distributions import Distribution
-from .errors import ConfigError, InfiniteMomentError
+from .errors import ConfigError, InfiniteMomentError, check_finite
 
 __all__ = [
     "SequenceSpec",
@@ -142,7 +142,8 @@ class SequenceSpec:
 class TheoryQuantities:
     """All sequence-level functionals of (sequence, x, r, delta).
 
-    Field names match the JSON schema of the ``theory`` CLI subcommand.
+    The fields, in declaration order, are the JSON payload of the
+    ``theory`` CLI subcommand.
     """
 
     bn2: float
@@ -156,21 +157,6 @@ class TheoryQuantities:
     a0_ok: bool
     bor_ok: bool
     range_ok: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "bn2": self.bn2,
-            "lnr": self.lnr,
-            "dnr": self.dnr,
-            "delta_nx": self.delta_nx,
-            "n0": self.n0,
-            "gamma": self.gamma,
-            "epsilon": self.epsilon,
-            "m": self.m,
-            "a0_ok": self.a0_ok,
-            "bor_ok": self.bor_ok,
-            "range_ok": self.range_ok,
-        }
 
 
 def _require_moment(dist: Distribution, p: float):
@@ -246,6 +232,8 @@ def compute_quantities(
     small-functional regime check ``delta_nx <= min(delta^(9/2), 1) / A``;
     the default A=1 makes ``a0_ok`` a heuristic indicator only.
     """
+    for name, value in (("x", x), ("r", r), ("delta", delta)):
+        check_finite(name, value)
     if x <= 0.0:
         raise ConfigError(f"x must be > 0, got {x}")
     if not 0.0 < r <= 1.0:

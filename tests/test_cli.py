@@ -68,6 +68,7 @@ def test_enumerate_payload(capsys):
     assert payload == {
         "p_max": 0.375, "p_sum": 0.3125, "n": 4, "x": 1.0, "method": "enumeration"
     }
+    assert list(payload) == ["p_max", "p_sum", "n", "x", "method"]
 
 
 @pytest.mark.parametrize("x", ["nan", "inf", "-inf", "-0.5"])
@@ -76,6 +77,42 @@ def test_enumerate_bad_x_is_config_error(capsys, x):
     assert code == 2
     assert out == ""
     assert "x must be finite and >= 0" in err
+
+
+@pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["theory", "--dist", "rademacher", "--n", "10"],
+        ["simulate", "--dist", "rademacher", "--n", "10", "--samples", "2000"],
+        ["simulate", "--dist", "uniform", "--n", "10", "--samples", "2000", "--method", "tilted"],
+    ],
+)
+def test_nonfinite_x_is_config_error(capsys, argv, x):
+    code, out, err = run_cli(capsys, *argv, f"--x={x}")
+    assert code == 2
+    assert out == ""
+    assert "x must be" in err
+
+
+@pytest.mark.parametrize(
+    "flag", ["--r=nan", "--delta=nan", "--delta=inf"]
+)
+def test_theory_nonfinite_r_delta_is_config_error(capsys, flag):
+    code, out, _ = run_cli(capsys, "theory", "--dist", "rademacher", "--n", "10", "--x", "2", flag)
+    assert code == 2
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "value", ['"abc"', "null", "true", "[1.0]", "NaN", "Infinity", "1e999"]
+)
+def test_dist_parameter_must_be_a_finite_number(capsys, value):
+    lit = '{"family": "rademacher", "scale": %s}' % value
+    code, out, err = run_cli(capsys, "theory", "--dist", lit, "--n", "10", "--x", "1")
+    assert code == 2
+    assert out == ""
+    assert "rademacher scale must be a finite number" in err
 
 
 def test_simulate_payload(capsys):
@@ -171,7 +208,10 @@ def test_sweep_subcommand(tmp_path, capsys):
     assert payload["csv"] == config["output"]
     assert payload["report"]["trajectories"][0]["trend"] == "decreasing"
     header = (tmp_path / "s.csv").read_text().splitlines()[0]
-    assert header == ",".join(CSV_COLUMNS)
+    assert header == ",".join(CSV_COLUMNS) == (
+        "n,x,p_max,p_sum,tail,ratio_max,ratio_sum,ci_low,ci_high,probe,"
+        "delta_nx,dnr,n0,epsilon,method,samples,seed"
+    )
 
 
 def test_sweep_bad_config_exits_2(tmp_path, capsys):

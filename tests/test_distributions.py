@@ -397,6 +397,22 @@ def test_from_literal_defaults_and_errors():
 
 
 @pytest.mark.parametrize(
+    "value",
+    ["abc", "1.5", None, True, [1.0], {"v": 1.0}, math.nan, math.inf, -math.inf,
+     pytest.param(10**400, id="int_past_float_range")],
+)
+def test_from_literal_rejects_values_that_are_not_finite_numbers(value):
+    with pytest.raises(ConfigError, match="twopoint b must be a finite number"):
+        from_literal({"family": "twopoint", "a": 2.0, "b": value})
+
+
+def test_from_literal_takes_numbers_as_floats():
+    d = from_literal({"family": "twopoint", "a": 2, "b": 1})
+    assert d == TwoPoint(2.0, 1.0) and isinstance(d.a, float)
+    assert d.literal() == {"family": "twopoint", "a": 2.0, "b": 1.0}
+
+
+@pytest.mark.parametrize(
     "bad",
     [
         lambda: Rademacher(0.0),

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import pytest
 
@@ -15,6 +16,12 @@ from mdlab.experiments import (
 )
 from mdlab.oracle import lattice_dp_max
 from mdlab.theory import normal_tail
+
+README = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+HEADER = (
+    "n,x,p_max,p_sum,tail,ratio_max,ratio_sum,ci_low,ci_high,probe,"
+    "delta_nx,dnr,n0,epsilon,method,samples,seed"
+)
 
 
 def oracle_cfg(tmp_path, name="o.csv", **overrides):
@@ -51,7 +58,7 @@ def test_oracle_sweep_rows_and_schema(tmp_path):
     assert len(rows) == 3
     text = (tmp_path / "o.csv").read_text()
     header = text.splitlines()[0]
-    assert header == ",".join(CSV_COLUMNS)
+    assert header == ",".join(CSV_COLUMNS) == HEADER
     for row, n in zip(rows, (16, 64, 256)):
         exact = lattice_dp_max(n, 1.0)
         assert row.method == "lattice_dp"
@@ -67,6 +74,37 @@ def test_oracle_sweep_rows_and_schema(tmp_path):
     assert manifest["columns"] == CSV_COLUMNS
     assert manifest["seed"] == 333
     assert "tool_version" in manifest
+
+
+def test_readme_documents_the_csv_header():
+    with open(README) as fh:
+        assert HEADER in fh.read().splitlines()
+
+
+def test_config_hash_pinned():
+    cfg = SweepConfig.from_dict({
+        "dist": {"family": "twopoint", "a": 2.0, "b": 1.0}, "n_grid": [8, 30],
+        "x_c": [0.5, 1.0], "x_power": 0.2, "r": 0.5, "delta": 2.0, "tau": 1.5,
+        "engine": "mc", "mc_method": "tilted", "mc_samples": 4096,
+        "mc_fallback": False, "seed": 99, "a0_constant": 3.0, "workers": 2,
+        "output": "x.csv",
+    })
+    # resume compares this digest with existing manifests: it must not drift
+    assert cfg.config_hash() == "d5ac707b1fedfb816161af4c976ccab4eaf31fd919a352504e91e32c969a67d4"
+
+
+def test_csv_line_pinned():
+    row = RatioRow(
+        n=8, x=0.1, p_max=1 / 3, p_sum=0.2, tail=0.46017216272297101, ratio_max=2.0,
+        ratio_sum=1e-300, ci_low=0.0, ci_high=math.inf, probe=-0.25, delta_nx=0.5,
+        dnr=1.0, n0=3, epsilon=math.nan, method="tilted", samples=4096, seed=715517,
+    )
+    line = (
+        "8,0.10000000000000001,0.33333333333333331,0.20000000000000001,"
+        "0.46017216272297101,2,1e-300,0,inf,-0.25,0.5,1,3,nan,tilted,4096,715517"
+    )
+    assert row.to_csv_line() == line
+    assert RatioRow.from_csv_line(line).to_csv_line() == line
 
 
 def test_csv_round_trip(tmp_path):
@@ -108,6 +146,41 @@ def test_resume_discards_partial_trailing_line(tmp_path):
     path.write_text(content + "64,1.5,0.123")  # torn write, no newline
     run_sweep(cfg)
     assert path.read_bytes() == ref
+
+
+def test_orphan_csv_without_manifest_is_refused(tmp_path):
+    path = tmp_path / "orphan.csv"
+    path.write_text("precious,data\n1,2\n")
+    before = path.read_bytes()
+    with pytest.raises(ConfigError, match="without its manifest"):
+        run_sweep(oracle_cfg(tmp_path, name="orphan.csv"))
+    assert path.read_bytes() == before
+    assert not (tmp_path / "orphan.csv.manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        pytest.param(lambda lines: lines[:2] + ["999" + lines[2][2:]] + lines[3:],
+                     r"row 1 is for \(n=999", id="n"),
+        pytest.param(lambda lines: lines[:2] + [lines[2].replace(",1,", ",1.25,", 1)] + lines[3:],
+                     r"row 1 is for \(n=64, x=1.25\)", id="x"),
+        pytest.param(lambda lines: lines[:2] + ["64,1,oops"] + lines[3:],
+                     "malformed CSV row", id="malformed"),
+        pytest.param(lambda lines: lines + [lines[-1]], "more rows", id="extra_row"),
+    ],
+)
+def test_resume_refuses_rows_that_do_not_match_the_jobs(tmp_path, edit, match):
+    cfg = oracle_cfg(tmp_path, name="ed.csv")
+    run_sweep(cfg)
+    path = tmp_path / "ed.csv"
+    lines = path.read_text().splitlines()
+    assert lines[2].startswith("64,1,")
+    path.write_text("\n".join(edit(lines)) + "\n")
+    before = path.read_bytes()
+    with pytest.raises(ConfigError, match=match):
+        run_sweep(cfg)
+    assert path.read_bytes() == before
 
 
 def test_worker_counts_byte_identical(tmp_path):
@@ -234,11 +307,15 @@ def test_config_validation():
         {"r": 1.5},
         {"bogus_key": 1},
         {"x_values": [-1.0]},
+        {"mc_fallback": "false"},
+        {"mc_fallback": 0},
+        {"mc_fallback": None},
     ):
         bad = dict(base)
         bad.update(patch)
         with pytest.raises(ConfigError):
             SweepConfig.from_dict(bad)
+    assert SweepConfig.from_dict({**base, "mc_fallback": False}).mc_fallback is False
 
 
 # ---------------------------------------------------------------------------
