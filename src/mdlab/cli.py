@@ -155,7 +155,7 @@ def main(argv=None) -> int:
     except MdlabError as exc:
         print(f"mdlab: {exc}", file=sys.stderr)
         return 3
-    print(json.dumps(payload))
+    print(json.dumps(payload, allow_nan=False))
     return 0
 
 

@@ -25,16 +25,17 @@ import hashlib
 import json
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 from . import __version__
 from .distributions import Distribution, Rademacher, from_literal
-from .errors import BudgetExceededError, ConfigError
+from .errors import BudgetExceededError, ConfigError, InfeasibleError, check_finite
 from .mc import DEFAULT_SEED, simulate
 from .oracle import ENUMERATION_BUDGET, enumerate_exact, lattice_dp_max
-from .theory import SequenceSpec, compute_quantities, error_envelope, normal_tail
+from .theory import SequenceSpec, check_parameters, compute_quantities, error_envelope, normal_tail
 
 __all__ = [
     "SweepConfig",
@@ -51,8 +52,28 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
-# declared field type -> parser for the CSV text and the flat config values
-_PARSE = {"int": int, "float": float, "Optional[float]": float, "str": str}
+# declared field type -> parser for the CSV text
+_PARSE = {"int": int, "float": float, "str": str}
+_JSON_TYPES = {"int": int, "bool": bool, "str": str, "dict": dict}
+
+
+def _config_value(name: str, kind: str, value):
+    """A JSON config value as its declared field type ``kind``: null only
+    where the field is Optional, finite numbers where numbers are due (an
+    integral float such as 1e5 counts as an int), and no casts of strings."""
+    if value is None and kind.startswith("Optional"):
+        return None
+    if "tuple" in kind:
+        if not isinstance(value, list):
+            raise ConfigError(f"{name} must be a list, got {value!r}")
+        return tuple(_config_value(name, "int" if "int" in kind else "float", v) for v in value)
+    if "float" in kind:
+        return check_finite(name, value)
+    if kind == "int" and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) != (kind == "bool") or not isinstance(value, _JSON_TYPES[kind]):
+        raise ConfigError(f"{name} must be a JSON {kind}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -91,8 +112,6 @@ class SweepConfig:
             raise ConfigError("n_grid entries must be >= 1")
         if (self.x_values is None) == (self.x_c is None):
             raise ConfigError("give exactly one of x_values or x_c")
-        if self.x_values is not None and any(x < 0 for x in self.x_values):
-            raise ConfigError("x_values must be >= 0")
         if self.x_c is not None and any(c <= 0 for c in self.x_c):
             raise ConfigError("x_c entries must be > 0")
         if self.engine not in ("oracle", "mc"):
@@ -101,8 +120,16 @@ class SweepConfig:
             raise ConfigError(f"mc_method must be 'naive' or 'tilted'")
         if self.mc_samples < 1000:
             raise ConfigError(f"mc_samples must be >= 1000, got {self.mc_samples}")
-        if not 0.0 < self.r <= 1.0:
-            raise ConfigError(f"r must be in (0, 1], got {self.r}")
+        # every value a row uses is checked here, before any file is written
+        check_parameters(self.r, self.delta, self.a0_constant)
+        check_finite("tau", self.tau)
+        SequenceSpec(self.distribution(), 1)
+        try:
+            for _, _, x in self.jobs():  # past the normal doubles the tail loses digits
+                if normal_tail(check_finite("x", x, 0.0)) < sys.float_info.min:
+                    raise InfeasibleError(f"1 - Phi({x}) is below the normal double range")
+        except OverflowError:
+            raise ConfigError("x_c * n^x_power overflows a double") from None
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SweepConfig":
@@ -111,19 +138,10 @@ class SweepConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "dist" not in raw or "n_grid" not in raw or "output" not in raw:
             raise ConfigError("config requires 'dist', 'n_grid', and 'output'")
-        if not isinstance(raw.get("mc_fallback", True), bool):
-            raise ConfigError(f"mc_fallback must be true or false, got {raw['mc_fallback']!r}")
-        kwargs = dict(raw)
-        kwargs["n_grid"] = tuple(int(n) for n in raw["n_grid"])
-        if raw.get("x_values") is not None:
-            kwargs["x_values"] = tuple(float(x) for x in raw["x_values"])
-        if raw.get("x_c") is not None:
-            xc = raw["x_c"]
-            kwargs["x_c"] = tuple(float(c) for c in (xc if isinstance(xc, list) else [xc]))
-        for f in fields(cls):
-            if f.type in _PARSE and kwargs.get(f.name) is not None:
-                kwargs[f.name] = _PARSE[f.type](kwargs[f.name])
-        return cls(**kwargs)
+        if raw.get("x_c") is not None and not isinstance(raw["x_c"], list):
+            raw = {**raw, "x_c": [raw["x_c"]]}  # a single scaling constant
+        return cls(**{f.name: _config_value(f.name, f.type, raw[f.name])
+                      for f in fields(cls) if f.name in raw})
 
     @classmethod
     def from_file(cls, path: str) -> "SweepConfig":
@@ -294,13 +312,7 @@ def _read_completed(csv_path: str) -> list[str]:
     if not os.path.exists(csv_path):
         return []
     with open(csv_path, "r", newline="") as fh:
-        content = fh.read()
-    lines = content.split("\n")
-    if lines and lines[-1] != "":
-        lines = lines[:-1]  # partial final line
-    else:
-        lines = lines[:-1] if lines else []
-    return lines[1:]  # drop header
+        return fh.read().split("\n")[1:-1]  # drop the header and the partial tail
 
 
 def _write_manifest(cfg: SweepConfig):
@@ -314,7 +326,6 @@ def _write_manifest(cfg: SweepConfig):
     with open(cfg.manifest_path(), "w") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
         fh.write("\n")
-    return manifest
 
 
 def run_sweep(
@@ -364,31 +375,19 @@ def run_sweep(
         _write_manifest(cfg)
         done_lines = []
 
-    # (re)write header + complete rows, dropping any partial trailing line
-    with open(cfg.output, "w", newline="") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        for line in done_lines:
-            fh.write(line + "\n")
-
     pending = jobs[len(done_lines):]
     if stop_after_rows is not None:
         pending = pending[:stop_after_rows]
 
-    if pending:
-        with open(cfg.output, "a", newline="") as fh:
-            if workers == 1:
-                for idx, n, x in pending:
-                    fh.write(compute_row(cfg, idx, n, x).to_csv_line() + "\n")
-                    fh.flush()
-            else:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    futures = {
-                        idx: pool.submit(compute_row, cfg, idx, n, x)
-                        for idx, n, x in pending
-                    }
-                    for idx, n, x in pending:  # flush in row-index order
-                        fh.write(futures[idx].result().to_csv_line() + "\n")
-                        fh.flush()
+    # rewrite the header and the kept rows (dropping a partial trailing
+    # line), then append new rows as map yields them: in row-index order
+    with open(cfg.output, "w", newline="") as fh, ThreadPoolExecutor(max_workers=workers) as pool:
+        fh.write(",".join(CSV_COLUMNS) + "\n")
+        fh.writelines(line + "\n" for line in done_lines)
+        fh.flush()
+        for row in pool.map(lambda job: compute_row(cfg, *job), pending):
+            fh.write(row.to_csv_line() + "\n")
+            fh.flush()
 
     return [RatioRow.from_csv_line(line) for line in _read_completed(cfg.output)]
 

@@ -101,11 +101,8 @@ def _estimate_from_records(
     p_hat = sum_w / total
     if method == "naive":
         stderr = math.sqrt(max(0.0, p_hat * (1.0 - p_hat)) / total)
-    else:
-        if total > 1:
-            var = max(0.0, sum_w2 - total * p_hat * p_hat) / (total - 1)
-        else:
-            var = 0.0
+    else:  # simulate draws at least 1000 paths, so total > 1
+        var = max(0.0, sum_w2 - total * p_hat * p_hat) / (total - 1)
         stderr = math.sqrt(var / total)
     return TailEstimate(
         p_hat, stderr, total, method, seed, event, dist_label, n, x, records
@@ -114,20 +111,20 @@ def _estimate_from_records(
 
 @dataclass(frozen=True)
 class TiltPlan:
-    """Tilt parameter solving mean drift = x * B_n / n per step.
-
-    ``log_mgf_per_step`` is a scalar for iid schedules and a tuple (one
-    entry per index) for scaled ones.
-    """
+    """Tilt parameter solving mean drift = x * B_n / n per step, and the
+    path weights' normalizer ``sum_j log E exp(theta s_j X)``."""
 
     theta: float
-    log_mgf_per_step: float | tuple[float, ...]
+    log_mgf_total: float
     target_drift: float
 
-    def total_log_mgf(self, n: int) -> float:
-        if isinstance(self.log_mgf_per_step, tuple):
-            return math.fsum(self.log_mgf_per_step)
-        return n * self.log_mgf_per_step
+
+def _step_sum(seq: SequenceSpec, f) -> float:
+    """``sum_j f(s_j)`` over the scale schedule; ``n * f(1.0)`` when iid,
+    which keeps the tilt solve O(1) per evaluation at any n."""
+    if seq.is_iid:
+        return seq.n * f(1.0)
+    return math.fsum(f(s) for s in seq.scales)
 
 
 def choose_tilt(seq: SequenceSpec, x: float) -> TiltPlan:
@@ -135,42 +132,36 @@ def choose_tilt(seq: SequenceSpec, x: float) -> TiltPlan:
 
     Rademacher has the closed form ``theta = atanh(x / sqrt(n)) / c``;
     other bounded families use monotone root finding, refined until the
-    drift equation holds to 1e-10.
+    drift equation holds to 1e-10. Families without bounded support raise
+    :class:`TiltUnsupportedError`.
     """
     check_finite("x", x, 0.0)
     dist = seq.dist
     if not dist.bounded_support:
-        raise ConfigError(
-            f"{type(dist).__name__} has unbounded support; tilting needs a "
-            "bounded family"
+        raise TiltUnsupportedError(
+            f"{type(dist).__name__} has unbounded support; use method='naive'"
         )
     bn = math.sqrt(seq.variance_sum())
     if x > bn:
         raise ConfigError(f"x={x} exceeds B_n={bn}; tilt target out of range")
     total_target = x * bn
-    scales = None if seq.is_iid else seq.scales
 
     # supremum of the total achievable drift
-    if seq.is_iid:
-        hull = seq.n * dist.support_max()
-    else:
-        hull = float(np.sum(scales)) * dist.support_max()
+    hull = float(np.sum(seq.scale_array())) * dist.support_max()
     if total_target >= hull:
         raise InfeasibleError(
             f"target drift {total_target:.6g} is outside the open support "
             f"hull ({hull:.6g})"
         )
 
-    if x == 0.0:
+    def total_drift(t: float) -> float:
+        return _step_sum(seq, lambda s: s * dist.tilted_mean(t * s))
+
+    if x == 0.0 or total_drift(0.0) >= total_target:  # a target within the rounding of no tilt
         theta = 0.0
     elif seq.is_iid and isinstance(dist, Rademacher):
         theta = math.atanh(x / math.sqrt(seq.n)) / dist.scale
     else:
-        def total_drift(t: float) -> float:
-            if seq.is_iid:
-                return seq.n * dist.tilted_mean(t)
-            return math.fsum(s * dist.tilted_mean(t * s) for s in scales)
-
         hi = 1.0
         while total_drift(hi) < total_target:
             hi *= 2.0
@@ -182,31 +173,25 @@ def choose_tilt(seq: SequenceSpec, x: float) -> TiltPlan:
             )
         )
 
-    if seq.is_iid:
-        per_step = dist.log_mgf(theta)
-        achieved = seq.n * dist.tilted_mean(theta)
-    else:
-        per_step = tuple(dist.log_mgf(theta * s) for s in scales)
-        achieved = math.fsum(s * dist.tilted_mean(theta * s) for s in scales)
-    if abs(achieved - total_target) > _DRIFT_TOL * max(1.0, abs(total_target)):
-        raise ArithmeticError(
+    achieved = total_drift(theta)
+    if not abs(achieved - total_target) <= _DRIFT_TOL * max(1.0, abs(total_target)):
+        raise InfeasibleError(
             f"tilt solve residual {abs(achieved - total_target):.3g} "
             "exceeds 1e-10"
         )
-    return TiltPlan(theta=theta, log_mgf_per_step=per_step, target_drift=total_target / seq.n)
+    return TiltPlan(
+        theta=theta,
+        log_mgf_total=_step_sum(seq, lambda s: dist.log_mgf(theta * s)),
+        target_drift=total_target / seq.n,
+    )
 
 
 def _chunk_layout(n_samples: int, first_chunk: int) -> list[tuple[int, int]]:
     """(chunk_index, n_paths) pairs; all full chunks except possibly the last."""
-    layout = []
-    done = 0
-    ci = first_chunk
-    while done < n_samples:
-        m = min(CHUNK_SIZE, n_samples - done)
-        layout.append((ci, m))
-        done += m
-        ci += 1
-    return layout
+    return [
+        (first_chunk + i, min(CHUNK_SIZE, n_samples - start))
+        for i, start in enumerate(range(0, n_samples, CHUNK_SIZE))
+    ]
 
 
 def _run_chunk(
@@ -219,12 +204,10 @@ def _run_chunk(
 ) -> tuple[ChunkRecord, ChunkRecord]:
     rng = np.random.Generator(np.random.Philox(key=[seed, chunk_index]))
     dist = seq.dist
-    scales = None if seq.is_iid else seq.scales
     running = np.zeros(n_paths)
     sq_norm = np.zeros(n_paths)
     peak = np.full(n_paths, -np.inf)
-    for j in range(seq.n):
-        s = 1.0 if scales is None else float(scales[j])
+    for s in seq.scale_array().tolist():
         if plan is None:
             col = dist.sample(rng, n_paths)
         else:
@@ -236,13 +219,9 @@ def _run_chunk(
     barrier = x * np.sqrt(sq_norm)
     ind_max = peak >= barrier
     ind_sum = running >= barrier
-    if plan is None:
-        w_max = ind_max.astype(float)
-        w_sum = ind_sum.astype(float)
-    else:
-        weights = np.exp(-plan.theta * running + plan.total_log_mgf(seq.n))
-        w_max = weights * ind_max
-        w_sum = weights * ind_sum
+    weights = 1.0 if plan is None else np.exp(-plan.theta * running + plan.log_mgf_total)
+    w_max = weights * ind_max
+    w_sum = weights * ind_sum
     rec_max = (seed, chunk_index, n_paths, float(w_max.sum()), float((w_max * w_max).sum()))
     rec_sum = (seed, chunk_index, n_paths, float(w_sum.sum()), float((w_sum * w_sum).sum()))
     return rec_max, rec_sum
@@ -276,25 +255,11 @@ def simulate(
     if method not in ("naive", "tilted"):
         raise ConfigError(f"method must be 'naive' or 'tilted', got {method!r}")
 
-    plan = None
-    if method == "tilted":
-        if not seq.dist.bounded_support:
-            raise TiltUnsupportedError(
-                f"{type(seq.dist).__name__} has unbounded support; "
-                "use method='naive'"
-            )
-        plan = choose_tilt(seq, x)
-
-    layout = _chunk_layout(n_samples, first_chunk)
-    if workers == 1:
-        results = [_run_chunk(seq, x, seed, ci, m, plan) for ci, m in layout]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_run_chunk, seq, x, seed, ci, m, plan)
-                for ci, m in layout
-            ]
-            results = [f.result() for f in futures]
+    plan = choose_tilt(seq, x) if method == "tilted" else None
+    # map yields in submission order, so the records never depend on workers
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        results = list(pool.map(lambda chunk: _run_chunk(seq, x, seed, *chunk, plan),
+                                _chunk_layout(n_samples, first_chunk)))
 
     label = json.dumps(seq.dist.literal(), sort_keys=True)
     est_max = _estimate_from_records(

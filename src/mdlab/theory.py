@@ -27,13 +27,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Optional
 
 import numpy as np
 
 from .distributions import Distribution
-from .errors import ConfigError, InfiniteMomentError, check_finite
+from .errors import ConfigError, InfeasibleError, InfiniteMomentError, check_finite
 
 __all__ = [
     "SequenceSpec",
@@ -42,6 +42,7 @@ __all__ = [
     "TailSegmentCheck",
     "BlockPartition",
     "compute_quantities",
+    "check_parameters",
     "check_suffix_moment_ratios",
     "check_tail_segment_ratio",
     "split_index",
@@ -88,7 +89,11 @@ class SequenceSpec:
             if not np.all(arr > 0.0):
                 raise ConfigError("all scales must be > 0")
             object.__setattr__(self, "scales", arr)
-        if not self.dist.variance() > 0.0:
+        try:
+            variance = self.dist.variance()
+        except OverflowError:
+            raise InfeasibleError(f"the variance of {self.dist} overflows a double") from None
+        if not variance > 0.0:
             raise ConfigError("increment law must be non-degenerate")
 
     @property
@@ -232,37 +237,47 @@ def compute_quantities(
     small-functional regime check ``delta_nx <= min(delta^(9/2), 1) / A``;
     the default A=1 makes ``a0_ok`` a heuristic indicator only.
     """
-    for name, value in (("x", x), ("r", r), ("delta", delta)):
-        check_finite(name, value)
+    check_finite("x", x)
     if x <= 0.0:
         raise ConfigError(f"x must be > 0, got {x}")
-    if not 0.0 < r <= 1.0:
-        raise ConfigError(f"r must be in (0, 1], got {r}")
-    if delta <= 0.0:
-        raise ConfigError(f"delta must be > 0, got {delta}")
+    check_parameters(r, delta, a0_constant)
     _require_moment(seq.dist, 2.0 + r)
 
-    bn2 = seq.variance_sum()
-    bn = math.sqrt(bn2)
-    lnr = seq.abs_moment_sum(2.0 + r)
-    dnr = bn / lnr ** (1.0 / (2.0 + r))
-    dnx = delta_functional(seq, x)
-    n0 = split_index(seq, x)
-    gamma = min(delta, 1.0) / 72.0
-    epsilon = truncation_width(dnx, x, delta)
-    return TheoryQuantities(
-        bn2=bn2,
-        lnr=lnr,
-        dnr=dnr,
-        delta_nx=dnx,
-        n0=n0,
-        gamma=gamma,
-        epsilon=epsilon,
-        m=int(math.floor(x * x / 2.0)),
-        a0_ok=dnx <= min(delta**4.5, 1.0) / a0_constant,
-        bor_ok=epsilon <= min(_EPS_CAP, delta * _EPS_CAP_DELTA),
-        range_ok=x <= bn,
-    )
+    try:
+        bn2 = seq.variance_sum()
+        bn = math.sqrt(bn2)
+        lnr = seq.abs_moment_sum(2.0 + r)
+        dnr = bn / lnr ** (1.0 / (2.0 + r))
+        dnx = delta_functional(seq, x)
+        epsilon = truncation_width(dnx, x, delta)
+        q = TheoryQuantities(
+            bn2=bn2,
+            lnr=lnr,
+            dnr=dnr,
+            delta_nx=dnx,
+            n0=split_index(seq, x),
+            gamma=min(delta, 1.0) / 72.0,
+            epsilon=epsilon,
+            m=int(math.floor(x * x / 2.0)),
+            a0_ok=dnx <= min(delta**4.5, 1.0) / a0_constant,
+            bor_ok=epsilon <= min(_EPS_CAP, delta * _EPS_CAP_DELTA),
+            range_ok=x <= bn,
+        )
+        if all(math.isfinite(v) for v in astuple(q)):
+            return q
+    except (OverflowError, ZeroDivisionError):
+        pass
+    raise InfeasibleError(f"the functionals at x={x}, delta={delta} leave the double range")
+
+
+def check_parameters(r: float, delta: float, a0_constant: float) -> None:
+    """:class:`ConfigError` unless ``r`` is in (0, 1] and ``delta`` and
+    ``a0_constant`` are finite and > 0."""
+    if not 0.0 < check_finite("r", r) <= 1.0:
+        raise ConfigError(f"r must be in (0, 1], got {r}")
+    for name, value in (("delta", delta), ("a0_constant", a0_constant)):
+        if not check_finite(name, value) > 0.0:
+            raise ConfigError(f"{name} must be > 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -382,7 +397,10 @@ def _mills_ratio_cf(x: float, max_iter: int = 300, tol: float = 1e-17) -> float:
 
 
 def normal_tail(x: float) -> float:
-    """Upper normal tail 1 - Phi(x) with relative error <= 1e-12.
+    """Upper normal tail 1 - Phi(x) with relative error <= 1e-12 while the
+    result is a normal double, i.e. for x below about 37.5; past that it
+    is subnormal and loses digits (2.7% at x = 38.4), and it is 0.0 from
+    x = 38.5.
 
     Uses erfc for x <= 8 and the Mills-ratio continued fraction on the log
     scale beyond, never the subtraction 1 - CDF. Valid for |x| <= 40; for

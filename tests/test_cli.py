@@ -1,11 +1,15 @@
 """Command line surface: payload schemas, exit codes, determinism."""
 
+import contextlib
+import dataclasses
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import mdlab
 from mdlab.cli import main
@@ -115,6 +119,77 @@ def test_dist_parameter_must_be_a_finite_number(capsys, value):
     assert "rademacher scale must be a finite number" in err
 
 
+@pytest.mark.parametrize(
+    "flag, code",
+    [
+        ("--a0-constant=0", 2),
+        ("--a0-constant=-1", 2),
+        ("--a0-constant=nan", 2),
+        ("--a0-constant=inf", 2),
+        ("--delta=1e300", 3),
+        ("--x=1e200", 3),
+        ("--x=1e-320", 3),
+    ],
+)
+def test_theory_at_the_ends_of_the_float_range(capsys, flag, code):
+    argv = ["theory", "--dist", "rademacher", "--n", "10", "--x", "2", flag]
+    assert run_cli(capsys, *argv)[:2] == (code, "")
+
+
+def _refuse_constant(name):
+    raise ValueError(f"stdout holds the non-JSON constant {name}")
+
+
+_PARAMS = {cls.family: [f.name for f in dataclasses.fields(cls)] for cls in (
+    mdlab.Rademacher, mdlab.TwoPoint, mdlab.Uniform, mdlab.CenteredExponential, mdlab.StudentT
+)}
+
+
+@st.composite
+def cli_argv(draw):
+    family = draw(st.sampled_from(sorted(_PARAMS)))
+    literal = {"family": family}
+    for key in _PARAMS[family]:
+        if draw(st.booleans()):
+            literal[key] = draw(st.one_of(st.floats(), st.text(max_size=3), st.none(), st.booleans()))
+    command = draw(st.sampled_from(["theory", "enumerate", "simulate"]))
+    argv = [command, "--dist", json.dumps(literal), f"--x={draw(st.floats())!r}"]
+    if command == "theory":
+        argv.append(f"--n={draw(st.integers(1, 10**24))}")
+        argv += [f"{flag}={draw(st.floats())!r}" for flag in ("--r", "--delta", "--a0-constant")]
+    else:
+        argv.append(f"--n={draw(st.integers(1, 6))}")
+    if command == "simulate":
+        argv += [
+            f"--samples={draw(st.integers(1000, 2000))}",
+            f"--workers={draw(st.integers(1, 3))}",  # each worker is a thread
+            f"--method={draw(st.sampled_from(['naive', 'tilted']))}",
+        ]
+    return argv
+
+
+_THEORY = ["theory", "--dist", "rademacher", "--n=10", "--x=2"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_argv())
+@example(_THEORY + ["--a0-constant=0"])
+@example(_THEORY + ["--a0-constant=nan"])
+@example(_THEORY + ["--a0-constant=inf"])
+@example(_THEORY + ["--delta=1e300"])
+@example(_THEORY[:-1] + ["--x=1e200"])
+@example(_THEORY[:-1] + ["--x=1e-320"])
+def test_fuzz_exit_codes_and_strict_json(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    if code:
+        assert out.getvalue() == ""
+    else:
+        json.loads(out.getvalue(), parse_constant=_refuse_constant)
+
+
 def test_simulate_payload(capsys):
     code, out, _ = run_cli(
         capsys, "simulate", "--dist", "rademacher", "--n", "16", "--x", "1",
@@ -219,6 +294,35 @@ def test_sweep_bad_config_exits_2(tmp_path, capsys):
     cfg_path.write_text("{not json")
     code, _, err = run_cli(capsys, "sweep", "--config", str(cfg_path))
     assert code == 2
+
+
+_SWEEP = '{"dist": %s, "n_grid": %s, "x_values": %s, "output": "out/q.csv"%s}'
+
+
+@pytest.mark.parametrize(
+    "text, code",
+    [
+        (_SWEEP % ('{"family": "rademacher"}', "[4]", "[1.0]", ', "seed": "abc"'), 2),
+        (_SWEEP % ('{"family": "rademacher"}', "[4]", "[1.0]", ', "mc_samples": "1e5"'), 2),
+        (_SWEEP % ('{"family": "rademacher"}', '["a"]', "[1.0]", ""), 2),
+        (_SWEEP % ('{"family": "rademacher"}', "[4]", "[1.0]", ', "r": null'), 2),
+        (_SWEEP % ('{"family": "rademacher"}', "[1.5]", "[1.0]", ""), 2),
+        (_SWEEP % ('{"family": "rademacher", "scale": "x"}', "[4]", "[1.0]", ""), 2),
+        (_SWEEP % ('{"family": "rademacher"}', "[4]", "[NaN]", ""), 2),
+        (_SWEEP % ('{"family": "rademacher"}', "[4]", "[1e400]", ""), 2),
+        (_SWEEP % ('{"family": "rademacher"}', "[4]", "[41]", ""), 2),
+        (_SWEEP % ('{"family": "rademacher"}', "[4]", "[1.0]", ', "a0_constant": 0'), 2),
+        ('{"dist": {"family": "rademacher"}, "n_grid": [4], "x_c": [1.0], "x_power": NaN, '
+         '"output": "out/q.csv"}', 2),
+        (_SWEEP % ('{"family": "rademacher"}', "[4]", "[1.0, 38]", ""), 3),
+        (_SWEEP % ('{"family": "rademacher"}', "[4]", "[39]", ""), 3),
+    ],
+)
+def test_sweep_config_is_checked_before_any_file_is_written(tmp_path, monkeypatch, capsys, text, code):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(text)
+    assert run_cli(capsys, "sweep", "--config", "cfg.json")[:2] == (code, "")
+    assert os.listdir(tmp_path) == ["cfg.json"]
 
 
 def test_module_invocation_subprocess():

@@ -3,9 +3,11 @@
 import json
 import math
 import os
+import time
 
 import pytest
 
+from mdlab import experiments
 from mdlab.errors import BudgetExceededError, ConfigError
 from mdlab.experiments import (
     CSV_COLUMNS,
@@ -192,6 +194,26 @@ def test_worker_counts_byte_identical(tmp_path):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+def test_failing_row_does_not_compute_the_queued_rows(tmp_path, monkeypatch):
+    calls = []
+    real = experiments.compute_row
+
+    def flaky(cfg, idx, n, x):
+        calls.append(idx)
+        if idx == 1:
+            raise BudgetExceededError("row 1 fails")
+        if idx > 1:
+            time.sleep(0.1)  # the failure surfaces while the later rows run
+        return real(cfg, idx, n, x)
+
+    monkeypatch.setattr(experiments, "compute_row", flaky)
+    cfg = oracle_cfg(tmp_path, n_grid=list(range(1, 21)))
+    with pytest.raises(BudgetExceededError):
+        run_sweep(cfg, workers=2)
+    assert len(calls) <= 2 + 2  # the rows already running, never the queue
+    assert (tmp_path / "o.csv").read_text() == HEADER + "\n" + real(cfg, 0, 1, 1.0).to_csv_line() + "\n"
+
+
 def test_config_hash_mismatch_refuses(tmp_path):
     run_sweep(oracle_cfg(tmp_path, name="h.csv"))
     changed = oracle_cfg(tmp_path, name="h.csv", seed=334)
@@ -310,12 +332,36 @@ def test_config_validation():
         {"mc_fallback": "false"},
         {"mc_fallback": 0},
         {"mc_fallback": None},
+        {"seed": "abc"},
+        {"seed": True},
+        {"mc_samples": "1e5"},
+        {"n_grid": ["a"]},
+        {"n_grid": [1.5]},
+        {"n_grid": 4},
+        {"r": None},
+        {"output": None},
+        {"engine": None},
+        {"x_values": [float("nan")]},
+        {"x_values": [float("inf")]},
+        {"x_values": None, "x_c": [0.5], "x_power": float("nan")},
+        {"x_values": None, "x_c": [0.5], "x_power": 1e3, "n_grid": [10**6]},
+        {"dist": {"family": "rademacher", "scale": "x"}},
+        {"dist": {"family": "rademacher", "scale": 1e-300}},
+        {"dist": "rademacher"},
+        {"delta": 0.0},
+        {"a0_constant": 0.0},
+        {"a0_constant": float("inf")},
+        {"tau": float("nan")},
     ):
         bad = dict(base)
         bad.update(patch)
         with pytest.raises(ConfigError):
             SweepConfig.from_dict(bad)
     assert SweepConfig.from_dict({**base, "mc_fallback": False}).mc_fallback is False
+    # integral floats are integers, integers are floats where floats are due
+    cfg = SweepConfig.from_dict({**base, "mc_samples": 1e5, "n_grid": [4.0, 8], "r": 1})
+    assert (cfg.mc_samples, cfg.n_grid, cfg.r) == (100_000, (4, 8), 1.0)
+    assert type(cfg.mc_samples) is int and type(cfg.r) is float
 
 
 # ---------------------------------------------------------------------------

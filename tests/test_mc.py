@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mdlab import CenteredExponential, Rademacher, SequenceSpec, Uniform
+from mdlab import CenteredExponential, Rademacher, SequenceSpec, TwoPoint, Uniform
 from mdlab.errors import ConfigError, InfeasibleError, TiltUnsupportedError
 from mdlab.mc import CHUNK_SIZE, choose_tilt, merge, simulate
 from mdlab.oracle import enumerate_exact, lattice_dp_max
@@ -54,6 +54,28 @@ def test_worker_count_does_not_change_bits():
     for other in runs[1:]:
         assert other[0] == runs[0][0]
         assert other[1] == runs[0][1]
+
+
+@pytest.mark.parametrize(
+    "seq, x, seed, theta, pins",
+    [
+        (SequenceSpec(TwoPoint(2.0, 1.0), 64), 2.0, 5, "0x1.5376ab4217185p-3",
+         ["0x1.ed47d36abbc36p-6", "0x1.08ac7bff8ff8fp-12",
+          "0x1.125f23c113437p-6", "0x1.ac56af5f31c35p-14"]),
+        (SequenceSpec(Uniform(1.0), 50, scales=np.random.default_rng(123).uniform(0.8, 1.25, 50)),
+         1.5, 31, "0x1.70c5510128c10p-2",
+         ["0x1.dd5e14ecb6e1fp-4", "0x1.784a797b2933ap-11",
+          "0x1.11ed6fb2b7f73p-4", "0x1.6f69a8f042e07p-12"]),
+    ],
+    ids=["twopoint_iid", "uniform_schedule"],
+)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_tilted_estimates_pinned_to_the_bit(seq, x, seed, theta, pins, workers):
+    # 70,000 paths: one full chunk and a partial one
+    assert choose_tilt(seq, x).theta.hex() == theta
+    est_max, est_sum = simulate(seq, x, 70_000, seed=seed, method="tilted", workers=workers)
+    got = [est_max.p_hat, est_max.stderr, est_sum.p_hat, est_sum.stderr]
+    assert [v.hex() for v in got] == pins
 
 
 def test_merge_of_halves_equals_full_run():
@@ -151,6 +173,21 @@ def test_tilted_unbounded_family_raises():
     seq = SequenceSpec(CenteredExponential(1.0), 16)
     with pytest.raises(TiltUnsupportedError, match="naive"):
         simulate(seq, 1.0, 2000, seed=1, method="tilted")
+
+
+def test_choose_tilt_owns_the_support_check():
+    with pytest.raises(TiltUnsupportedError, match="naive"):
+        choose_tilt(SequenceSpec(CenteredExponential(1.0), 16), 1.0)
+
+
+def test_tilt_target_below_rounding_is_no_tilt_or_infeasible():
+    # the tilted mean of TwoPoint at theta = 0 is zero only up to rounding
+    dist = TwoPoint(1e-10, 1e10)
+    assert dist.tilted_mean(0.0) != 0.0
+    for x in (0.0, 1e-300):
+        with pytest.raises(InfeasibleError, match="residual"):
+            choose_tilt(SequenceSpec(dist, 5), x)
+    assert choose_tilt(SequenceSpec(TwoPoint(1e-160, 1.0), 5), 1e-300).theta == 0.0
 
 
 def test_simulate_validation():
