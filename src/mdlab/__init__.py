@@ -6,7 +6,8 @@ Subpackages by responsibility:
 * :mod:`mdlab.distributions` - centered increment laws, closed-form
   truncated moments and tail probabilities, exponential tilting
 * :mod:`mdlab.theory` - moment functionals, regime flags, normal tails
-* :mod:`mdlab.oracle` - exact enumeration, Rademacher reflection closed form
+* :mod:`mdlab.oracle` - exact enumeration, Rademacher reflection closed
+  form, TwoPoint first-passage DP
 * :mod:`mdlab.mc` - reproducible (counter-based) Monte Carlo with
   exponential-tilting importance sampling
 * :mod:`mdlab.experiments` - config-driven sweeps with resumable CSV output

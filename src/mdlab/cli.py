@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 
 from .distributions import from_literal
-from .errors import ConfigError, MdlabError
+from .errors import ConfigError, MdlabError, check_finite
 from .experiments import SweepConfig, convergence_report, run_sweep
 from .mc import DEFAULT_SEED, simulate
 from .oracle import enumerate_exact
@@ -57,7 +58,10 @@ def _load_scales(path):
         raise ConfigError(f"cannot read scales file {path}: {exc}") from exc
     if not isinstance(data, list):
         raise ConfigError("scales file must hold a JSON list of numbers")
-    return [float(v) for v in data]
+    # a finite float passes as it is, which keeps long schedules cheap; any
+    # other entry goes through check_finite: a finite int is taken as a float
+    return [v if type(v) is float and math.isfinite(v) else check_finite("scales entry", v)
+            for v in data]
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -310,6 +310,7 @@ class CenteredExponential(Distribution):
     def abs_moment(self, p: float) -> float:
         return self.truncated_abs_moment(p, math.inf, "below")
 
+    @np.errstate(over="ignore")  # inf past the double range; callers refuse it
     def _negative_part(self, p, a):
         """E|X|^p 1{-a <= X < 0} for 0 <= a <= 1/rate, from the density
         rate * e^-1 * e^(-rate*x) on the negative half-line."""

@@ -31,10 +31,10 @@ from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 from . import __version__
-from .distributions import Distribution, Rademacher, from_literal
+from .distributions import Distribution, Rademacher, TwoPoint, from_literal
 from .errors import BudgetExceededError, ConfigError, InfeasibleError, check_finite
-from .mc import DEFAULT_SEED, simulate
-from .oracle import ENUMERATION_BUDGET, enumerate_exact, lattice_dp_max
+from .mc import DEFAULT_SEED, choose_tilt, simulate
+from .oracle import ENUMERATION_BUDGET, lattice_dp_max, twopoint_dp
 from .theory import SequenceSpec, check_parameters, compute_quantities, error_envelope, normal_tail
 
 __all__ = [
@@ -120,16 +120,23 @@ class SweepConfig:
             raise ConfigError(f"mc_method must be 'naive' or 'tilted'")
         if self.mc_samples < 1000:
             raise ConfigError(f"mc_samples must be >= 1000, got {self.mc_samples}")
-        # every value a row uses is checked here, before any file is written
+        # every value a row uses is checked, and the parts of every row that
+        # can fail are evaluated, here: before any file is written
         check_parameters(self.r, self.delta, self.a0_constant)
         check_finite("tau", self.tau)
-        SequenceSpec(self.distribution(), 1)
+        dist = self.distribution()
+        SequenceSpec(dist, 1)
         try:
-            for _, _, x in self.jobs():  # past the normal doubles the tail loses digits
-                if normal_tail(check_finite("x", x, 0.0)) < sys.float_info.min:
-                    raise InfeasibleError(f"1 - Phi({x}) is below the normal double range")
+            jobs = self.jobs()
         except OverflowError:
             raise ConfigError("x_c * n^x_power overflows a double") from None
+        for _, n, x in jobs:
+            # past the normal doubles the tail loses digits
+            if normal_tail(check_finite("x", x, 0.0)) < sys.float_info.min:
+                raise InfeasibleError(f"1 - Phi({x}) is below the normal double range")
+            _theory_fields(dist, n, x, self)
+            if _oracle(self, dist, n) is None and self.mc_method == "tilted":
+                choose_tilt(SequenceSpec(dist, n), x)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SweepConfig":
@@ -250,6 +257,20 @@ def _theory_fields(dist: Distribution, n: int, x: float, cfg: SweepConfig):
     return q.delta_nx, q.dnr, q.n0, q.epsilon
 
 
+def _oracle(cfg: SweepConfig, dist: Distribution, n: int):
+    """The exact method ``x -> ExactResult`` of the rows at ``n``, or None
+    when they run Monte Carlo."""
+    if cfg.engine == "mc":
+        return None
+    if isinstance(dist, Rademacher):
+        return lambda x: lattice_dp_max(n, x, dist.scale)
+    if isinstance(dist, TwoPoint) and n * (n + 1) ** 2 <= ENUMERATION_BUDGET:
+        return lambda x: twopoint_dp(n, x, dist.a, dist.b)
+    if not cfg.mc_fallback:
+        raise BudgetExceededError(f"n={n} exceeds every oracle budget and mc_fallback is off")
+    return None
+
+
 def compute_row(cfg: SweepConfig, row_index: int, n: int, x: float) -> RatioRow:
     """Evaluate one (n, x) cell; deterministic given the config.
 
@@ -257,28 +278,17 @@ def compute_row(cfg: SweepConfig, row_index: int, n: int, x: float) -> RatioRow:
     independent, resume-stable stream family.
     """
     dist = cfg.distribution()
-    seq = SequenceSpec(dist, n)
     row_seed = cfg.seed + row_index
     tail = normal_tail(x)
 
-    method = None
-    samples = 0
-    ci_low = ci_high = None
-    if cfg.engine == "oracle":
-        support = dist.finite_support()
-        if isinstance(dist, Rademacher):
-            res = lattice_dp_max(n, x, dist.scale)
-            p_max, p_sum, method = res.p_max, res.p_sum, res.method
-        elif support is not None and len(support[0]) ** n <= ENUMERATION_BUDGET:
-            res = enumerate_exact(seq, x)
-            p_max, p_sum, method = res.p_max, res.p_sum, res.method
-        elif not cfg.mc_fallback:
-            raise BudgetExceededError(
-                f"(n={n}, x={x}) exceeds every oracle budget and mc_fallback is off"
-            )
-    if method is None:
+    oracle = _oracle(cfg, dist, n)
+    if oracle is not None:
+        res = oracle(x)
+        p_max, p_sum, method, samples = res.p_max, res.p_sum, res.method, 0
+        ci_low = ci_high = p_max / tail
+    else:
         est_max, est_sum = simulate(
-            seq, x, cfg.mc_samples, seed=row_seed, method=cfg.mc_method
+            SequenceSpec(dist, n), x, cfg.mc_samples, seed=row_seed, method=cfg.mc_method
         )
         p_max, p_sum = est_max.p_hat, est_sum.p_hat
         method, samples = cfg.mc_method, cfg.mc_samples
@@ -291,8 +301,6 @@ def compute_row(cfg: SweepConfig, row_index: int, n: int, x: float) -> RatioRow:
 
     ratio_max = p_max / tail
     ratio_sum = p_sum / tail
-    if ci_low is None:
-        ci_low = ci_high = ratio_max
 
     ex2 = dist.variance()
     ex3 = dist.abs_moment(3.0)

@@ -216,7 +216,8 @@ def _run_chunk(
         running += col
         sq_norm += col * col
         np.maximum(peak, running, out=peak)
-    barrier = x * np.sqrt(sq_norm)
+    with np.errstate(over="ignore"):  # a huge x gives an inf barrier: no hit
+        barrier = x * np.sqrt(sq_norm)
     ind_max = peak >= barrier
     ind_sum = running >= barrier
     weights = 1.0 if plan is None else np.exp(-plan.theta * running + plan.log_mgf_total)

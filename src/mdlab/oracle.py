@@ -1,6 +1,6 @@
 """Exact tail probabilities for the self-normalized walk.
 
-Two independent exact methods:
+Three exact methods:
 
 * :func:`enumerate_exact` sums path probabilities over every outcome of a
   finite-support schedule (budget ``support^n <= 2^24``), handling
@@ -11,8 +11,12 @@ Two independent exact methods:
   two-point walk, where ``V_n^2 = n c^2`` is deterministic, in closed form
   for every ``n >= 1``: the reflection principle turns the max event into
   two binomial tails, computed as regularized incomplete beta functions.
+* :func:`twopoint_dp` evaluates iid two-point steps ``{a, -b}``, where
+  ``V_n`` is random but fixed by the up-count: a first-passage DP on the
+  (steps, ups) lattice for each final up-count (budget ``n (n+1)^2 <=
+  2^24`` cells, so ``n <= 255``).
 
-Both evaluate the events ``max_{1<=k<=n} S_k >= x V_n`` and
+All evaluate the events ``max_{1<=k<=n} S_k >= x V_n`` and
 ``S_n >= x V_n`` with ties counted in (the event is ``>=``). Results are
 scale free: the events only involve ``S_k / V_n``.
 """
@@ -33,6 +37,7 @@ __all__ = [
     "enumerate_exact",
     "lattice_dp_max",
     "lattice_dp_sum",
+    "twopoint_dp",
     "ENUMERATION_BUDGET",
 ]
 
@@ -165,3 +170,58 @@ def lattice_dp_max(n: int, x: float, scale: float = 1.0) -> ExactResult:
 def lattice_dp_sum(n: int, x: float, scale: float = 1.0) -> float:
     """P(S_n >= x V_n) on the +-scale walk."""
     return lattice_dp_max(n, x, scale).p_sum
+
+
+def twopoint_dp(n: int, x: float, a: float, b: float) -> ExactResult:
+    """P(max_k S_k >= x V_n) and P(S_n >= x V_n) for ``n`` iid steps in
+    ``{a, -b}`` with P(a) = b / (a + b).
+
+    Given ``m`` ups in all, ``V_n^2 = a^2 m + b^2 (n - m)`` is fixed and the
+    ups are a uniform arrangement, so after ``k`` steps with ``u`` ups the
+    next step is up with probability ``(m - u) / (n - k)``. For every ``m``
+    at once the DP carries the mass that has not yet reached that ``m``'s
+    barrier and moves the mass reaching it into ``hit[m]``; the max event is
+    the binomial mixture of ``hit``. Steps are rescaled to ``max(a, b) = 1``
+    (the events are scale free), and the barrier cut is the one
+    :func:`enumerate_exact` uses, so exact ties stay in the events. The work
+    is ``n (n+1)^2`` cells, within ``ENUMERATION_BUDGET``.
+    """
+    if n < 1:
+        raise ConfigError(f"n must be >= 1, got {n}")
+    check_finite("x", x, 0.0)
+    if not (check_finite("a", a) > 0.0 and check_finite("b", b) > 0.0):
+        raise ConfigError(f"twopoint_dp needs a, b > 0, got a={a}, b={b}")
+    if n * (n + 1) ** 2 > ENUMERATION_BUDGET:
+        raise BudgetExceededError(
+            f"n={n} needs {n * (n + 1) ** 2} DP cells, over the {ENUMERATION_BUDGET} budget"
+        )
+    top = max(a, b)
+    a, b = a / top, b / top
+    m = np.arange(n + 1)
+    with np.errstate(over="ignore"):  # a huge x gives an inf barrier: no hit
+        barrier = x * np.sqrt(a * a * m + b * b * (n - m))
+    cut = np.minimum(barrier - 1e-12, barrier * (1.0 - 1e-12))
+    pmf = np.exp(
+        special.gammaln(n + 1) - special.gammaln(m + 1) - special.gammaln(n - m + 1)
+        + special.xlogy(m, b / (a + b)) + special.xlogy(n - m, a / (a + b))
+    )
+    ups_left = (m[:, None] - m[None, :]).astype(float)  # [m, u]; no mass where u > m
+    alive = np.zeros((n + 1, n + 1))
+    alive[:, 0] = 1.0
+    hit = np.zeros(n + 1)
+    for k in range(n):  # step k + 1; before it at most k ups were drawn
+        left, rest = ups_left[:, : k + 1], n - k
+        moved = alive[:, : k + 1] * (left / rest)
+        alive[:, : k + 1] *= (rest - left) / rest
+        alive[:, 1 : k + 2] += moved
+        now = alive[:, : k + 2]
+        crossed = a * m[: k + 2] - b * (k + 1 - m[: k + 2]) >= cut[:, None]
+        hit += np.where(crossed, now, 0.0).sum(axis=1)
+        now[crossed] = 0.0
+    return ExactResult(
+        p_max=math.fsum((pmf * hit).tolist()),
+        p_sum=math.fsum(pmf[a * m - b * (n - m) >= cut].tolist()),
+        n=n,
+        x=x,
+        method="lattice_dp",
+    )

@@ -224,6 +224,7 @@ def truncation_width(delta_nx: float, x: float, delta: float) -> float:
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a sum past the double range is inf or nan, refused below
 def compute_quantities(
     seq: SequenceSpec,
     x: float,

@@ -23,7 +23,7 @@ from mdlab import (
 )
 from mdlab.experiments import SweepConfig, run_sweep
 from mdlab.mc import simulate
-from mdlab.oracle import enumerate_exact, lattice_dp_max
+from mdlab.oracle import enumerate_exact, lattice_dp_max, twopoint_dp
 
 GRID = (256, 1024, 4096, 16384)
 X_STAR = 1.5
@@ -70,7 +70,10 @@ def test_criterion_2_sum_ratio_to_one(dp_grid):
 
 def test_criterion_3_oracle_cross_validation():
     """Enumeration and lattice DP agree to 1e-12 on every Rademacher
-    instance n <= 20, x in {0.5, 1, 1.5}; enumeration matches naive MC on
+    instance n <= 20, x in {0.5, 1, 1.5}; enumeration and the TwoPoint DP
+    agree to 1e-13 relative on TwoPoint(2, 1) and TwoPoint(1.5, 0.8) over
+    the same grid (at x = 1, TwoPoint(2, 1) paths end exactly on the
+    barrier whenever n + 3m is a square); enumeration matches naive MC on
     TwoPoint(2, 1), n=12, within 4 stderr at 1e6 samples."""
     worst = 0.0
     for n in range(1, 21):
@@ -81,6 +84,17 @@ def test_criterion_3_oracle_cross_validation():
             worst = max(worst, abs(enum.p_max - dp.p_max), abs(enum.p_sum - dp.p_sum))
     assert worst <= 1e-12
 
+    worst_tp = 0.0
+    for a, b in ((2.0, 1.0), (1.5, 0.8)):
+        for n in range(1, 21):
+            seq = SequenceSpec(TwoPoint(a, b), n)
+            for x in (0.5, 1.0, 1.5):
+                enum = enumerate_exact(seq, x)
+                dp = twopoint_dp(n, x, a, b)
+                for got, want in ((dp.p_max, enum.p_max), (dp.p_sum, enum.p_sum)):
+                    assert abs(got - want) <= 1e-13 * want, (a, b, n, x)
+                    worst_tp = max(worst_tp, abs(got - want) / want if want else 0.0)
+
     seq = SequenceSpec(TwoPoint(2.0, 1.0), 12)
     exact = enumerate_exact(seq, 1.0)
     est_max, est_sum = simulate(seq, 1.0, 1_000_000, seed=2024, method="naive")
@@ -88,7 +102,8 @@ def test_criterion_3_oracle_cross_validation():
     z_sum = abs(est_sum.p_hat - exact.p_sum) / est_sum.stderr
     assert z_max <= 4.0 and z_sum <= 4.0
     _report(3, "oracle cross-validation",
-            f"max |enum-dp|={worst:.2e}, MC z-scores=({z_max:.2f}, {z_sum:.2f})")
+            f"max |enum-dp|={worst:.2e}, TwoPoint max rel={worst_tp:.2e}, "
+            f"MC z-scores=({z_max:.2f}, {z_sum:.2f})")
 
 
 def test_criterion_4_importance_sampling():

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -56,13 +57,14 @@ def test_theory_with_scales_file(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["bn2"] == pytest.approx(14.0, rel=1e-14)
-    # wrong length is a config error
-    scales_path.write_text(json.dumps([1.0, 2.0]))
-    code, _, _ = run_cli(
-        capsys, "theory", "--dist", "rademacher", "--n", "3", "--x", "1.0",
-        "--scales", str(scales_path),
-    )
-    assert code == 2
+    # wrong length, or an entry that is not a finite number, is a config error
+    for bad in ([1.0, 2.0], [None, 1.0, 2.0], [True, "2", 3.0], [1.0, 2.0, 1e400]):
+        scales_path.write_text(json.dumps(bad))
+        code, out, _ = run_cli(
+            capsys, "theory", "--dist", "rademacher", "--n", "3", "--x", "1.0",
+            "--scales", str(scales_path),
+        )
+        assert (code, out) == (2, ""), bad
 
 
 def test_enumerate_payload(capsys):
@@ -154,8 +156,14 @@ def cli_argv(draw):
             literal[key] = draw(st.one_of(st.floats(), st.text(max_size=3), st.none(), st.booleans()))
     command = draw(st.sampled_from(["theory", "enumerate", "simulate"]))
     argv = [command, "--dist", json.dumps(literal), f"--x={draw(st.floats())!r}"]
+    scales = None  # the content of a --scales file, when one is given
     if command == "theory":
-        argv.append(f"--n={draw(st.integers(1, 10**24))}")
+        scales = draw(st.none() | st.floats() | st.lists(st.floats(), min_size=1, max_size=6) | st.lists(
+            st.one_of(st.floats(), st.integers(), st.none(), st.booleans(), st.text(max_size=3)),
+            min_size=1, max_size=6,
+        ))
+        n = len(scales) if isinstance(scales, list) else draw(st.integers(1, 10**24))
+        argv.append(f"--n={n}")
         argv += [f"{flag}={draw(st.floats())!r}" for flag in ("--r", "--delta", "--a0-constant")]
     else:
         argv.append(f"--n={draw(st.integers(1, 6))}")
@@ -165,24 +173,37 @@ def cli_argv(draw):
             f"--workers={draw(st.integers(1, 3))}",  # each worker is a thread
             f"--method={draw(st.sampled_from(['naive', 'tilted']))}",
         ]
-    return argv
+    return argv, scales
 
 
 _THEORY = ["theory", "--dist", "rademacher", "--n=10", "--x=2"]
+_SCALED = ["theory", "--dist", "rademacher", "--n=2", "--x=1"]
 
 
 @settings(max_examples=300, deadline=None)
 @given(cli_argv())
-@example(_THEORY + ["--a0-constant=0"])
-@example(_THEORY + ["--a0-constant=nan"])
-@example(_THEORY + ["--a0-constant=inf"])
-@example(_THEORY + ["--delta=1e300"])
-@example(_THEORY[:-1] + ["--x=1e200"])
-@example(_THEORY[:-1] + ["--x=1e-320"])
-def test_fuzz_exit_codes_and_strict_json(argv):
+@example((_THEORY + ["--a0-constant=0"], None))
+@example((_THEORY + ["--a0-constant=nan"], None))
+@example((_THEORY + ["--a0-constant=inf"], None))
+@example((_THEORY + ["--delta=1e300"], None))
+@example((_THEORY[:-1] + ["--x=1e200"], None))
+@example((_THEORY[:-1] + ["--x=1e-320"], None))
+@example((_SCALED, [None, 1.0]))
+@example((_SCALED, [True, "2"]))
+@example((_SCALED, [1e308, 1e308]))
+@example((["simulate", "--dist", '{"family": "uniform", "half_width": 1e150}', "--n=4",
+           "--x=1e200", "--samples=1000"], None))
+def test_fuzz_exit_codes_and_strict_json(case):
+    argv, scales = case
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        if scales is not None:
+            path = os.path.join(tmp, "scales.json")
+            with open(path, "w") as fh:
+                json.dump(scales, fh)
+            argv = argv + ["--scales", path]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
     assert code in (0, 2, 3), (argv, err.getvalue())
     if code:
         assert out.getvalue() == ""
@@ -316,6 +337,11 @@ _SWEEP = '{"dist": %s, "n_grid": %s, "x_values": %s, "output": "out/q.csv"%s}'
          '"output": "out/q.csv"}', 2),
         (_SWEEP % ('{"family": "rademacher"}', "[4]", "[1.0, 38]", ""), 3),
         (_SWEEP % ('{"family": "rademacher"}', "[4]", "[39]", ""), 3),
+        (_SWEEP % ('{"family": "rademacher"}', "[4]", "[1.0]", ', "delta": 1e300'), 3),
+        (_SWEEP % ('{"family": "student_t"}', "[4]", "[1.0]",
+                   ', "engine": "mc", "mc_method": "tilted"'), 3),
+        (_SWEEP % ('{"family": "uniform"}', "[4]", "[1.0]", ', "mc_fallback": false'), 3),
+        (_SWEEP % ('{"family": "twopoint"}', "[4, 300]", "[1.0]", ', "mc_fallback": false'), 3),
     ],
 )
 def test_sweep_config_is_checked_before_any_file_is_written(tmp_path, monkeypatch, capsys, text, code):

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from mdlab import experiments
+from mdlab import SequenceSpec, TwoPoint, experiments
 from mdlab.errors import BudgetExceededError, ConfigError
 from mdlab.experiments import (
     CSV_COLUMNS,
@@ -16,7 +16,7 @@ from mdlab.experiments import (
     convergence_report,
     run_sweep,
 )
-from mdlab.oracle import lattice_dp_max
+from mdlab.oracle import enumerate_exact, lattice_dp_max, twopoint_dp
 from mdlab.theory import normal_tail
 
 README = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
@@ -263,13 +263,22 @@ def test_symmetric_oracle_rows_reflection_inequality(tmp_path):
         assert row.ratio_max <= 2.0 * row.ratio_sum + 1e-12
 
 
-def test_oracle_prefers_enumeration_for_twopoint(tmp_path):
+def test_oracle_twopoint_rows_run_the_dp(tmp_path):
+    # n = 100 ran Monte Carlo while TwoPoint rows were enumerated; rows past
+    # the DP's budget still fall back to it
     cfg = oracle_cfg(
         tmp_path, name="tp.csv", dist={"family": "twopoint", "a": 2.0, "b": 1.0},
-        n_grid=[10], x_values=[1.0],
+        n_grid=[10, 100, 256], x_values=[1.0], mc_samples=1000,
     )
-    (row,) = run_sweep(cfg)
-    assert row.method == "enumeration"
+    small, mid, big = run_sweep(cfg)
+    assert [r.method for r in (small, mid, big)] == ["lattice_dp", "lattice_dp", "naive"]
+    assert small.samples == mid.samples == 0
+    enum = enumerate_exact(SequenceSpec(TwoPoint(2.0, 1.0), 10), 1.0)
+    assert small.p_max == pytest.approx(enum.p_max, rel=1e-13)
+    assert small.p_sum == pytest.approx(enum.p_sum, rel=1e-13)
+    exact = twopoint_dp(100, 1.0, 2.0, 1.0)
+    assert (mid.p_max, mid.p_sum) == (exact.p_max, exact.p_sum)
+    assert mid.ci_low == mid.ci_high == mid.ratio_max
 
 
 def test_oracle_rademacher_exact_at_any_n(tmp_path):
@@ -294,12 +303,13 @@ def test_oracle_falls_back_to_mc(tmp_path):
 
 
 def test_oracle_budget_error_without_fallback(tmp_path):
-    cfg = oracle_cfg(
-        tmp_path, name="nf.csv", dist={"family": "uniform", "half_width": 1.0},
-        n_grid=[16], x_values=[1.0], mc_fallback=False,
-    )
+    # refused with the config, before run_sweep could write a file
     with pytest.raises(BudgetExceededError):
-        run_sweep(cfg)
+        run_sweep(oracle_cfg(
+            tmp_path, name="nf.csv", dist={"family": "uniform", "half_width": 1.0},
+            n_grid=[16], x_values=[1.0], mc_fallback=False,
+        ))
+    assert os.listdir(tmp_path) == []
 
 
 def test_scaling_rule_default_power(tmp_path):

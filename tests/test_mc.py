@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from mdlab import CenteredExponential, Rademacher, SequenceSpec, TwoPoint, Uniform
+from mdlab import CenteredExponential, Rademacher, SequenceSpec, TwoPoint, Uniform, oracle
 from mdlab.errors import ConfigError, InfeasibleError, TiltUnsupportedError
 from mdlab.mc import CHUNK_SIZE, choose_tilt, merge, simulate
-from mdlab.oracle import enumerate_exact, lattice_dp_max
+from mdlab.oracle import enumerate_exact, lattice_dp_max, twopoint_dp
 
 
 def test_naive_matches_enumeration_oracle():
@@ -23,6 +23,17 @@ def test_tilted_matches_dp_oracle():
     seq = SequenceSpec(Rademacher(1.0), 64)
     exact = lattice_dp_max(64, 2.0)
     est_max, est_sum = simulate(seq, 2.0, 100_000, seed=21, method="tilted")
+    assert abs(est_max.p_hat - exact.p_max) <= 4.0 * est_max.stderr
+    assert abs(est_sum.p_hat - exact.p_sum) <= 4.0 * est_sum.stderr
+
+
+def test_tilted_twopoint_matches_dp_oracle(monkeypatch):
+    # V_n is random here, unlike Rademacher; n = 256 is one step past the
+    # DP's work budget, which is a guard on its cost, not on its accuracy
+    monkeypatch.setattr(oracle, "ENUMERATION_BUDGET", 256 * 257**2)
+    exact = twopoint_dp(256, 2.5, 2.0, 1.0)
+    est_max, est_sum = simulate(SequenceSpec(TwoPoint(2.0, 1.0), 256), 2.5, 1 << 17,
+                                seed=41, method="tilted")
     assert abs(est_max.p_hat - exact.p_max) <= 4.0 * est_max.stderr
     assert abs(est_sum.p_hat - exact.p_sum) <= 4.0 * est_sum.stderr
 

@@ -1,6 +1,6 @@
-"""Exact oracles: enumeration vs the Rademacher closed form vs independent
-references (itertools enumeration, the absorbing-barrier DP, exact binomial
-sums, scipy.stats.binom)."""
+"""Exact oracles: enumeration vs the Rademacher closed form vs the TwoPoint
+DP vs independent references (itertools enumeration, the absorbing-barrier
+DP, exact binomial sums, scipy.stats.binom, TwoPoint path counting)."""
 
 import itertools
 import math
@@ -14,7 +14,7 @@ from scipy.stats import binom
 
 from mdlab import Rademacher, SequenceSpec, TwoPoint, Uniform, oracle
 from mdlab.errors import BudgetExceededError, ConfigError
-from mdlab.oracle import enumerate_exact, lattice_dp_max, lattice_dp_sum
+from mdlab.oracle import enumerate_exact, lattice_dp_max, lattice_dp_sum, twopoint_dp
 
 
 def brute_force(dist, n, x, scales=None):
@@ -268,6 +268,87 @@ def test_dp_x_above_sqrt_n_is_zero():
     assert lattice_dp_sum(16, 4.0001) == 0.0
 
 
+# ---------------------------------------------------------------------------
+# TwoPoint DP
+# ---------------------------------------------------------------------------
+
+def twopoint_reference(n, a, b, x):
+    """(p_max, p_sum) for iid steps in {a, -b} with integer a, b and a
+    Fraction x, by counting paths. ``count[m, u]`` is the number of step
+    sequences with u ups so far that have not reached the barrier x V_n(m)
+    of final up-count m; a sequence first reaching it at step k has
+    C(n - k, m - u) completions, each of probability p^m q^(n - m). Barrier
+    tests are exact in integers: S >= x V  iff  S >= 0 and (S den)^2 >=
+    num^2 V^2."""
+    num, den = x.numerator, x.denominator
+    m = np.arange(n + 1)
+    p = b / (a + b)
+    weight = p**m * (1.0 - p) ** (n - m)
+    v2 = a * a * m + b * b * (n - m)
+
+    def reached(s, final):
+        return (s >= 0) & ((s * den) ** 2 >= num * num * v2[final])
+
+    pascal = np.zeros((n + 1, n + 1))  # pascal[i, j] = C(i, j)
+    pascal[:, 0] = 1.0
+    for i in range(1, n + 1):
+        pascal[i, 1:] = pascal[i - 1, 1:] + pascal[i - 1, :-1]
+    ups_left = m[:, None] - m  # [final m, ups so far]
+    p_sum = math.fsum((pascal[n] * weight)[reached(a * m - b * (n - m), m)].tolist())
+    count = np.zeros((n + 1, n + 1))
+    count[:, 0] = 1.0
+    first = np.zeros(n + 1)
+    for k in range(1, n + 1):
+        count[:, 1:] += count[:, :-1].copy()  # the last step was down, or up from u - 1
+        hit = reached(a * m - b * (k - m), m[:, None])
+        completions = np.where(ups_left >= 0, pascal[n - k][np.maximum(ups_left, 0)], 0.0)
+        first += (np.where(hit, count, 0.0) * completions).sum(axis=1)
+        count[hit] = 0.0
+    return math.fsum((first * weight).tolist()), p_sum
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_twopoint_reference_matches_brute(n):
+    for a, b in ((2, 1), (1, 3)):
+        for x in (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(17, 10)):
+            want_max, want_sum = brute_force(TwoPoint(a, b), n, float(x))
+            got_max, got_sum = twopoint_reference(n, a, b, x)
+            assert got_max == pytest.approx(want_max, abs=1e-14)
+            assert got_sum == pytest.approx(want_sum, abs=1e-14)
+
+
+@pytest.mark.parametrize("n,a,b", [(n, 2, 1) for n in (1, 2, 3, 9, 16, 25, 64, 128, 255)]
+                         + [(n, 1, 3) for n in (4, 13, 40)])
+def test_twopoint_dp_matches_path_counting(n, a, b):
+    for x in (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(5, 2)):
+        got = twopoint_dp(n, float(x), a, b)
+        want_max, want_sum = twopoint_reference(n, a, b, x)
+        assert got.p_max == pytest.approx(want_max, rel=1e-10, abs=0.0), x
+        assert got.p_sum == pytest.approx(want_sum, rel=1e-10, abs=0.0), x
+        assert (got.method, got.n, got.x) == ("lattice_dp", n, float(x))
+
+
+def test_twopoint_dp_scale_free_exact():
+    # steps 2c and c: the DP rescales to (1, 0.5) exactly, keeping the ties
+    # at x = 1 (n + 3m a square) for any c, even where the absolute 1e-12
+    # cut would swamp the steps
+    base = twopoint_dp(24, 1.0, 2.0, 1.0)
+    for c in (0.25, 0.3, 1e-3, 1e-13, 1e200):
+        got = twopoint_dp(24, 1.0, 2.0 * c, c)
+        assert (got.p_max, got.p_sum) == (base.p_max, base.p_sum)
+
+
+def test_twopoint_dp_budget_and_validation():
+    assert 255 * 256**2 <= oracle.ENUMERATION_BUDGET < 256 * 257**2
+    with pytest.raises(BudgetExceededError):
+        twopoint_dp(256, 1.0, 2.0, 1.0)
+    with pytest.raises(ConfigError):
+        twopoint_dp(0, 1.0, 2.0, 1.0)
+    for a, b in ((0.0, 1.0), (1.0, -1.0), (math.nan, 1.0), (1.0, math.inf)):
+        with pytest.raises(ConfigError):
+            twopoint_dp(4, 1.0, a, b)
+
+
 def test_huge_finite_x_gives_zero_without_overflow():
     # x sqrt(n) overflows to inf; the event is still well defined and empty
     with warnings.catch_warnings():
@@ -275,6 +356,8 @@ def test_huge_finite_x_gives_zero_without_overflow():
         res = lattice_dp_max(16, 1e308)
         assert (res.p_max, res.p_sum) == (0.0, 0.0)
         res = enumerate_exact(SequenceSpec(TwoPoint(2.0, 1.0), 6), 1e308)
+        assert (res.p_max, res.p_sum) == (0.0, 0.0)
+        res = twopoint_dp(6, 1e308, 2.0, 1.0)
         assert (res.p_max, res.p_sum) == (0.0, 0.0)
 
 
@@ -286,6 +369,8 @@ def test_oracles_reject_bad_x(x):
         lattice_dp_sum(4, x)
     with pytest.raises(ConfigError, match="finite and >= 0"):
         enumerate_exact(SequenceSpec(Rademacher(1.0), 4), x)
+    with pytest.raises(ConfigError, match="finite and >= 0"):
+        twopoint_dp(4, x, 2.0, 1.0)
 
 
 def test_dp_barrier_tie_counted_in():
