@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import asdict
 
@@ -58,10 +57,7 @@ def _load_scales(path):
         raise ConfigError(f"cannot read scales file {path}: {exc}") from exc
     if not isinstance(data, list):
         raise ConfigError("scales file must hold a JSON list of numbers")
-    # a finite float passes as it is, which keeps long schedules cheap; any
-    # other entry goes through check_finite: a finite int is taken as a float
-    return [v if type(v) is float and math.isfinite(v) else check_finite("scales entry", v)
-            for v in data]
+    return [check_finite("scales entry", v) for v in data]
 
 
 def build_parser() -> argparse.ArgumentParser:

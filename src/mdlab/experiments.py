@@ -34,7 +34,7 @@ from . import __version__
 from .distributions import Distribution, Rademacher, TwoPoint, from_literal
 from .errors import BudgetExceededError, ConfigError, InfeasibleError, check_finite
 from .mc import DEFAULT_SEED, choose_tilt, simulate
-from .oracle import ENUMERATION_BUDGET, lattice_dp_max, twopoint_dp
+from .oracle import lattice_dp_max, twopoint_dp, twopoint_dp_fits
 from .theory import SequenceSpec, check_parameters, compute_quantities, error_envelope, normal_tail
 
 __all__ = [
@@ -264,7 +264,7 @@ def _oracle(cfg: SweepConfig, dist: Distribution, n: int):
         return None
     if isinstance(dist, Rademacher):
         return lambda x: lattice_dp_max(n, x, dist.scale)
-    if isinstance(dist, TwoPoint) and n * (n + 1) ** 2 <= ENUMERATION_BUDGET:
+    if isinstance(dist, TwoPoint) and twopoint_dp_fits(n):
         return lambda x: twopoint_dp(n, x, dist.a, dist.b)
     if not cfg.mc_fallback:
         raise BudgetExceededError(f"n={n} exceeds every oracle budget and mc_fallback is off")

@@ -38,6 +38,7 @@ __all__ = [
     "lattice_dp_max",
     "lattice_dp_sum",
     "twopoint_dp",
+    "twopoint_dp_fits",
     "ENUMERATION_BUDGET",
 ]
 
@@ -172,6 +173,12 @@ def lattice_dp_sum(n: int, x: float, scale: float = 1.0) -> float:
     return lattice_dp_max(n, x, scale).p_sum
 
 
+def twopoint_dp_fits(n: int) -> bool:
+    """Whether the ``n (n+1)^2`` cells of :func:`twopoint_dp` at ``n`` are
+    within ``ENUMERATION_BUDGET`` (``n <= 255``)."""
+    return n * (n + 1) ** 2 <= ENUMERATION_BUDGET
+
+
 def twopoint_dp(n: int, x: float, a: float, b: float) -> ExactResult:
     """P(max_k S_k >= x V_n) and P(S_n >= x V_n) for ``n`` iid steps in
     ``{a, -b}`` with P(a) = b / (a + b).
@@ -182,16 +189,20 @@ def twopoint_dp(n: int, x: float, a: float, b: float) -> ExactResult:
     at once the DP carries the mass that has not yet reached that ``m``'s
     barrier and moves the mass reaching it into ``hit[m]``; the max event is
     the binomial mixture of ``hit``. Steps are rescaled to ``max(a, b) = 1``
-    (the events are scale free), and the barrier cut is the one
-    :func:`enumerate_exact` uses, so exact ties stay in the events. The work
-    is ``n (n+1)^2`` cells, within ``ENUMERATION_BUDGET``.
+    (the events are scale free). The barrier cut is the one
+    :func:`enumerate_exact` uses, so exact ties stay in the events, but with
+    its absolute 1e-12 in units of the smaller step: a path reaches ``x V_n``
+    when short of it by at most 1e-12 times the larger of the barrier and
+    the smaller step, so no step fits in the cut, whatever the ratio.
+    :class:`BudgetExceededError` unless :func:`twopoint_dp_fits`.
     """
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
     check_finite("x", x, 0.0)
-    if not (check_finite("a", a) > 0.0 and check_finite("b", b) > 0.0):
-        raise ConfigError(f"twopoint_dp needs a, b > 0, got a={a}, b={b}")
-    if n * (n + 1) ** 2 > ENUMERATION_BUDGET:
+    check_finite("a", a), check_finite("b", b)
+    if not (a > 0.0 and b > 0.0 and min(a, b) / max(a, b) > 0.0):
+        raise ConfigError(f"twopoint_dp needs a, b > 0 and b / a > 0 in doubles, got a={a}, b={b}")
+    if not twopoint_dp_fits(n):
         raise BudgetExceededError(
             f"n={n} needs {n * (n + 1) ** 2} DP cells, over the {ENUMERATION_BUDGET} budget"
         )
@@ -200,7 +211,7 @@ def twopoint_dp(n: int, x: float, a: float, b: float) -> ExactResult:
     m = np.arange(n + 1)
     with np.errstate(over="ignore"):  # a huge x gives an inf barrier: no hit
         barrier = x * np.sqrt(a * a * m + b * b * (n - m))
-    cut = np.minimum(barrier - 1e-12, barrier * (1.0 - 1e-12))
+    cut = np.minimum(barrier - 1e-12 * min(a, b), barrier * (1.0 - 1e-12))
     pmf = np.exp(
         special.gammaln(n + 1) - special.gammaln(m + 1) - special.gammaln(n - m + 1)
         + special.xlogy(m, b / (a + b)) + special.xlogy(n - m, a / (a + b))

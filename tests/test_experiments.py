@@ -281,6 +281,20 @@ def test_oracle_twopoint_rows_run_the_dp(tmp_path):
     assert mid.ci_low == mid.ci_high == mid.ratio_max
 
 
+def test_oracle_twopoint_far_apart_steps(tmp_path):
+    # one step of 1e-13 next to 1: exact, not swallowed by the tie cut, where
+    # reaching 1.3 V_n takes two ups
+    cfg = oracle_cfg(
+        tmp_path, name="far.csv", dist={"family": "twopoint", "a": 1.0, "b": 1e-13},
+        n_grid=[30], x_values=[1.3],
+    )
+    (row,) = run_sweep(cfg)
+    assert (row.method, row.samples) == ("lattice_dp", 0)
+    p = 1e-13 / (1.0 + 1e-13)
+    two_ups = math.fsum(math.comb(30, m) * p**m * (1.0 - p) ** (30 - m) for m in range(2, 31))
+    assert row.p_max == pytest.approx(two_ups, rel=1e-12, abs=0.0)
+
+
 def test_oracle_rademacher_exact_at_any_n(tmp_path):
     cfg = oracle_cfg(
         tmp_path, name="big.csv", n_grid=[100_001, 10**6], x_values=[1.5], mc_fallback=False,

@@ -338,13 +338,31 @@ def test_twopoint_dp_scale_free_exact():
         assert (got.p_max, got.p_sum) == (base.p_max, base.p_sum)
 
 
+def test_twopoint_dp_far_apart_steps():
+    # the absolute part of the tie cut is in units of the smaller step, so a
+    # step of 1e-13 next to 1 is not inside it. Tiny downs: at x = 1.3 both
+    # events are "at least 2 ups" (one up stays below 1.3 V_n ~ 1.3)
+    both = binom.sf(1, 30, 1e-13 / (1.0 + 1e-13))
+    got = twopoint_dp(30, 1.3, 1.0, 1e-13)
+    assert (got.p_max, got.p_sum) == pytest.approx((both, both), rel=1e-12, abs=0.0)
+    # tiny ups: only the all-up path reaches the barrier, at step x sqrt(n),
+    # so a barrier 0.003 of a step past the last one is missed
+    for n, a, x, want in (
+        (30, 1e-13, 29.997 / math.sqrt(30), (1.0 / (1.0 + 1e-13)) ** 30),
+        (30, 1e-13, 30.003 / math.sqrt(30), 0.0),
+        (4, 1e-10, 2.004, 0.0),
+    ):
+        got = twopoint_dp(n, x, a, 1.0)
+        assert (got.p_max, got.p_sum) == pytest.approx((want, want), rel=1e-12, abs=0.0)
+
+
 def test_twopoint_dp_budget_and_validation():
     assert 255 * 256**2 <= oracle.ENUMERATION_BUDGET < 256 * 257**2
     with pytest.raises(BudgetExceededError):
         twopoint_dp(256, 1.0, 2.0, 1.0)
     with pytest.raises(ConfigError):
         twopoint_dp(0, 1.0, 2.0, 1.0)
-    for a, b in ((0.0, 1.0), (1.0, -1.0), (math.nan, 1.0), (1.0, math.inf)):
+    for a, b in ((0.0, 1.0), (1.0, -1.0), (math.nan, 1.0), (1.0, math.inf), (1e10, 1e-315)):
         with pytest.raises(ConfigError):
             twopoint_dp(4, 1.0, a, b)
 
