@@ -250,9 +250,12 @@ def _theory_fields(dist: Distribution, n: int, x: float, cfg: SweepConfig):
     because the functionals divide by x."""
     seq = SequenceSpec(dist, n)
     if x == 0.0:
-        bn = math.sqrt(seq.variance_sum())
-        lnr = seq.abs_moment_sum(2.0 + cfg.r)
-        return 0.0, bn / lnr ** (1.0 / (2.0 + cfg.r)), 0, math.inf
+        try:  # the moments compute_quantities checks at x > 0; E|X|^3 is the probe's
+            lnr = seq.abs_moment_sum(2.0 + cfg.r)
+            dist.abs_moment(3.0)
+        except OverflowError:
+            raise InfeasibleError(f"the moments of {dist} overflow a double") from None
+        return 0.0, math.sqrt(seq.variance_sum()) / lnr ** (1.0 / (2.0 + cfg.r)), 0, math.inf
     q = compute_quantities(seq, x, cfg.r, cfg.delta, cfg.a0_constant)
     return q.delta_nx, q.dnr, q.n0, q.epsilon
 
@@ -263,7 +266,7 @@ def _oracle(cfg: SweepConfig, dist: Distribution, n: int):
     if cfg.engine == "mc":
         return None
     if isinstance(dist, Rademacher):
-        return lambda x: lattice_dp_max(n, x, dist.scale)
+        return lambda x: lattice_dp_max(n, x)
     if isinstance(dist, TwoPoint) and twopoint_dp_fits(n):
         return lambda x: twopoint_dp(n, x, dist.a, dist.b)
     if not cfg.mc_fallback:

@@ -32,7 +32,7 @@ from scipy import optimize
 
 from .distributions import Rademacher
 from .errors import ConfigError, InfeasibleError, TiltUnsupportedError, check_finite
-from .theory import SequenceSpec
+from .theory import SequenceSpec, _tie_cut, _tie_unit
 
 __all__ = [
     "CHUNK_SIZE",
@@ -116,7 +116,6 @@ class TiltPlan:
 
     theta: float
     log_mgf_total: float
-    target_drift: float
 
 
 def _step_sum(seq: SequenceSpec, f) -> float:
@@ -182,7 +181,6 @@ def choose_tilt(seq: SequenceSpec, x: float) -> TiltPlan:
     return TiltPlan(
         theta=theta,
         log_mgf_total=_step_sum(seq, lambda s: dist.log_mgf(theta * s)),
-        target_drift=total_target / seq.n,
     )
 
 
@@ -201,6 +199,7 @@ def _run_chunk(
     chunk_index: int,
     n_paths: int,
     plan: Optional[TiltPlan],
+    unit: float,
 ) -> tuple[ChunkRecord, ChunkRecord]:
     rng = np.random.Generator(np.random.Philox(key=[seed, chunk_index]))
     dist = seq.dist
@@ -217,9 +216,9 @@ def _run_chunk(
         sq_norm += col * col
         np.maximum(peak, running, out=peak)
     with np.errstate(over="ignore"):  # a huge x gives an inf barrier: no hit
-        barrier = x * np.sqrt(sq_norm)
-    ind_max = peak >= barrier
-    ind_sum = running >= barrier
+        cut = _tie_cut(x * np.sqrt(sq_norm), unit)
+    ind_max = peak >= cut
+    ind_sum = running >= cut
     weights = 1.0 if plan is None else np.exp(-plan.theta * running + plan.log_mgf_total)
     w_max = weights * ind_max
     w_sum = weights * ind_sum
@@ -257,9 +256,10 @@ def simulate(
         raise ConfigError(f"method must be 'naive' or 'tilted', got {method!r}")
 
     plan = choose_tilt(seq, x) if method == "tilted" else None
+    unit = _tie_unit(seq)
     # map yields in submission order, so the records never depend on workers
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(lambda chunk: _run_chunk(seq, x, seed, *chunk, plan),
+        results = list(pool.map(lambda chunk: _run_chunk(seq, x, seed, *chunk, plan, unit),
                                 _chunk_layout(n_samples, first_chunk)))
 
     label = json.dumps(seq.dist.literal(), sort_keys=True)

@@ -7,18 +7,19 @@ Three exact methods:
   path-dependent normalization ``V_n``. The outcomes of the first steps
   and of the remaining steps are built once each; every (prefix, suffix)
   pair is then scored from their sums, running maxima and squared norms.
-* :func:`lattice_dp_max` / :func:`lattice_dp_sum` evaluate the symmetric
-  two-point walk, where ``V_n^2 = n c^2`` is deterministic, in closed form
-  for every ``n >= 1``: the reflection principle turns the max event into
-  two binomial tails, computed as regularized incomplete beta functions.
+* :func:`lattice_dp_max` evaluates the symmetric two-point walk, where
+  ``V_n^2 = n c^2`` is deterministic, in closed form for every ``n >= 1``:
+  the reflection principle turns the max event into two binomial tails,
+  computed as regularized incomplete beta functions.
 * :func:`twopoint_dp` evaluates iid two-point steps ``{a, -b}``, where
   ``V_n`` is random but fixed by the up-count: a first-passage DP on the
   (steps, ups) lattice for each final up-count (budget ``n (n+1)^2 <=
   2^24`` cells, so ``n <= 255``).
 
 All evaluate the events ``max_{1<=k<=n} S_k >= x V_n`` and
-``S_n >= x V_n`` with ties counted in (the event is ``>=``). Results are
-scale free: the events only involve ``S_k / V_n``.
+``S_n >= x V_n`` with ties counted in (the event is ``>=``) by the tie cut
+Monte Carlo uses too, ``theory._tie_cut``, in units of the smallest step.
+Results are scale free: the events only involve ``S_k / V_n``.
 """
 
 from __future__ import annotations
@@ -30,13 +31,12 @@ import numpy as np
 from scipy import special
 
 from .errors import BudgetExceededError, ConfigError, check_finite
-from .theory import SequenceSpec
+from .theory import SequenceSpec, _tie_cut, _tie_unit
 
 __all__ = [
     "ExactResult",
     "enumerate_exact",
     "lattice_dp_max",
-    "lattice_dp_sum",
     "twopoint_dp",
     "twopoint_dp_fits",
     "ENUMERATION_BUDGET",
@@ -78,9 +78,9 @@ def enumerate_exact(seq: SequenceSpec, x: float) -> ExactResult:
     a suffix of the remaining ones, so ``max_k S_k = max(M_pre, S_pre +
     M_suf)``, ``S_n = S_pre + S_suf`` and ``V_n^2 = Q_pre + Q_suf``. Each
     suffix scores all prefixes at once; the per-suffix masses are summed
-    with ``math.fsum``. Barrier comparisons absorb 1e-12 relative float fuzz so exact
-    ties (which belong to the >= event) survive rescaled instances, keeping
-    the result scale free like the event itself.
+    with ``math.fsum``. Paths are compared against the tie cut of the
+    barrier in units of the smallest step, ``min |support value| * min
+    scale``, so exact ties stay in the events at any scale.
     """
     check_finite("x", x, 0.0)
     support = seq.dist.finite_support()
@@ -99,14 +99,13 @@ def enumerate_exact(seq: SequenceSpec, x: float) -> ExactResult:
     scales = seq.scale_array()
     split = min(seq.n, int(math.log(_ENUM_CHUNK, s) + 1e-9))
     pre_w, pre_sum, pre_max, pre_sq = _path_states(values, probs, scales[:split])
+    unit = _tie_unit(seq)
 
     max_parts: list[float] = []
     sum_parts: list[float] = []
     for w, total, peak, sq in zip(*_path_states(values, probs, scales[split:])):
         with np.errstate(over="ignore"):  # a huge x gives an inf barrier: no hit
-            barrier = x * np.sqrt(pre_sq + sq)
-        # 1e-12 below the barrier, relative above 1; stays inf if it is inf
-        cut = np.minimum(barrier - 1e-12, barrier * (1.0 - 1e-12))
+            cut = _tie_cut(x * np.sqrt(pre_sq + sq), unit)
         hit_max = np.maximum(pre_max, pre_sum + peak) >= cut
         max_parts.append(float(w * pre_w[hit_max].sum()))
         sum_parts.append(float(w * pre_w[pre_sum + total >= cut].sum()))
@@ -117,17 +116,6 @@ def enumerate_exact(seq: SequenceSpec, x: float) -> ExactResult:
         x=x,
         method="enumeration",
     )
-
-
-def _lattice_barrier(n: int, x: float) -> int:
-    """Smallest lattice point >= x*sqrt(n), snapping away float fuzz so an
-    exact hit stays on the barrier (the event is >=). Capped at n + 1,
-    which no walk of n steps reaches."""
-    target = min(x * math.sqrt(n), n + 1.0)
-    nearest = round(target)
-    if abs(target - nearest) <= 1e-9 * max(1.0, abs(target)):
-        return int(nearest)
-    return int(math.ceil(target))
 
 
 def _walk_tail(n: int, t: int) -> float:
@@ -153,24 +141,19 @@ def _walk_max_tail(n: int, b: int) -> float:
     return _walk_tail(n, b) + _walk_tail(n, b + 1)
 
 
-def lattice_dp_max(n: int, x: float, scale: float = 1.0) -> ExactResult:
-    """P(max_k S_k >= x V_n) and P(S_n >= x V_n) on the +-scale walk.
+def lattice_dp_max(n: int, x: float) -> ExactResult:
+    """P(max_k S_k >= x V_n) and P(S_n >= x V_n) on the symmetric +-c walk.
 
-    ``V_n = scale * sqrt(n)`` is deterministic, so both events are lattice
-    events on the +-1 walk and the result does not depend on ``scale``.
+    ``V_n = c sqrt(n)`` is deterministic, so both events are lattice events
+    on the +-1 walk, whatever ``c``: their barrier is the smallest lattice
+    point at or above the tie cut of ``x sqrt(n)``, capped at ``n + 1``,
+    which no walk of ``n`` steps reaches.
     """
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
     check_finite("x", x, 0.0)
-    if not scale > 0.0:
-        raise ConfigError(f"scale must be > 0, got {scale}")
-    barrier = _lattice_barrier(n, x)
+    barrier = math.ceil(_tie_cut(min(x * math.sqrt(n), n + 1.0), 1.0))
     return ExactResult(_walk_max_tail(n, barrier), _walk_tail(n, barrier), n, x, "lattice_dp")
-
-
-def lattice_dp_sum(n: int, x: float, scale: float = 1.0) -> float:
-    """P(S_n >= x V_n) on the +-scale walk."""
-    return lattice_dp_max(n, x, scale).p_sum
 
 
 def twopoint_dp_fits(n: int) -> bool:
@@ -189,11 +172,9 @@ def twopoint_dp(n: int, x: float, a: float, b: float) -> ExactResult:
     at once the DP carries the mass that has not yet reached that ``m``'s
     barrier and moves the mass reaching it into ``hit[m]``; the max event is
     the binomial mixture of ``hit``. Steps are rescaled to ``max(a, b) = 1``
-    (the events are scale free). The barrier cut is the one
-    :func:`enumerate_exact` uses, so exact ties stay in the events, but with
-    its absolute 1e-12 in units of the smaller step: a path reaches ``x V_n``
-    when short of it by at most 1e-12 times the larger of the barrier and
-    the smaller step, so no step fits in the cut, whatever the ratio.
+    (the events are scale free), and the tie cut's unit is the smaller
+    step, as in :func:`enumerate_exact`, so no step fits in the cut,
+    whatever the ratio.
     :class:`BudgetExceededError` unless :func:`twopoint_dp_fits`.
     """
     if n < 1:
@@ -210,8 +191,7 @@ def twopoint_dp(n: int, x: float, a: float, b: float) -> ExactResult:
     a, b = a / top, b / top
     m = np.arange(n + 1)
     with np.errstate(over="ignore"):  # a huge x gives an inf barrier: no hit
-        barrier = x * np.sqrt(a * a * m + b * b * (n - m))
-    cut = np.minimum(barrier - 1e-12 * min(a, b), barrier * (1.0 - 1e-12))
+        cut = _tie_cut(x * np.sqrt(a * a * m + b * b * (n - m)), min(a, b))
     pmf = np.exp(
         special.gammaln(n + 1) - special.gammaln(m + 1) - special.gammaln(n - m + 1)
         + special.xlogy(m, b / (a + b)) + special.xlogy(n - m, a / (a + b))

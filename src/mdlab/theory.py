@@ -31,6 +31,7 @@ from dataclasses import astuple, dataclass
 from typing import Optional
 
 import numpy as np
+from scipy import special
 
 from .distributions import Distribution
 from .errors import ConfigError, InfeasibleError, InfiniteMomentError, check_finite
@@ -57,10 +58,7 @@ _SPLIT_INDEX_COEFF = 192.0
 # epsilon must not exceed min(1/24, delta/72) for the truncation regime
 _EPS_CAP = 1.0 / 24.0
 _EPS_CAP_DELTA = 1.0 / 72.0
-# switch from erfc to the Mills-ratio continued fraction
-_MILLS_SWITCH = 8.0
 _TAIL_RANGE = 40.0
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 # materialize block boundaries only up to this count
 _MAX_BOUNDARIES = 1 << 22
 
@@ -141,6 +139,26 @@ class SequenceSpec:
         if self.is_iid:
             return self.n * self.dist.abs_tail_prob(level)
         return float(np.sum(self.dist.abs_tail_prob(level / self.scales)))
+
+
+def _tie_unit(seq: SequenceSpec) -> float:
+    """Smallest step size of ``seq``: min |support value| * min scale, or 0
+    for laws without finite support, whose ties have probability 0."""
+    support = seq.dist.finite_support()
+    if support is None:
+        return 0.0
+    return float(np.min(np.abs(support[0]))) * float(np.min(seq.scale_array()))
+
+
+def _tie_cut(barrier, unit):
+    """The level a float path must reach to count as reaching ``barrier``.
+
+    The events are ``>=``, so an exact tie counts; a path short of the
+    barrier by at most 1e-12 of ``unit`` (the smallest step size) or 1e-12
+    of the barrier is a tie moved by float error. An inf barrier stays inf.
+    Every estimator of the events compares against this cut.
+    """
+    return np.minimum(barrier - 1e-12 * unit, barrier * (1.0 - 1e-12))
 
 
 @dataclass(frozen=True)
@@ -371,49 +389,22 @@ def check_tail_segment_ratio(
 # Normal tail
 # ---------------------------------------------------------------------------
 
-def _mills_ratio_cf(x: float, max_iter: int = 300, tol: float = 1e-17) -> float:
-    """(1-Phi(x))/phi(x) via the Laplace continued fraction
-    1/(x + 1/(x + 2/(x + 3/(x + ...)))), evaluated with Lentz's algorithm.
-
-    Converges in ~20 levels for x >= 8.
-    """
-    tiny = 1e-300
-    f = tiny
-    c = tiny
-    d = 0.0
-    for j in range(max_iter):
-        a = 1.0 if j == 0 else float(j)
-        d = x + a * d
-        if d == 0.0:
-            d = tiny
-        c = x + a / c
-        if c == 0.0:
-            c = tiny
-        d = 1.0 / d
-        step = c * d
-        f *= step
-        if abs(step - 1.0) < tol:
-            return f
-    raise ArithmeticError(f"Mills-ratio continued fraction stalled at x={x}")
-
-
 def normal_tail(x: float) -> float:
     """Upper normal tail 1 - Phi(x) with relative error <= 1e-12 while the
     result is a normal double, i.e. for x below about 37.5; past that it
     is subnormal and loses digits (2.7% at x = 38.4), and it is 0.0 from
     x = 38.5.
 
-    Uses erfc for x <= 8 and the Mills-ratio continued fraction on the log
-    scale beyond, never the subtraction 1 - CDF. Valid for |x| <= 40; for
+    Uses erfc for x <= 8 and the log of the tail, ``log_ndtr(-x)``, beyond,
+    never the subtraction 1 - CDF. Valid for |x| <= 40; for
     all x >= 1 the result satisfies
     x*exp(-x^2/2)/(sqrt(2 pi)(1+x^2)) <= tail <= exp(-x^2/2)/(sqrt(2 pi) x).
     """
     if math.isnan(x) or abs(x) > _TAIL_RANGE:
         raise ConfigError(f"normal_tail supports |x| <= {_TAIL_RANGE}, got {x}")
-    if x <= _MILLS_SWITCH:
+    if x <= 8.0:
         return 0.5 * math.erfc(x / math.sqrt(2.0))
-    log_tail = -0.5 * x * x - _LOG_SQRT_2PI + math.log(_mills_ratio_cf(x))
-    return math.exp(log_tail)
+    return math.exp(special.log_ndtr(-x))
 
 
 # ---------------------------------------------------------------------------

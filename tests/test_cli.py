@@ -338,6 +338,8 @@ _SWEEP = '{"dist": %s, "n_grid": %s, "x_values": %s, "output": "out/q.csv"%s}'
         (_SWEEP % ('{"family": "rademacher"}', "[4]", "[1.0, 38]", ""), 3),
         (_SWEEP % ('{"family": "rademacher"}', "[4]", "[39]", ""), 3),
         (_SWEEP % ('{"family": "rademacher"}', "[4]", "[1.0]", ', "delta": 1e300'), 3),
+        (_SWEEP % ('{"family": "twopoint", "a": 1e110, "b": 1.0}', "[4]", "[0.0]", ""), 3),
+        (_SWEEP % ('{"family": "rademacher", "scale": 1e110}', "[4]", "[0.0]", ', "r": 0.5'), 3),
         (_SWEEP % ('{"family": "student_t"}', "[4]", "[1.0]",
                    ', "engine": "mc", "mc_method": "tilted"'), 3),
         (_SWEEP % ('{"family": "uniform"}', "[4]", "[1.0]", ', "mc_fallback": false'), 3),

@@ -38,6 +38,24 @@ def test_tilted_twopoint_matches_dp_oracle(monkeypatch):
     assert abs(est_sum.p_hat - exact.p_sum) <= 4.0 * est_sum.stderr
 
 
+@pytest.mark.parametrize(
+    "c, n, x, method",
+    # choose_tilt refuses x > B_n = 0.6 at c = 0.3, so the tilted run of
+    # that instance takes c = 0.6, where float error moves the same ties
+    [(0.3, 4, 1.0, "naive"), (0.6, 4, 1.0, "tilted"), (0.1, 6, 0.0, "naive"),
+     (0.1, 6, 0.0, "tilted")],
+)
+def test_ties_moved_by_float_error_still_count(c, n, x, method):
+    # the paths end exactly on x V_n in exact arithmetic, but sums of 0.3,
+    # 0.6 or 0.1 land a few ulps off it: they count as ties, as in the
+    # exact methods
+    seq = SequenceSpec(Rademacher(c), n)
+    exact = enumerate_exact(seq, x)
+    est_max, est_sum = simulate(seq, x, 100_000, method=method)
+    assert abs(est_max.p_hat - exact.p_max) <= 4.0 * est_max.stderr
+    assert abs(est_sum.p_hat - exact.p_sum) <= 4.0 * est_sum.stderr
+
+
 def test_x0_symmetric_at_least_half():
     est_max, _ = simulate(SequenceSpec(Rademacher(1.0), 16), 0.0, 20_000, seed=3)
     assert est_max.p_hat >= 0.5

@@ -9,12 +9,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.stats import binom
 
 from mdlab import Rademacher, SequenceSpec, TwoPoint, Uniform, oracle
 from mdlab.errors import BudgetExceededError, ConfigError
-from mdlab.oracle import enumerate_exact, lattice_dp_max, lattice_dp_sum, twopoint_dp
+from mdlab.oracle import enumerate_exact, lattice_dp_max, twopoint_dp
 
 
 def brute_force(dist, n, x, scales=None):
@@ -165,7 +165,6 @@ def test_closed_form_matches_dp_reference(n):
         got = lattice_dp_max(n, x)
         assert got.p_max == pytest.approx(want_max, rel=1e-12, abs=0.0), x
         assert got.p_sum == pytest.approx(want_sum, rel=1e-12, abs=0.0), x
-        assert lattice_dp_sum(n, x) == got.p_sum
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
@@ -227,7 +226,7 @@ def test_dp_sum_matches_binomial_tail(n, x):
     barrier = math.ceil(x * math.sqrt(n) - 1e-9)
     k_min = math.ceil((n + barrier) / 2.0)
     want = float(binom.sf(k_min - 1, n, 0.5))
-    assert lattice_dp_sum(n, x) == pytest.approx(want, rel=1e-12, abs=1e-15)
+    assert lattice_dp_max(n, x).p_sum == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
 @pytest.mark.parametrize("n", [256, 4096, 16384])
@@ -251,21 +250,20 @@ def test_closed_form_matches_exact_binomial_sums(n):
         got = lattice_dp_max(n, x)
         assert got.p_max == pytest.approx(float(want_max), rel=1e-13, abs=0.0), x
         assert got.p_sum == pytest.approx(float(tail(b)), rel=1e-13, abs=0.0), x
-        assert lattice_dp_sum(n, x) == got.p_sum
 
 
 def test_dp_sum_even_n_x0():
     # P(S_n >= 0) = (1 + P(S_n = 0)) / 2 by symmetry
     for n in (2, 8, 64):
         want = 0.5 * (1.0 + float(binom.pmf(n // 2, n, 0.5)))
-        assert lattice_dp_sum(n, 0.0) == pytest.approx(want, rel=1e-13)
+        assert lattice_dp_max(n, 0.0).p_sum == pytest.approx(want, rel=1e-13)
 
 
 def test_dp_x_above_sqrt_n_is_zero():
     res = lattice_dp_max(16, 4.1)
     assert res.p_max == 0.0
     assert res.p_sum == 0.0
-    assert lattice_dp_sum(16, 4.0001) == 0.0
+    assert lattice_dp_max(16, 4.0001).p_sum == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +382,6 @@ def test_oracles_reject_bad_x(x):
     with pytest.raises(ConfigError, match="finite and >= 0"):
         lattice_dp_max(4, x)
     with pytest.raises(ConfigError, match="finite and >= 0"):
-        lattice_dp_sum(4, x)
-    with pytest.raises(ConfigError, match="finite and >= 0"):
         enumerate_exact(SequenceSpec(Rademacher(1.0), 4), x)
     with pytest.raises(ConfigError, match="finite and >= 0"):
         twopoint_dp(4, x, 2.0, 1.0)
@@ -402,12 +398,39 @@ def test_dp_barrier_tie_counted_in():
     assert lattice_dp_max(9, fuzzed).p_max == dp.p_max
 
 
-def test_dp_scale_free_exact():
-    base = lattice_dp_max(64, 1.5, scale=1.0)
-    for c in (0.25, 3.0, 1e-3):
-        other = lattice_dp_max(64, 1.5, scale=c)
-        assert other.p_max == base.p_max
-        assert other.p_sum == base.p_sum
+def _agree(p, q, rel=1e-13):
+    return abs(p - q) <= rel * max(abs(p), abs(q))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    k=st.integers(0, 13),
+    fuzz=st.sampled_from([0.0, 1e-13, -1e-13, 2e-10, -2e-10]),
+    c=st.sampled_from([1e-13, 0.3, 1.0, 7.5]),
+)
+def test_exact_methods_share_one_tie_rule(n, k, fuzz, c):
+    # x sqrt(n) on, or 1e-13 / 2e-10 off, a lattice point k: the closed form,
+    # enumeration and the DP draw the line between a tie and a miss alike
+    x = (k + fuzz) / math.sqrt(n)
+    assume(x >= 0.0)
+    closed = lattice_dp_max(n, x)
+    for other in (enumerate_exact(SequenceSpec(Rademacher(c), n), x), twopoint_dp(n, x, c, c)):
+        assert _agree(other.p_max, closed.p_max), (other, closed)
+        assert _agree(other.p_sum, closed.p_sum), (other, closed)
+
+
+def test_tie_rule_regressions():
+    # 2 sits below the barrier 2.0000000004: only the paths through 3 or 4 hit
+    for res in (lattice_dp_max(4, 1.0000000002), twopoint_dp(4, 1.0000000002, 1.0, 1.0),
+                enumerate_exact(SequenceSpec(Rademacher(1.0), 4), 1.0000000002)):
+        assert (res.p_max, res.p_sum) == (0.125, 0.0625)
+    # steps far below 1e-12 keep their ties and stay scale free
+    want = enumerate_exact(SequenceSpec(TwoPoint(2.0, 1.0), 6), 1.5)
+    for got in (enumerate_exact(SequenceSpec(TwoPoint(2e-13, 1e-13), 6), 1.5),
+                twopoint_dp(6, 1.5, 2e-13, 1e-13)):
+        assert _agree(got.p_max, want.p_max) and _agree(got.p_sum, want.p_sum), got
+        assert got.p_max <= 1.0
 
 
 def test_enumerate_scale_free_exact():
@@ -415,7 +438,7 @@ def test_enumerate_scale_free_exact():
     # lose it to float fuzz
     base = enumerate_exact(SequenceSpec(Rademacher(1.0), 4), 1.0)
     assert base.p_max == pytest.approx(6.0 / 16.0, abs=1e-15)
-    for c in (0.25, 0.3, 1e-3):
+    for c in (0.25, 0.3, 1e-3, 1e-13):
         got = enumerate_exact(SequenceSpec(Rademacher(c), 4), 1.0)
         assert got.p_max == base.p_max
         assert got.p_sum == base.p_sum
@@ -445,8 +468,6 @@ def test_dp_budget_and_validation():
         lattice_dp_max(0, 1.0)
     with pytest.raises(ConfigError):
         lattice_dp_max(10, -0.5)
-    with pytest.raises(ConfigError):
-        lattice_dp_max(10, 1.0, scale=0.0)
 
 
 def test_dp_probabilities_sum_to_one():
@@ -454,4 +475,4 @@ def test_dp_probabilities_sum_to_one():
     p_max = lattice_dp_max(n, x).p_max
     assert 0.0 < p_max < 1.0
     # the max event contains the terminal one
-    assert lattice_dp_sum(n, x) <= p_max
+    assert lattice_dp_max(n, x).p_sum <= p_max

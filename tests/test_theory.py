@@ -25,7 +25,6 @@ from mdlab import (
 from mdlab.errors import ConfigError
 from mdlab.theory import (
     DegeneratePartitionWarning,
-    _mills_ratio_cf,
     delta_functional,
     truncation_width,
 )
@@ -335,15 +334,6 @@ def test_normal_tail_golden_value():
 def test_normal_tail_high_precision(x):
     want = float(mp.ncdf(-mp.mpf(x)))
     assert normal_tail(x) == pytest.approx(want, rel=1e-12)
-
-
-def test_normal_tail_branch_seam():
-    # erfc branch and continued-fraction branch agree where they meet
-    erfc_side = 0.5 * math.erfc(8.0 / math.sqrt(2.0))
-    cf_side = math.exp(
-        -32.0 - 0.5 * math.log(2 * math.pi) + math.log(_mills_ratio_cf(8.0))
-    )
-    assert cf_side == pytest.approx(erfc_side, rel=1e-13)
 
 
 def test_normal_tail_sandwich_at_three():
