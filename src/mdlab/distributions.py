@@ -8,8 +8,12 @@ module provides three services the rest of the package is built on:
   ``"below"``) and ``E|X|^p 1{|X| > c}`` (side ``"above"``) and the tail
   ``P(|X| >= t)``, all in closed form (special functions for the
   unbounded families) and evaluated elementwise over arrays of levels,
-* exponential tilting ``dP_t ~ exp(theta*x) dP`` for bounded-support
-  families, which is what makes rare-event importance sampling possible.
+* exponential tilting ``dP_t ~ exp(theta*x) dP``, which is what makes
+  rare-event importance sampling possible: a law can be tilted when it
+  implements the tilt methods, whose base versions raise
+  :class:`~mdlab.errors.TiltUnsupportedError`.
+
+Rademacher is the ``a = b`` case of the two-point law on ``{a, -b}``.
 
 Families and their config literals (all keys optional except ``family``):
 
@@ -61,14 +65,10 @@ class Distribution:
     of its config literal ``{"family": family, ...}``."""
 
     family: str
-    bounded_support: bool = False
 
     # -- moments -------------------------------------------------------
     def variance(self) -> float:
         return self.abs_moment(2.0)
-
-    def abs_moment_is_finite(self, p: float) -> bool:
-        return True
 
     def abs_moment(self, p: float) -> float:
         """Raw absolute moment E|X|^p (may raise InfiniteMomentError)."""
@@ -97,7 +97,7 @@ class Distribution:
     def sample(self, rng: np.random.Generator, size=None):
         raise NotImplementedError
 
-    # -- tilting (bounded-support families only) -----------------------
+    # -- tilting (the laws that implement these methods) ----------------
     def support_max(self) -> float:
         """Supremum of the support; +inf for unbounded families."""
         return math.inf
@@ -127,62 +127,9 @@ class Distribution:
         return {"family": self.family, **asdict(self)}
 
 
-@dataclass(frozen=True)
-class Rademacher(Distribution):
-    """P(X = +c) = P(X = -c) = 1/2."""
-
-    family = "rademacher"
-    scale: float = 1.0
-    bounded_support = True
-
-    def __post_init__(self):
-        if not self.scale > 0.0:
-            raise ConfigError(f"rademacher scale must be > 0, got {self.scale}")
-
-    def abs_moment(self, p: float) -> float:
-        return self.scale**p
-
-    def _truncated(self, p, c, side):
-        below = np.where(self.scale <= c, self.scale**p, 0.0)
-        return below if side == "below" else self.scale**p - below
-
-    def _tail(self, t):
-        return np.where(t <= self.scale, 1.0, 0.0)
-
-    def sample(self, rng, size=None):
-        return self.scale * (2.0 * rng.integers(0, 2, size=size) - 1.0)
-
-    def support_max(self) -> float:
-        return self.scale
-
-    def log_mgf(self, theta: float) -> float:
-        # log cosh, overflow-safe
-        z = abs(theta * self.scale)
-        return z + math.log1p(math.exp(-2.0 * z)) - math.log(2.0)
-
-    def tilted_mean(self, theta: float) -> float:
-        return self.scale * math.tanh(theta * self.scale)
-
-    def tilted_sample(self, theta, rng, size=None):
-        p_plus = 1.0 / (1.0 + math.exp(-2.0 * theta * self.scale))
-        return np.where(rng.random(size) < p_plus, self.scale, -self.scale)
-
-    def finite_support(self):
-        return (np.array([self.scale, -self.scale]), np.array([0.5, 0.5]))
-
-
-@dataclass(frozen=True)
-class TwoPoint(Distribution):
-    """Support {a, -b}; zero mean forces P(X = a) = b/(a+b)."""
-
-    family = "twopoint"
-    a: float = 1.0
-    b: float = 1.0
-    bounded_support = True
-
-    def __post_init__(self):
-        if not (self.a > 0.0 and self.b > 0.0):
-            raise ConfigError(f"twopoint needs a, b > 0, got a={self.a}, b={self.b}")
+class _TwoPointLaw(Distribution):
+    """The centered law on {a, -b}, P(X = a) = b/(a+b); subclasses provide
+    ``a`` and ``b``. Not a dataclass, so it adds no config field."""
 
     @property
     def p_plus(self) -> float:
@@ -208,30 +155,67 @@ class TwoPoint(Distribution):
     def support_max(self) -> float:
         return self.a
 
-    def log_mgf(self, theta: float) -> float:
-        # factor out the dominant exponent to stay overflow-safe
+    def _tilt_weights(self, theta: float) -> tuple[float, float, float]:
+        """``(hi, wa, wb)``: the tilted masses of a and -b are ``wa`` and ``wb``
+        times ``exp(hi)``, the dominant exponent factored out against overflow."""
         ea, eb = theta * self.a, -theta * self.b
         hi = max(ea, eb)
-        return hi + math.log(
-            self.p_plus * math.exp(ea - hi) + (1.0 - self.p_plus) * math.exp(eb - hi)
-        )
+        return hi, self.p_plus * math.exp(ea - hi), (1.0 - self.p_plus) * math.exp(eb - hi)
+
+    def log_mgf(self, theta: float) -> float:
+        hi, wa, wb = self._tilt_weights(theta)
+        return hi + math.log(wa + wb)
 
     def tilted_mean(self, theta: float) -> float:
-        ea, eb = theta * self.a, -theta * self.b
-        hi = max(ea, eb)
-        wa = self.p_plus * math.exp(ea - hi)
-        wb = (1.0 - self.p_plus) * math.exp(eb - hi)
+        _, wa, wb = self._tilt_weights(theta)
         return (self.a * wa - self.b * wb) / (wa + wb)
 
     def tilted_sample(self, theta, rng, size=None):
-        ea, eb = theta * self.a, -theta * self.b
-        hi = max(ea, eb)
-        wa = self.p_plus * math.exp(ea - hi)
-        wb = (1.0 - self.p_plus) * math.exp(eb - hi)
+        _, wa, wb = self._tilt_weights(theta)
         return np.where(rng.random(size) < wa / (wa + wb), self.a, -self.b)
 
     def finite_support(self):
         return (np.array([self.a, -self.b]), np.array([self.p_plus, 1.0 - self.p_plus]))
+
+
+@dataclass(frozen=True)
+class Rademacher(_TwoPointLaw):
+    """P(X = +c) = P(X = -c) = 1/2: the two-point law with a = b = c."""
+
+    family = "rademacher"
+    scale: float = 1.0
+
+    def __post_init__(self):
+        if not self.scale > 0.0:
+            raise ConfigError(f"rademacher scale must be > 0, got {self.scale}")
+
+    a = b = property(lambda self: self.scale)  # read-only, not config fields
+
+    # these three fix the bytes of the naive stream and of the tilt solve; the
+    # rest is the two-point arithmetic, exact at a = b while c^p is normal
+    def sample(self, rng, size=None):
+        return self.scale * (2.0 * rng.integers(0, 2, size=size) - 1.0)
+
+    def log_mgf(self, theta: float) -> float:
+        # log cosh, overflow-safe
+        z = abs(theta * self.scale)
+        return z + math.log1p(math.exp(-2.0 * z)) - math.log(2.0)
+
+    def tilted_mean(self, theta: float) -> float:
+        return self.scale * math.tanh(theta * self.scale)
+
+
+@dataclass(frozen=True)
+class TwoPoint(_TwoPointLaw):
+    """Support {a, -b}; zero mean forces P(X = a) = b/(a+b)."""
+
+    family = "twopoint"
+    a: float = 1.0
+    b: float = 1.0
+
+    def __post_init__(self):
+        if not (self.a > 0.0 and self.b > 0.0):
+            raise ConfigError(f"twopoint needs a, b > 0, got a={self.a}, b={self.b}")
 
 
 @dataclass(frozen=True)
@@ -240,7 +224,6 @@ class Uniform(Distribution):
 
     family = "uniform"
     half_width: float = 1.0
-    bounded_support = True
 
     def __post_init__(self):
         if not self.half_width > 0.0:
@@ -310,13 +293,13 @@ class CenteredExponential(Distribution):
     def abs_moment(self, p: float) -> float:
         return self.truncated_abs_moment(p, math.inf, "below")
 
-    @np.errstate(over="ignore")  # inf past the double range; callers refuse it
     def _negative_part(self, p, a):
         """E|X|^p 1{-a <= X < 0} for 0 <= a <= 1/rate, from the density
-        rate * e^-1 * e^(-rate*x) on the negative half-line."""
+        rate * e^-1 * e^(-rate*x) on the negative half-line; rate * a^(p+1) is
+        formed as (rate*a)^(p+1) * (1/rate)^p, so no factor exceeds the value."""
         lam = self.rate
         return (
-            lam * math.exp(-1.0) * a ** (p + 1.0) / (p + 1.0)
+            math.exp(-1.0) * (lam * a) ** (p + 1.0) * self.shift**p / (p + 1.0)
             * special.hyp1f1(p + 1.0, p + 2.0, lam * a)
         )
 
@@ -366,9 +349,6 @@ class StudentT(Distribution):
     def __post_init__(self):
         if not self.nu > 3.0:
             raise ConfigError(f"student_t needs nu > 3, got {self.nu}")
-
-    def abs_moment_is_finite(self, p: float) -> bool:
-        return p < self.nu
 
     def abs_moment(self, p: float) -> float:
         nu = self.nu

@@ -23,7 +23,7 @@ class InfiniteMomentError(MdlabError, ArithmeticError):
 
 
 class TiltUnsupportedError(MdlabError):
-    """Exponential tilting requested for a family without bounded support."""
+    """Exponential tilting requested for a law without the tilt methods."""
 
 
 class BudgetExceededError(MdlabError):

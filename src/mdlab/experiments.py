@@ -35,7 +35,8 @@ from .distributions import Distribution, Rademacher, TwoPoint, from_literal
 from .errors import BudgetExceededError, ConfigError, InfeasibleError, check_finite
 from .mc import DEFAULT_SEED, choose_tilt, simulate
 from .oracle import lattice_dp_max, twopoint_dp, twopoint_dp_fits
-from .theory import SequenceSpec, check_parameters, compute_quantities, error_envelope, normal_tail
+from .theory import (SequenceSpec, _dnr, check_parameters, compute_quantities, error_envelope,
+                     normal_tail)
 
 __all__ = [
     "SweepConfig",
@@ -255,7 +256,7 @@ def _theory_fields(dist: Distribution, n: int, x: float, cfg: SweepConfig):
             dist.abs_moment(3.0)
         except OverflowError:
             raise InfeasibleError(f"the moments of {dist} overflow a double") from None
-        return 0.0, math.sqrt(seq.variance_sum()) / lnr ** (1.0 / (2.0 + cfg.r)), 0, math.inf
+        return 0.0, _dnr(seq.variance_sum(), lnr, cfg.r), 0, math.inf
     q = compute_quantities(seq, x, cfg.r, cfg.delta, cfg.a0_constant)
     return q.delta_nx, q.dnr, q.n0, q.epsilon
 

@@ -31,7 +31,7 @@ import numpy as np
 from scipy import optimize
 
 from .distributions import Rademacher
-from .errors import ConfigError, InfeasibleError, TiltUnsupportedError, check_finite
+from .errors import ConfigError, InfeasibleError, check_finite
 from .theory import SequenceSpec, _tie_cut, _tie_unit
 
 __all__ = [
@@ -130,23 +130,17 @@ def choose_tilt(seq: SequenceSpec, x: float) -> TiltPlan:
     """Solve ``sum_j tilted_mean_j(theta) = x * B_n`` for theta >= 0.
 
     Rademacher has the closed form ``theta = atanh(x / sqrt(n)) / c``;
-    other bounded families use monotone root finding, refined until the
-    drift equation holds to 1e-10. Families without bounded support raise
-    :class:`TiltUnsupportedError`.
+    other tiltable laws use monotone root finding, refined until the
+    drift equation holds to 1e-10. A target outside the support hull
+    raises :class:`InfeasibleError`; a law that does not implement the
+    tilt methods raises :class:`TiltUnsupportedError` from them.
     """
     check_finite("x", x, 0.0)
     dist = seq.dist
-    if not dist.bounded_support:
-        raise TiltUnsupportedError(
-            f"{type(dist).__name__} has unbounded support; use method='naive'"
-        )
-    bn = math.sqrt(seq.variance_sum())
-    if x > bn:
-        raise ConfigError(f"x={x} exceeds B_n={bn}; tilt target out of range")
-    total_target = x * bn
+    total_target = x * math.sqrt(seq.variance_sum())
 
     # supremum of the total achievable drift
-    hull = float(np.sum(seq.scale_array())) * dist.support_max()
+    hull = _step_sum(seq, lambda s: s) * dist.support_max()
     if total_target >= hull:
         raise InfeasibleError(
             f"target drift {total_target:.6g} is outside the open support "
@@ -158,7 +152,7 @@ def choose_tilt(seq: SequenceSpec, x: float) -> TiltPlan:
 
     if x == 0.0 or total_drift(0.0) >= total_target:  # a target within the rounding of no tilt
         theta = 0.0
-    elif seq.is_iid and isinstance(dist, Rademacher):
+    elif seq.is_iid and isinstance(dist, Rademacher) and x < math.sqrt(seq.n):
         theta = math.atanh(x / math.sqrt(seq.n)) / dist.scale
     else:
         hi = 1.0

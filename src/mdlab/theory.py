@@ -34,7 +34,7 @@ import numpy as np
 from scipy import special
 
 from .distributions import Distribution
-from .errors import ConfigError, InfeasibleError, InfiniteMomentError, check_finite
+from .errors import ConfigError, InfeasibleError, check_finite
 
 __all__ = [
     "SequenceSpec",
@@ -182,12 +182,20 @@ class TheoryQuantities:
     range_ok: bool
 
 
-def _require_moment(dist: Distribution, p: float):
-    if not dist.abs_moment_is_finite(p):
-        raise InfiniteMomentError(
-            f"E|X|^{p} is infinite for {type(dist).__name__}; "
-            "pick a smaller r or a lighter-tailed family"
-        )
+def _check_positive(name: str, value) -> None:
+    """:class:`ConfigError` unless ``value`` is a finite number > 0."""
+    if not check_finite(name, value) > 0.0:
+        raise ConfigError(f"{name} must be > 0, got {value}")
+
+
+def _check_r(r) -> None:
+    if not 0.0 < check_finite("r", r) <= 1.0:
+        raise ConfigError(f"r must be in (0, 1], got {r}")
+
+
+def _dnr(bn2: float, lnr: float, r: float) -> float:
+    """d_{n,r} = B_n / L_{n,r}^(1/(2+r)) from ``bn2 = B_n^2`` and ``lnr``."""
+    return math.sqrt(bn2) / lnr ** (1.0 / (2.0 + r))
 
 
 def delta_functional(seq: SequenceSpec, x: float) -> float:
@@ -198,8 +206,7 @@ def delta_functional(seq: SequenceSpec, x: float) -> float:
     Finite for every family: the above part is bounded by the variance and
     the below part is truncated, so no third-moment assumption is needed.
     """
-    if x <= 0.0:
-        raise ConfigError(f"x must be > 0, got {x}")
+    _check_positive("x", x)
     bn2 = seq.variance_sum()
     bn = math.sqrt(bn2)
     level = bn / x
@@ -214,8 +221,7 @@ def split_index(seq: SequenceSpec, x: float) -> int:
 
     ``log(x v e)`` is implemented as ``max(log x, 1)``.
     """
-    if x <= 0.0:
-        raise ConfigError(f"x must be > 0, got {x}")
+    _check_positive("x", x)
     bn2 = seq.variance_sum()
     threshold = _SPLIT_INDEX_COEFF * bn2 * max(math.log(x), 1.0) / x**2
     if seq.is_iid:
@@ -232,8 +238,8 @@ def split_index(seq: SequenceSpec, x: float) -> int:
 def truncation_width(delta_nx: float, x: float, delta: float) -> float:
     """epsilon = max(2*delta_nx^(2/9), gamma*x^(-1/2), gamma*x^(-delta/10))
     with gamma = min(delta, 1)/72."""
-    if x <= 0.0:
-        raise ConfigError(f"x must be > 0, got {x}")
+    _check_positive("x", x)
+    _check_positive("delta", delta)
     gamma = min(delta, 1.0) / 72.0
     return max(
         2.0 * delta_nx ** (2.0 / 9.0),
@@ -256,17 +262,14 @@ def compute_quantities(
     small-functional regime check ``delta_nx <= min(delta^(9/2), 1) / A``;
     the default A=1 makes ``a0_ok`` a heuristic indicator only.
     """
-    check_finite("x", x)
-    if x <= 0.0:
-        raise ConfigError(f"x must be > 0, got {x}")
+    _check_positive("x", x)
     check_parameters(r, delta, a0_constant)
-    _require_moment(seq.dist, 2.0 + r)
 
     try:
         bn2 = seq.variance_sum()
         bn = math.sqrt(bn2)
         lnr = seq.abs_moment_sum(2.0 + r)
-        dnr = bn / lnr ** (1.0 / (2.0 + r))
+        dnr = _dnr(bn2, lnr, r)
         dnx = delta_functional(seq, x)
         epsilon = truncation_width(dnx, x, delta)
         q = TheoryQuantities(
@@ -292,11 +295,9 @@ def compute_quantities(
 def check_parameters(r: float, delta: float, a0_constant: float) -> None:
     """:class:`ConfigError` unless ``r`` is in (0, 1] and ``delta`` and
     ``a0_constant`` are finite and > 0."""
-    if not 0.0 < check_finite("r", r) <= 1.0:
-        raise ConfigError(f"r must be in (0, 1], got {r}")
-    for name, value in (("delta", delta), ("a0_constant", a0_constant)):
-        if not check_finite(name, value) > 0.0:
-            raise ConfigError(f"{name} must be > 0, got {value}")
+    _check_r(r)
+    _check_positive("delta", delta)
+    _check_positive("a0_constant", a0_constant)
 
 
 @dataclass(frozen=True)
@@ -320,11 +321,9 @@ def check_suffix_moment_ratios(
     seq: SequenceSpec, r: float, delta: float, tau: float
 ) -> SuffixMomentCheck:
     """Check that no suffix of the schedule is dominated by heavy terms."""
-    if not 0.0 < r <= 1.0:
-        raise ConfigError(f"r must be in (0, 1], got {r}")
-    if delta <= 0.0 or tau <= 0.0:
-        raise ConfigError("delta and tau must be > 0")
-    _require_moment(seq.dist, 2.0 + r)
+    _check_r(r)
+    _check_positive("delta", delta)
+    _check_positive("tau", tau)
 
     if seq.is_iid:
         # every suffix has the same ratio
@@ -338,7 +337,7 @@ def check_suffix_moment_ratios(
         lhs = float(ratios[worst])
         worst_k = worst + 1
     lnr = seq.abs_moment_sum(2.0 + r)
-    dnr = math.sqrt(seq.variance_sum()) / lnr ** (1.0 / (2.0 + r))
+    dnr = _dnr(seq.variance_sum(), lnr, r)
     rhs = tau * lnr ** (r / (2.0 + r)) / dnr**delta
     return SuffixMomentCheck(
         satisfied=lhs <= rhs,
@@ -370,8 +369,7 @@ class TailSegmentCheck:
 def check_tail_segment_ratio(
     seq: SequenceSpec, x: float, delta: float
 ) -> TailSegmentCheck:
-    if delta <= 0.0:
-        raise ConfigError(f"delta must be > 0, got {delta}")
+    _check_positive("delta", delta)
     n0 = split_index(seq, x)
     bn2 = seq.variance_sum()
     bn = math.sqrt(bn2)
@@ -442,10 +440,8 @@ def build_blocks(seq: SequenceSpec, x: float, epsilon: float) -> BlockPartition:
     A block that cannot even hold one index is forced to a singleton and
     flagged (``degenerate``) with a :class:`DegeneratePartitionWarning`.
     """
-    if x <= 0.0:
-        raise ConfigError(f"x must be > 0, got {x}")
-    if epsilon <= 0.0:
-        raise ConfigError(f"epsilon must be > 0, got {epsilon}")
+    _check_positive("x", x)
+    _check_positive("epsilon", epsilon)
     bn2 = seq.variance_sum()
     capacity = epsilon**3 * bn2 / (2.0 * x * x)
     premise = x * x * seq.max_variance() <= epsilon**3 * bn2 / 4.0
@@ -505,8 +501,7 @@ def error_envelope(x: float, delta_nx: float, delta: float) -> float:
     Callers multiply by their own fitted constant; no absolute constant is
     implied here.
     """
-    if x <= 0.0:
-        raise ConfigError(f"x must be > 0, got {x}")
-    if delta_nx < 0.0:
-        raise ConfigError(f"delta_nx must be >= 0, got {delta_nx}")
+    _check_positive("x", x)
+    _check_positive("delta", delta)
+    check_finite("delta_nx", delta_nx, 0.0)
     return x ** (-min(0.25, delta / 20.0)) + delta_nx ** (1.0 / 9.0)

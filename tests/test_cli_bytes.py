@@ -24,6 +24,7 @@ _STUDENT = '{"family": "student_t", "nu": 5.0}'
 _EXPONENTIAL = '{"family": "centered_exponential", "rate": 1.0}'
 _UNIFORM = '{"family": "uniform", "half_width": 1.7320508075688772}'
 _SCALES = [0.5, 1.0, 2.0, 1.5, 0.75, 3.0, 1.25, 0.9]
+_RADEMACHER_03 = '{"family": "rademacher", "scale": 0.3}'
 
 
 def _sim(dist, n, x, method, *extra):
@@ -46,11 +47,16 @@ PROBES = {
                          "--delta", "0.5"],
     "theory_scales": ["theory", "--dist", _SKEWED, "--n", str(len(_SCALES)), "--x", "1.2",
                       "--scales", "scales.json"],
+    "theory_rademacher_scales": ["theory", "--dist", _RADEMACHER_03, "--n", str(len(_SCALES)),
+                                 "--x", "1.2", "--scales", "scales.json"],
     "enumerate_rademacher": ["enumerate", "--dist", "rademacher", "--n", "4", "--x", "1"],
     "enumerate_twopoint": ["enumerate", "--dist", _TWOPOINT, "--n", "12", "--x", "1.3"],
     "enumerate_skewed": ["enumerate", "--dist", _SKEWED, "--n", "10", "--x", "0.7"],
+    "enumerate_rademacher_x0": ["enumerate", "--dist", _RADEMACHER_03, "--n", "6", "--x", "0"],
     "simulate_rademacher_naive": _sim("rademacher", 16, "1.5", "naive"),
     "simulate_rademacher_tilted": _sim("rademacher", 16, "2", "tilted"),
+    "simulate_rademacher_scaled_tilted": _sim('{"family": "rademacher", "scale": 0.5}', 32, "2",
+                                              "tilted"),
     "simulate_twopoint_naive": _sim(_TWOPOINT, 10, "1", "naive", "--workers", "2"),
     "simulate_twopoint_tilted": _sim(_TWOPOINT, 20, "1.5", "tilted"),
     "simulate_uniform_tilted": _sim(_UNIFORM, 32, "2", "tilted"),
@@ -61,6 +67,8 @@ PROBES = {
     "sweep_uniform_mc_fallback": _sweep(_UNIFORM, [8, 16, 32], [1.0], mc_samples=4096),
     "sweep_rademacher_mc_tilted": _sweep('{"family": "rademacher"}', [16, 32, 64], [1.5],
                                          engine="mc", mc_method="tilted", mc_samples=4096),
+    "sweep_rademacher_mc_naive": _sweep(_RADEMACHER_03, [8, 16], [0.0, 1.0], engine="mc",
+                                        mc_method="naive", mc_samples=4096),
 }
 
 DIGESTS = {
@@ -70,11 +78,14 @@ DIGESTS = {
     "theory_exponential": "7084163534ef9ddb0adf01030f8482e57f43aca83d39881ba60609a9bbbe6d01",
     "theory_student_t": "7e313a39f624bdf60489458c48c71d99c5b7fd523a255ca399a17f87dd6e9f6c",
     "theory_scales": "e9adad34e88102a2cd23c2b036616267c972af02ff442056df1ca235c6153175",
+    "theory_rademacher_scales": "b37f0b55283b062ab1e9f63680fa05512e7b39ecc956a0620e8c35e374f43ce8",
     "enumerate_rademacher": "26ba4a7b26ce671c51de6d13dc0cb590e18c9fd855767cef145b9b0aa7e2b976",
     "enumerate_twopoint": "cd28c6f148597a81548cbacd4025f095cca53372887c3aa136a1017903532fd7",
     "enumerate_skewed": "45f24e0e4e0185689e619c9f24cb457e553a6d96c119be16115cfdd1ab6b99cf",
+    "enumerate_rademacher_x0": "5c94929fc8133dd27dadfe41f121fb367eb79a2869b45d3d04811e8f8fe34e5a",
     "simulate_rademacher_naive": "d143805ce1bf2e3c3911732bbdbaa261df410c07adf620706696bdbc7a8b4b95",
     "simulate_rademacher_tilted": "ba087b148d0329f9d3e72f5506827d9dc3525c6db178ce9ebf9ea60e8f460873",
+    "simulate_rademacher_scaled_tilted": "7f1e68fc8106ab81960406f354cd9d9e5ce81ce8982098aa3d3e47fa12d29554",
     "simulate_twopoint_naive": "70f18cdc54a12e3ae3f19b0146a9f0da103d713adddc0592df014db0ecae8758",
     "simulate_twopoint_tilted": "67cea3f9f2dae2033aed6982f828d7ea7b0b9f84dc2b7610e5ce9db66be6545b",
     "simulate_uniform_tilted": "dc0d5de5ca4a23166daba453224c85374dd65dc5b187b406b53855e72d6fb6d2",
@@ -88,6 +99,8 @@ DIGESTS = {
     "sweep_uniform_mc_fallback.csv": "5690ddc6d3818e34d7584ad425379f7d104707603737bec96408343a75d5ccb7",
     "sweep_rademacher_mc_tilted": "12ce22ac04911c10f0fbf837ce5e9da0d0e087e188377c9846000391da7eeca1",
     "sweep_rademacher_mc_tilted.csv": "5ae5ca141ac95293afe86642f64469642709fdf9ddc0312b857c6de284d10219",
+    "sweep_rademacher_mc_naive": "d478ad0eafbb33e9278a5468ed7c5bb2f42ccac9fe54afae8bcdbf05de5d6475",
+    "sweep_rademacher_mc_naive.csv": "6dd0b12b076f646706090b7e8e20fe4f9440c59ba1fa2cb3813b3b9cc9b94c92",
 }
 
 

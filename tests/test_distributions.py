@@ -31,7 +31,7 @@ ALL = [
     StudentT(7.0),
     StudentT(4.5),
 ]
-BOUNDED = [d for d in ALL if d.bounded_support]
+BOUNDED = [d for d in ALL if d.support_max() < math.inf]
 IDS = [f"{type(d).__name__}-{i}" for i, d in enumerate(ALL)]
 BOUNDED_IDS = [f"{type(d).__name__}-{i}" for i, d in enumerate(BOUNDED)]
 
@@ -158,8 +158,7 @@ def test_sampling_second_moment(dist):
     rng = np.random.default_rng(12345)
     draws = np.asarray(dist.sample(rng, n), dtype=float)
     ex2 = dist.variance()
-    ex4 = dist.abs_moment(4.0) if dist.abs_moment_is_finite(4.0) else None
-    assert ex4 is not None, "all test families have finite fourth moments"
+    ex4 = dist.abs_moment(4.0)  # finite for every family in ALL
     stderr = math.sqrt((ex4 - ex2 * ex2) / n)
     assert abs(float(np.mean(draws * draws)) - ex2) <= 5.0 * stderr
 
@@ -365,6 +364,28 @@ def test_tilted_sampling_mean(dist):
     assert float(np.mean(draws)) == pytest.approx(
         dist.tilted_mean(theta), abs=5.0 * spread / math.sqrt(n)
     )
+
+
+@pytest.mark.parametrize("c", [1e-3, 0.3, 1.0, 7.5])
+def test_rademacher_is_the_symmetric_two_point_law(c):
+    rad, two = Rademacher(c), TwoPoint(c, c)
+    levels = np.array([0.0, 0.5 * c, c, np.nextafter(c, 0.0), 2.0 * c, np.inf])
+    for p in (2.0, 2.5, 3.0):
+        assert rad.abs_moment(p) == two.abs_moment(p)
+        for side in ("below", "above"):
+            assert np.array_equal(rad.truncated_abs_moment(p, levels, side),
+                                  two.truncated_abs_moment(p, levels, side))
+    assert np.array_equal(rad.abs_tail_prob(levels), two.abs_tail_prob(levels))
+    for got, want in zip(rad.finite_support(), two.finite_support()):
+        assert np.array_equal(got, want)
+    assert rad.support_max() == two.support_max() == c
+    for theta in (0.3, 2.0):
+        assert np.array_equal(rad.tilted_sample(theta, np.random.default_rng(8), 1000),
+                              two.tilted_sample(theta, np.random.default_rng(8), 1000))
+        # Rademacher keeps its log-cosh and tanh forms; near theta*c = 0 both
+        # forms cancel, so they agree to rounding at the scale of their terms
+        assert abs(rad.log_mgf(theta) - two.log_mgf(theta)) <= 1e-15 * max(1.0, theta * c)
+        assert abs(rad.tilted_mean(theta) - two.tilted_mean(theta)) <= 1e-15 * c
 
 
 @pytest.mark.parametrize("dist", [CenteredExponential(1.0), StudentT(5.0)])

@@ -40,10 +40,8 @@ def test_tilted_twopoint_matches_dp_oracle(monkeypatch):
 
 @pytest.mark.parametrize(
     "c, n, x, method",
-    # choose_tilt refuses x > B_n = 0.6 at c = 0.3, so the tilted run of
-    # that instance takes c = 0.6, where float error moves the same ties
-    [(0.3, 4, 1.0, "naive"), (0.6, 4, 1.0, "tilted"), (0.1, 6, 0.0, "naive"),
-     (0.1, 6, 0.0, "tilted")],
+    [(0.3, 4, 1.0, "naive"), (0.3, 4, 1.0, "tilted"), (0.6, 4, 1.0, "tilted"),
+     (0.1, 6, 0.0, "naive"), (0.1, 6, 0.0, "tilted")],
 )
 def test_ties_moved_by_float_error_still_count(c, n, x, method):
     # the paths end exactly on x V_n in exact arithmetic, but sums of 0.3,
@@ -194,8 +192,17 @@ def test_choose_tilt_hull_error():
 
 
 def test_choose_tilt_range_precondition():
-    with pytest.raises(ConfigError):
-        choose_tilt(SequenceSpec(Rademacher(1.0), 16), 4.5)  # x > B_n
+    with pytest.raises(InfeasibleError):  # x > sqrt(n) puts the target past the hull
+        choose_tilt(SequenceSpec(Rademacher(1.0), 16), 4.5)
+
+
+def test_rademacher_tilt_at_the_edge_of_the_hull():
+    # x = sqrt(3) puts the rounded target just below the hull n, where the
+    # closed form would need atanh(1); the root finder takes over there
+    est_max, est_sum = simulate(SequenceSpec(Rademacher(1.0), 3), math.sqrt(3.0), 2000,
+                                method="tilted")
+    assert est_max.p_hat == pytest.approx(0.125, rel=1e-9)
+    assert est_sum.p_hat == pytest.approx(0.125, rel=1e-9)
 
 
 def test_tilted_unbounded_family_raises():

@@ -181,12 +181,16 @@ def test_scale_invariance(dist, c):
 
 
 def test_scale_invariance_through_family_parameter():
-    base = compute_quantities(SequenceSpec(Rademacher(1.0), 500), 2.5, 1.0, 1.0)
-    big = compute_quantities(SequenceSpec(Rademacher(1e3), 500), 2.5, 1.0, 1.0)
-    assert big.delta_nx == pytest.approx(base.delta_nx, rel=1e-12)
-    assert big.dnr == pytest.approx(base.dnr, rel=1e-12)
-    assert big.n0 == base.n0
-    assert big.bn2 == pytest.approx(base.bn2 * 1e6, rel=1e-12)
+    # rate 1e-90 scales the law by 1e90: E|X|^3 is about 1e270, inside the
+    # double range, though a^4 ~ 1e360 at the lower end of the support is not
+    for unit, scaled, k in ((Rademacher(1.0), Rademacher(1e3), 1e3),
+                            (CenteredExponential(1.0), CenteredExponential(1e-90), 1e90)):
+        base = compute_quantities(SequenceSpec(unit, 500), 2.5, 1.0, 1.0)
+        big = compute_quantities(SequenceSpec(scaled, 500), 2.5, 1.0, 1.0)
+        for name in ("delta_nx", "dnr", "epsilon"):
+            assert getattr(big, name) == pytest.approx(getattr(base, name), rel=1e-12), name
+        assert big.n0 == base.n0
+        assert big.bn2 == pytest.approx(base.bn2 * k * k, rel=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
@@ -483,6 +487,35 @@ def test_error_envelope_examples():
     assert error_envelope(16.0, 0.0, 5.0) == pytest.approx(0.5, rel=1e-14)
     assert error_envelope(2.0**20, 0.0, 1.0) == pytest.approx(0.5, rel=1e-12)
     assert error_envelope(16.0, 1e-9, 5.0) == pytest.approx(0.6, rel=1e-12)
+
+
+_BAD_PARAMETER_CALLS = {
+    "delta_functional": lambda seq, v: delta_functional(seq, v),
+    "split_index": lambda seq, v: split_index(seq, v),
+    "truncation_width x": lambda seq, v: truncation_width(0.1, v, 1.0),
+    "truncation_width delta": lambda seq, v: truncation_width(0.1, 2.0, v),
+    "compute_quantities x": lambda seq, v: compute_quantities(seq, v, 1.0, 1.0),
+    "compute_quantities delta": lambda seq, v: compute_quantities(seq, 2.0, 1.0, v),
+    "compute_quantities a0_constant": lambda seq, v: compute_quantities(seq, 2.0, 1.0, 1.0, v),
+    "check_suffix_moment_ratios delta": lambda seq, v: check_suffix_moment_ratios(
+        seq, 1.0, v, 1.0),
+    "check_suffix_moment_ratios tau": lambda seq, v: check_suffix_moment_ratios(
+        seq, 1.0, 1.0, v),
+    "check_tail_segment_ratio x": lambda seq, v: check_tail_segment_ratio(seq, v, 1.0),
+    "check_tail_segment_ratio delta": lambda seq, v: check_tail_segment_ratio(seq, 2.0, v),
+    "build_blocks x": lambda seq, v: build_blocks(seq, v, 0.5),
+    "build_blocks epsilon": lambda seq, v: build_blocks(seq, 2.0, v),
+    "error_envelope x": lambda seq, v: error_envelope(v, 0.1, 1.0),
+    "error_envelope delta": lambda seq, v: error_envelope(2.0, 0.1, v),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0, 0.0])
+@pytest.mark.parametrize("call", sorted(_BAD_PARAMETER_CALLS))
+def test_parameters_must_be_finite_and_positive(call, value):
+    seq = SequenceSpec(TwoPoint(2.0, 1.0), 20)
+    with pytest.raises(ConfigError):
+        _BAD_PARAMETER_CALLS[call](seq, value)
 
 
 def test_error_envelope_validation():
