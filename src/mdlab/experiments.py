@@ -118,7 +118,7 @@ class SweepConfig:
         if self.engine not in ("oracle", "mc"):
             raise ConfigError(f"engine must be 'oracle' or 'mc', got {self.engine!r}")
         if self.mc_method not in ("naive", "tilted"):
-            raise ConfigError(f"mc_method must be 'naive' or 'tilted'")
+            raise ConfigError(f"mc_method must be 'naive' or 'tilted', got {self.mc_method!r}")
         if self.mc_samples < 1000:
             raise ConfigError(f"mc_samples must be >= 1000, got {self.mc_samples}")
         # every value a row uses is checked, and the parts of every row that

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import optimize
 
 from .distributions import Rademacher
 from .errors import ConfigError, InfeasibleError, check_finite
@@ -130,8 +129,10 @@ def choose_tilt(seq: SequenceSpec, x: float) -> TiltPlan:
     """Solve ``sum_j tilted_mean_j(theta) = x * B_n`` for theta >= 0.
 
     Rademacher has the closed form ``theta = atanh(x / sqrt(n)) / c``;
-    other tiltable laws use monotone root finding, refined until the
-    drift equation holds to 1e-10. A target outside the support hull
+    other tiltable laws use Brent's method (``scipy.optimize.brentq``),
+    refined until the drift equation holds to 1e-10. ``scipy.optimize``
+    is imported on the first such solve, so runs that never root-find do
+    not pay for loading it. A target outside the support hull
     raises :class:`InfeasibleError`; a law that does not implement the
     tilt methods raises :class:`TiltUnsupportedError` from them.
     """
@@ -155,6 +156,8 @@ def choose_tilt(seq: SequenceSpec, x: float) -> TiltPlan:
     elif seq.is_iid and isinstance(dist, Rademacher) and x < math.sqrt(seq.n):
         theta = math.atanh(x / math.sqrt(seq.n)) / dist.scale
     else:
+        from scipy import optimize
+
         hi = 1.0
         while total_drift(hi) < total_target:
             hi *= 2.0

@@ -370,3 +370,75 @@ def test_cli_import_loads_neither_quadrature_nor_stats():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# scipy.optimize and the packages that importing it pulls in
+_ROOT_FINDER_MODULES = ("scipy.optimize", "scipy.linalg", "scipy.sparse", "scipy.fft", "scipy.spatial")
+_TWOPOINT = {"family": "twopoint", "a": 2.0, "b": 1.0}
+_SCALES = [0.5, 1.0, 2.0, 1.5, 0.75, 3.0, 1.25, 0.9]
+
+
+def _fresh_interpreter(probe, *args, cwd=None):
+    src = os.path.dirname(os.path.dirname(mdlab.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", probe, *args], capture_output=True, text=True,
+                          env=env, cwd=cwd)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_cli_import_leaves_out_the_root_finder():
+    probe = ("import json, sys, mdlab.cli; "
+             f"print(json.dumps([m for m in {_ROOT_FINDER_MODULES!r} if m in sys.modules]))")
+    assert _fresh_interpreter(probe) == []
+
+
+# runs each (name, argv) of argv[1] through cli.main in one interpreter and
+# reports {name: [exit code, whether scipy.optimize is loaded after it]}
+_COMMANDS_PROBE = """
+import contextlib, io, json, sys
+from mdlab.cli import main
+seen = {}
+for name, argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    seen[name] = [code, "scipy.optimize" in sys.modules]
+print(json.dumps(seen))
+"""
+
+
+def _sweep_config(path, **cfg):
+    path.write_text(json.dumps({"n_grid": [4, 12], "x_values": [0.5, 1.5], "seed": 3, **cfg}))
+    return ["sweep", "--config", path.name]
+
+
+def test_commands_that_never_root_find_leave_scipy_optimize_unloaded(tmp_path):
+    (tmp_path / "scales.json").write_text(json.dumps(_SCALES))
+    twopoint = json.dumps(_TWOPOINT)
+    commands = [
+        ("theory", ["theory", "--dist", twopoint, "--n", "50", "--x", "1.5"]),
+        ("theory_scales", ["theory", "--dist", twopoint, "--n", str(len(_SCALES)), "--x", "1.2",
+                           "--scales", "scales.json"]),
+        ("enumerate", ["enumerate", "--dist", twopoint, "--n", "8", "--x", "1"]),
+        ("simulate_naive", ["simulate", "--dist", twopoint, "--n", "8", "--x", "1",
+                            "--samples", "1000", "--method", "naive"]),
+        # x < sqrt(n): the atanh closed form
+        ("simulate_rademacher_tilted", ["simulate", "--dist", "rademacher", "--n", "16", "--x", "2",
+                                        "--samples", "1000", "--method", "tilted"]),
+        ("sweep_oracle", _sweep_config(tmp_path / "oracle.json", dist=_TWOPOINT, output="o.csv")),
+    ]
+    seen = _fresh_interpreter(_COMMANDS_PROBE, json.dumps(commands), cwd=tmp_path)
+    assert seen == {name: [0, False] for name, _ in commands}
+
+
+@pytest.mark.parametrize("command", ["simulate_twopoint_tilted", "sweep_uniform_mc_tilted"])
+def test_a_tilt_without_closed_form_loads_scipy_optimize(tmp_path, command):
+    argv = {
+        "simulate_twopoint_tilted": ["simulate", "--dist", json.dumps(_TWOPOINT), "--n", "8",
+                                     "--x", "1", "--samples", "1000", "--method", "tilted"],
+        "sweep_uniform_mc_tilted": _sweep_config(
+            tmp_path / "uniform.json", dist={"family": "uniform"}, output="u.csv", engine="mc",
+            mc_method="tilted", mc_samples=1000),
+    }[command]
+    seen = _fresh_interpreter(_COMMANDS_PROBE, json.dumps([(command, argv)]), cwd=tmp_path)
+    assert seen == {command: [0, True]}

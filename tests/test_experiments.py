@@ -381,6 +381,8 @@ def test_config_validation():
         bad.update(patch)
         with pytest.raises(ConfigError):
             SweepConfig.from_dict(bad)
+    with pytest.raises(ConfigError, match=r"mc_method must be 'naive' or 'tilted', got 'exact'"):
+        SweepConfig.from_dict({**base, "mc_method": "exact"})
     assert SweepConfig.from_dict({**base, "mc_fallback": False}).mc_fallback is False
     # integral floats are integers, integers are floats where floats are due
     cfg = SweepConfig.from_dict({**base, "mc_samples": 1e5, "n_grid": [4.0, 8], "r": 1})
