@@ -268,10 +268,8 @@ class Uniform(Distribution):
         a = self.half_width
         if theta == 0.0:
             return rng.uniform(-a, a, size=size)
-        if theta < 0.0:
-            return -self.tilted_sample(-theta, rng, size)
         u = rng.random(size)
-        # inverse CDF of the tilted density, stable for small theta*a
+        # inverse CDF of the tilted density, of either sign of theta, stable for small theta*a
         return -a + np.log1p(u * math.expm1(2.0 * theta * a)) / theta
 
 

@@ -33,7 +33,7 @@ from typing import Optional
 from . import __version__
 from .distributions import Distribution, Rademacher, TwoPoint, from_literal
 from .errors import BudgetExceededError, ConfigError, InfeasibleError, check_finite
-from .mc import DEFAULT_SEED, choose_tilt, simulate
+from .mc import DEFAULT_SEED, _check_seed, choose_tilt, simulate
 from .oracle import lattice_dp_max, twopoint_dp, twopoint_dp_fits
 from .theory import (SequenceSpec, _dnr, check_parameters, compute_quantities, error_envelope,
                      normal_tail)
@@ -131,13 +131,15 @@ class SweepConfig:
             jobs = self.jobs()
         except OverflowError:
             raise ConfigError("x_c * n^x_power overflows a double") from None
-        for _, n, x in jobs:
+        for idx, n, x in jobs:
             # past the normal doubles the tail loses digits
             if normal_tail(check_finite("x", x, 0.0)) < sys.float_info.min:
                 raise InfeasibleError(f"1 - Phi({x}) is below the normal double range")
             _theory_fields(dist, n, x, self)
-            if _oracle(self, dist, n) is None and self.mc_method == "tilted":
-                choose_tilt(SequenceSpec(dist, n), x)
+            if _oracle(self, dist, n) is None:
+                _check_seed(self.seed + idx, f"the seed of Monte Carlo row {idx} (seed + {idx})")
+                if self.mc_method == "tilted":
+                    choose_tilt(SequenceSpec(dist, n), x)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SweepConfig":

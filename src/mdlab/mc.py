@@ -21,6 +21,7 @@ targeting the terminal sum covers both).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -53,59 +54,55 @@ _DRIFT_TOL = 1e-10
 ChunkRecord = tuple[int, int, int, float, float]
 
 
+def _check_seed(seed: int, name: str = "seed") -> None:
+    """The one seed rule: a Philox key word, an unsigned 64-bit integer."""
+    if not 0 <= seed <= _MAX_UINT64:
+        raise ConfigError(f"{name} must be an unsigned 64-bit integer, got {seed}")
+
+
 @dataclass(frozen=True)
 class TailEstimate:
     """Tail probability estimate with exact merge support.
 
-    ``records`` holds per-chunk sums of ``w * indicator`` and its square;
-    ``p_hat`` and ``stderr`` are always recomputed from them, so equal
-    record sets give bit-equal estimates.
+    ``quantity`` names what is estimated: the law literal, ``n``, ``x``
+    and the sha256 of the scale schedule. ``records`` holds per-chunk sums
+    of ``w * indicator`` and its square, sorted by (seed, chunk); every
+    reported number is computed from them, so equal record sets give
+    bit-equal estimates.
     """
 
-    p_hat: float
-    stderr: float
-    n_samples: int
     method: str  # "naive" | "tilted"
-    seed: int
     event: str  # "max" | "sum"
-    dist_label: str
-    n: int
-    x: float
+    quantity: tuple[str, int, float, str]
     records: tuple[ChunkRecord, ...]
 
+    def __post_init__(self):
+        object.__setattr__(self, "records", tuple(sorted(self.records)))
+
+    @property
+    def seed(self) -> int:
+        return self.records[0][0]  # order-independent provenance for merged runs
+
+    @property
+    def n_samples(self) -> int:
+        return sum(r[2] for r in self.records)
+
+    @property
+    def p_hat(self) -> float:
+        return math.fsum(r[3] for r in self.records) / self.n_samples
+
+    @property
+    def stderr(self) -> float:
+        total, p_hat = self.n_samples, self.p_hat
+        if self.method == "naive":
+            return math.sqrt(max(0.0, p_hat * (1.0 - p_hat)) / total)
+        # simulate draws at least 1000 paths, so total > 1
+        sum_w2 = math.fsum(r[4] for r in self.records)
+        return math.sqrt(max(0.0, sum_w2 - total * p_hat * p_hat) / (total - 1) / total)
+
     def as_dict(self) -> dict:
-        return {
-            "p_hat": self.p_hat,
-            "stderr": self.stderr,
-            "n_samples": self.n_samples,
-            "method": self.method,
-            "seed": self.seed,
-            "event": self.event,
-        }
-
-
-def _estimate_from_records(
-    records: tuple[ChunkRecord, ...],
-    method: str,
-    event: str,
-    dist_label: str,
-    n: int,
-    x: float,
-) -> TailEstimate:
-    records = tuple(sorted(records))
-    seed = records[0][0]  # order-independent provenance for merged runs
-    total = sum(r[2] for r in records)
-    sum_w = math.fsum(r[3] for r in records)
-    sum_w2 = math.fsum(r[4] for r in records)
-    p_hat = sum_w / total
-    if method == "naive":
-        stderr = math.sqrt(max(0.0, p_hat * (1.0 - p_hat)) / total)
-    else:  # simulate draws at least 1000 paths, so total > 1
-        var = max(0.0, sum_w2 - total * p_hat * p_hat) / (total - 1)
-        stderr = math.sqrt(var / total)
-    return TailEstimate(
-        p_hat, stderr, total, method, seed, event, dist_label, n, x, records
-    )
+        keys = ("p_hat", "stderr", "n_samples", "method", "seed", "event")
+        return {key: getattr(self, key) for key in keys}
 
 
 @dataclass(frozen=True)
@@ -198,7 +195,9 @@ def _run_chunk(
     plan: Optional[TiltPlan],
     unit: float,
 ) -> tuple[ChunkRecord, ChunkRecord]:
-    rng = np.random.Generator(np.random.Philox(key=[seed, chunk_index]))
+    # a list holding an int >= 2^63 would become float64 and lose the low bits
+    key = np.array([seed, chunk_index], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
     dist = seq.dist
     running = np.zeros(n_paths)
     sq_norm = np.zeros(n_paths)
@@ -214,14 +213,10 @@ def _run_chunk(
         np.maximum(peak, running, out=peak)
     with np.errstate(over="ignore"):  # a huge x gives an inf barrier: no hit
         cut = _tie_cut(x * np.sqrt(sq_norm), unit)
-    ind_max = peak >= cut
-    ind_sum = running >= cut
     weights = 1.0 if plan is None else np.exp(-plan.theta * running + plan.log_mgf_total)
-    w_max = weights * ind_max
-    w_sum = weights * ind_sum
-    rec_max = (seed, chunk_index, n_paths, float(w_max.sum()), float((w_max * w_max).sum()))
-    rec_sum = (seed, chunk_index, n_paths, float(w_sum.sum()), float((w_sum * w_sum).sum()))
-    return rec_max, rec_sum
+    w_max, w_sum = weights * (peak >= cut), weights * (running >= cut)
+    return tuple((seed, chunk_index, n_paths, float(w.sum()), float((w * w).sum()))
+                 for w in (w_max, w_sum))
 
 
 def simulate(
@@ -243,8 +238,7 @@ def simulate(
     if n_samples < 1000:
         raise ConfigError(f"n_samples must be >= 1000, got {n_samples}")
     check_finite("x", x, 0.0)
-    if not (0 <= seed <= _MAX_UINT64):
-        raise ConfigError(f"seed must fit in 64 bits, got {seed}")
+    _check_seed(seed)
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     if first_chunk < 0:
@@ -259,38 +253,27 @@ def simulate(
         results = list(pool.map(lambda chunk: _run_chunk(seq, x, seed, *chunk, plan, unit),
                                 _chunk_layout(n_samples, first_chunk)))
 
-    label = json.dumps(seq.dist.literal(), sort_keys=True)
-    est_max = _estimate_from_records(
-        tuple(r[0] for r in results), method, "max", label, seq.n, x
-    )
-    est_sum = _estimate_from_records(
-        tuple(r[1] for r in results), method, "sum", label, seq.n, x
-    )
-    return est_max, est_sum
+    quantity = (json.dumps(seq.dist.literal(), sort_keys=True), seq.n, x,
+                hashlib.sha256(seq.scale_array().tobytes()).hexdigest())
+    return tuple(TailEstimate(method, event, quantity, tuple(r[i] for r in results))
+                 for i, event in enumerate(("max", "sum")))
 
 
 def merge(a: TailEstimate, b: TailEstimate) -> TailEstimate:
-    """Pool two estimates of the same quantity.
+    """Pool two estimates of the same method, event and quantity (law,
+    ``n``, ``x`` and scale schedule).
 
     Associative and commutative: the union of chunk records is re-sorted
     and re-reduced exactly. Seeds may differ (pooling independent runs);
     duplicate (seed, chunk) records are rejected.
     """
-    mismatched = [
-        name
-        for name, va, vb in (
-            ("method", a.method, b.method),
-            ("event", a.event, b.event),
-            ("dist", a.dist_label, b.dist_label),
-            ("n", a.n, b.n),
-            ("x", a.x, b.x),
+    if (a.method, a.event, a.quantity) != (b.method, b.event, b.quantity):
+        raise ConfigError(
+            "cannot merge estimates of different (method, event, quantity): "
+            f"{(a.method, a.event, a.quantity)} and {(b.method, b.event, b.quantity)}"
         )
-        if va != vb
-    ]
-    if mismatched:
-        raise ConfigError(f"cannot merge estimates differing in {mismatched}")
     combined = a.records + b.records
     keys = [(r[0], r[1]) for r in combined]
     if len(set(keys)) != len(keys):
         raise ConfigError("cannot merge estimates sharing a (seed, chunk) record")
-    return _estimate_from_records(combined, a.method, a.event, a.dist_label, a.n, a.x)
+    return TailEstimate(a.method, a.event, a.quantity, combined)

@@ -91,10 +91,11 @@ def enumerate_exact(seq: SequenceSpec, x: float) -> ExactResult:
         )
     values, probs = support
     s = len(values)
-    if s**seq.n > ENUMERATION_BUDGET:
+    if s ** min(seq.n, 64) > ENUMERATION_BUDGET:  # s >= 2, and no n-bit integer is built
         raise BudgetExceededError(
-            f"{s}^{seq.n} outcomes exceed the {ENUMERATION_BUDGET} budget; "
-            "use lattice_dp (rademacher) or Monte Carlo"
+            f"{s}^{seq.n} outcomes exceed the {ENUMERATION_BUDGET} budget; the exact sweep "
+            "rows are the Rademacher closed form (lattice_dp_max, any n) and the TwoPoint "
+            "DP (twopoint_dp, n <= 255), otherwise use Monte Carlo"
         )
     scales = seq.scale_array()
     split = min(seq.n, int(math.log(_ENUM_CHUNK, s) + 1e-9))
@@ -122,8 +123,6 @@ def _walk_tail(n: int, t: int) -> float:
     """P(S_n >= t) for the +-1 walk: S_n = 2U - n with U ~ Bin(n, 1/2), and
     P(U >= k) = I_{1/2}(k, n - k + 1)."""
     k = -(-(n + t) // 2)
-    if k <= 0:
-        return 1.0
     if k > n:
         return 0.0
     return float(special.betainc(k, n - k + 1, 0.5))

@@ -343,6 +343,9 @@ _SWEEP = '{"dist": %s, "n_grid": %s, "x_values": %s, "output": "out/q.csv"%s}'
         (_SWEEP % ('{"family": "student_t"}', "[4]", "[1.0]",
                    ', "engine": "mc", "mc_method": "tilted"'), 3),
         (_SWEEP % ('{"family": "uniform"}', "[4]", "[1.0]", ', "mc_fallback": false'), 3),
+        (_SWEEP % ('{"family": "uniform"}', "[4]", "[1.0]", ', "seed": -1'), 2),
+        # row 1 of a Monte Carlo sweep draws with seed + 1, past 2^64 - 1
+        (_SWEEP % ('{"family": "uniform"}', "[4, 8]", "[1.0]", ', "seed": 18446744073709551615'), 2),
         (_SWEEP % ('{"family": "twopoint"}', "[4, 300]", "[1.0]", ', "mc_fallback": false'), 3),
     ],
 )

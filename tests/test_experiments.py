@@ -376,11 +376,18 @@ def test_config_validation():
         {"a0_constant": 0.0},
         {"a0_constant": float("inf")},
         {"tau": float("nan")},
+        {"n_grid": [0, 4]},
+        {"x_values": None, "x_c": [0.0]},
+        {"x_values": None, "x_c": [0.5, -1.0]},
     ):
         bad = dict(base)
         bad.update(patch)
         with pytest.raises(ConfigError):
             SweepConfig.from_dict(bad)
+    with pytest.raises(ConfigError, match="output"):
+        SweepConfig.from_dict({k: v for k, v in base.items() if k != "output"})
+    with pytest.raises(ConfigError, match="workers"):
+        run_sweep(SweepConfig.from_dict(base), workers=0)
     with pytest.raises(ConfigError, match=r"mc_method must be 'naive' or 'tilted', got 'exact'"):
         SweepConfig.from_dict({**base, "mc_method": "exact"})
     assert SweepConfig.from_dict({**base, "mc_fallback": False}).mc_fallback is False

@@ -151,6 +151,20 @@ def test_merge_rejects_mismatches_and_duplicates():
         merge(a_max, a_max)  # duplicate (seed, chunk) records
 
 
+def test_merge_refuses_estimates_on_different_scale_schedules():
+    # one law, n and x on two schedules: p_hat 0.2595 on unit scales and
+    # 0.246 on scales 1..8 are not one quantity, and do not pool
+    dist = Uniform(1.0)
+    ones = simulate(SequenceSpec(dist, 8, scales=np.ones(8)), 1.0, 2000, seed=1)
+    ramp = simulate(SequenceSpec(dist, 8, scales=np.arange(1.0, 9.0)), 1.0, 2000, seed=2)
+    for a, b in zip(ones, ramp):
+        with pytest.raises(ConfigError, match="quantity"):
+            merge(a, b)
+    # unit scales are the iid schedule
+    iid = simulate(SequenceSpec(dist, 8), 1.0, 2000, seed=2)
+    assert merge(ones[0], iid[0]).n_samples == 4000
+
+
 # ---------------------------------------------------------------------------
 # tilt plans
 # ---------------------------------------------------------------------------
@@ -238,6 +252,20 @@ def test_simulate_validation():
         simulate(seq, 1.0, 2000, seed=1, method="antithetic")
     with pytest.raises(ConfigError):
         simulate(seq, 1.0, 2000, seed=1, workers=0)
+    with pytest.raises(ConfigError):
+        simulate(seq, 1.0, 2000, seed=1, first_chunk=-1)
+    with pytest.raises(ConfigError):
+        simulate(seq, 1.0, 2000, seed=2**64)
+
+
+def test_seeds_from_2_63_up_key_their_own_streams():
+    # every seed up to 2^64 - 1 is a Philox key word of its own: none is
+    # rounded through a double (2^63 and 2^63 + 1 would share one stream)
+    # or wrapped with a RuntimeWarning (2^64 - 2 and 2^64 - 1 to key 0)
+    seq = SequenceSpec(Uniform(1.0), 8)
+    seeds = (0, 2**63, 2**63 + 1, 2**64 - 2, 2**64 - 1)
+    p_hats = [simulate(seq, 1.0, 2000, seed=s, method="tilted")[0].p_hat for s in seeds]
+    assert len(set(p_hats)) == len(seeds)
 
 
 # ---------------------------------------------------------------------------

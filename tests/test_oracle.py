@@ -4,6 +4,7 @@ DP, exact binomial sums, scipy.stats.binom, TwoPoint path counting)."""
 
 import itertools
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -87,6 +88,19 @@ def test_enumerate_x0_symmetric_at_least_half(dist):
 def test_enumerate_budget_exceeded():
     with pytest.raises(BudgetExceededError):
         enumerate_exact(SequenceSpec(Rademacher(1.0), 25), 1.0)
+
+
+def test_enumerate_budget_check_builds_no_n_bit_integer():
+    # 2^(10^8) alone would be a 12.5 MB integer
+    seq = SequenceSpec(Rademacher(1.0), 10**8)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="budget"):
+            enumerate_exact(seq, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_enumerate_rejects_continuous_support():
