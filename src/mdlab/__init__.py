@@ -9,7 +9,8 @@ Subpackages by responsibility:
 * :mod:`mdlab.oracle` - exact enumeration, Rademacher reflection closed
   form, TwoPoint first-passage DP
 * :mod:`mdlab.mc` - reproducible (counter-based) Monte Carlo with
-  exponential-tilting importance sampling
+  importance sampling by an exponential tilt switched off at the first
+  passage of the barrier
 * :mod:`mdlab.experiments` - config-driven sweeps with resumable CSV output
 * :mod:`mdlab.cli` - the ``mdlab`` command line
 """

@@ -13,7 +13,13 @@ module provides three services the rest of the package is built on:
   implements the tilt methods, whose base versions raise
   :class:`~mdlab.errors.TiltUnsupportedError`.
 
-Rademacher is the ``a = b`` case of the two-point law on ``{a, -b}``.
+Rademacher is the ``a = b`` case of the two-point law on ``{a, -b}``. A
+two-point step, tilted or not, is one raw 64-bit Philox word compared
+against :meth:`~_TwoPointLaw.up_threshold`, so naive sampling is the
+``theta = 0`` case of the tilted draw. ``STREAM_VERSION`` names the
+layout of the Monte Carlo stream these draws and :mod:`mdlab.mc` define
+together; version 2 is this raw-word draw with the switched tilt of
+:mod:`mdlab.mc`.
 
 Families and their config literals (all keys optional except ``family``):
 
@@ -40,6 +46,7 @@ from scipy import special
 from .errors import ConfigError, InfiniteMomentError, TiltUnsupportedError, check_finite
 
 __all__ = [
+    "STREAM_VERSION",
     "Distribution",
     "Rademacher",
     "TwoPoint",
@@ -48,6 +55,10 @@ __all__ = [
     "StudentT",
     "from_literal",
 ]
+
+# the Monte Carlo stream layout; bump it whenever a fixed seed can give other bytes
+STREAM_VERSION = 2
+_WORDS = 1 << 64  # raw Philox words are uniform on [0, 2^64)
 
 
 def _levelwise(fn, levels) -> float | np.ndarray:
@@ -114,7 +125,7 @@ class Distribution:
     def tilted_mean(self, theta: float) -> float:
         raise self._tilt_unsupported()
 
-    def tilted_sample(self, theta: float, rng: np.random.Generator, size=None):
+    def tilted_sample(self, theta, rng: np.random.Generator, size=None):
         raise self._tilt_unsupported()
 
     # -- misc ----------------------------------------------------------
@@ -150,7 +161,7 @@ class _TwoPointLaw(Distribution):
         )
 
     def sample(self, rng, size=None):
-        return np.where(rng.random(size) < self.p_plus, self.a, -self.b)
+        return self.tilted_sample(0.0, rng, size)
 
     def support_max(self) -> float:
         return self.a
@@ -170,9 +181,19 @@ class _TwoPointLaw(Distribution):
         _, wa, wb = self._tilt_weights(theta)
         return (self.a * wa - self.b * wb) / (wa + wb)
 
-    def tilted_sample(self, theta, rng, size=None):
+    def up_threshold(self, theta: float) -> int:
+        """The word ``T`` below which a raw 64-bit word draws ``+a`` under the
+        tilt ``theta``: ``T / 2^64`` is the tilted ``P(X = a)`` to within
+        2^-64, formed from the smaller of the two masses, and capped at
+        ``2^64 - 1`` so that it fits an unsigned 64-bit word."""
         _, wa, wb = self._tilt_weights(theta)
-        return np.where(rng.random(size) < wa / (wa + wb), self.a, -self.b)
+        if wa <= wb:
+            return round(math.ldexp(wa / (wa + wb), 64))
+        return min(_WORDS - round(math.ldexp(wb / (wa + wb), 64)), _WORDS - 1)
+
+    def tilted_sample(self, theta, rng, size=None):
+        words = rng.bit_generator.random_raw(size)
+        return np.where(words < np.uint64(self.up_threshold(theta)), self.a, -self.b)[()]
 
     def finite_support(self):
         return (np.array([self.a, -self.b]), np.array([self.p_plus, 1.0 - self.p_plus]))
@@ -191,11 +212,8 @@ class Rademacher(_TwoPointLaw):
 
     a = b = property(lambda self: self.scale)  # read-only, not config fields
 
-    # these three fix the bytes of the naive stream and of the tilt solve; the
-    # rest is the two-point arithmetic, exact at a = b while c^p is normal
-    def sample(self, rng, size=None):
-        return self.scale * (2.0 * rng.integers(0, 2, size=size) - 1.0)
-
+    # these two fix the bytes of the tilt solve; the rest is the two-point
+    # arithmetic, exact at a = b while c^p is normal
     def log_mgf(self, theta: float) -> float:
         # log cosh, overflow-safe
         z = abs(theta * self.scale)
@@ -265,12 +283,16 @@ class Uniform(Distribution):
         return self.half_width * lang
 
     def tilted_sample(self, theta, rng, size=None):
+        """One draw per tilt: ``theta`` is a number or an array of per-draw
+        tilts of the draws' shape, and a tilt of 0 draws ``-a + 2a u``."""
         a = self.half_width
-        if theta == 0.0:
-            return rng.uniform(-a, a, size=size)
         u = rng.random(size)
-        # inverse CDF of the tilted density, of either sign of theta, stable for small theta*a
-        return -a + np.log1p(u * math.expm1(2.0 * theta * a)) / theta
+        theta = np.asarray(theta, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 at theta = 0, replaced below
+            # inverse CDF of the tilted density, of either sign of theta, stable for small theta*a
+            shifted = np.asarray(np.log1p(u * np.expm1(2.0 * theta * a)) / theta)
+        np.copyto(shifted, 2.0 * a * u, where=theta == 0.0)
+        return -a + shifted
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 from . import __version__
-from .distributions import Distribution, Rademacher, TwoPoint, from_literal
+from .distributions import STREAM_VERSION, Distribution, Rademacher, TwoPoint, from_literal
 from .errors import BudgetExceededError, ConfigError, InfeasibleError, check_finite
 from .mc import DEFAULT_SEED, _check_seed, choose_tilt, simulate
 from .oracle import lattice_dp_max, twopoint_dp, twopoint_dp_fits
@@ -334,6 +334,7 @@ def _write_manifest(cfg: SweepConfig):
         "config": cfg.canonical(),
         "config_hash": cfg.config_hash(),
         "seed": cfg.seed,
+        "stream_version": STREAM_VERSION,
         "tool_version": __version__,
         "columns": CSV_COLUMNS,
     }
@@ -354,7 +355,8 @@ def run_sweep(
     worker count and any prefix of it is a valid partial result.
     ``stop_after_rows`` stops after that many newly written rows, which is
     how tests exercise interruption and resume. A CSV without a manifest,
-    or whose rows do not match the config's jobs, is refused untouched.
+    whose rows do not match the config's jobs, or whose Monte Carlo rows
+    come from another stream version than this one, is refused untouched.
     """
     workers = cfg.workers if workers is None else workers
     if workers < 1:
@@ -372,6 +374,7 @@ def run_sweep(
         done_lines = _read_completed(cfg.output)
         if len(done_lines) > len(jobs):
             raise ConfigError(f"{cfg.output} holds more rows than the config defines")
+        mc_rows = 0
         for line, (idx, n, x) in zip(done_lines, jobs):
             row = RatioRow.from_csv_line(line)
             if (row.n, row.x) != (n, x):
@@ -379,6 +382,17 @@ def run_sweep(
                     f"{cfg.output} row {idx} is for (n={row.n}, x={row.x}), "
                     f"expected (n={n}, x={x}); refusing to resume"
                 )
+            mc_rows += row.method in ("naive", "tilted")
+        # a manifest from before stream versions were recorded is version 1
+        version = manifest.get("stream_version", 1)
+        if version != STREAM_VERSION:
+            if mc_rows:
+                raise ConfigError(
+                    f"{cfg.output} holds Monte Carlo rows drawn by stream version "
+                    f"{version}, and this mdlab draws version {STREAM_VERSION}; refusing "
+                    "to mix them (delete the output or change the path)"
+                )
+            _write_manifest(cfg)  # only exact rows so far: the rows to come set the version
     elif os.path.exists(cfg.output):
         raise ConfigError(
             f"{cfg.output} exists without its manifest; refusing to overwrite it"

@@ -12,11 +12,23 @@ Estimates carry their per-chunk sufficient statistics, so
 moments re-reduced with ``math.fsum``, making merging associative,
 commutative, and reproducible to the bit.
 
-Importance sampling uses the exponentially tilted increment law whose
-drift matches ``x * B_n / n`` per step; paths are reweighted by
-``exp(-theta * S_n + sum_j log_mgf_j)``, which keeps both event
-estimators unbiased (the max event contains the sum event, so a tilt
-targeting the terminal sum covers both).
+Importance sampling switches the tilt off at the first passage
+(Siegmund's conjugate-until-passage estimator). Each path draws the
+increments tilted by ``theta * s_j``, with ``theta`` from
+:func:`choose_tilt`, until ``tau = min{k : S_k >= x B_n}``, and untilted
+steps after it; its weight is ``exp(-theta S_{tau^n} + Psi_{tau^n})``,
+where ``Psi_k = sum_{j<=k} log E exp(theta s_j X)``. Both event
+estimators stay unbiased, since ``tau`` is a stopping time, and a path
+that crosses the barrier and ends below it no longer carries the large
+weight that a tilt kept on to the end would give it.
+
+Two kernels draw the paths. Rademacher and TwoPoint steps are raw Philox
+words compared against an unsigned 64-bit threshold per path (the tilted
+one before ``tau``, the untilted one after it), with ``S_k`` and ``V_n^2``
+formed from up-counts; the other laws draw float columns through
+``sample``, or ``tilted_sample`` with a per-path tilt that is 0 after
+``tau``. ``STREAM_VERSION`` is part of every estimate's ``quantity``, so
+estimates from different stream layouts do not merge.
 """
 
 from __future__ import annotations
@@ -30,13 +42,14 @@ from typing import Optional
 
 import numpy as np
 
-from .distributions import Rademacher
+from .distributions import STREAM_VERSION, Rademacher, _TwoPointLaw
 from .errors import ConfigError, InfeasibleError, check_finite
 from .theory import SequenceSpec, _tie_cut, _tie_unit
 
 __all__ = [
     "CHUNK_SIZE",
     "DEFAULT_SEED",
+    "STREAM_VERSION",
     "TailEstimate",
     "TiltPlan",
     "choose_tilt",
@@ -64,8 +77,9 @@ def _check_seed(seed: int, name: str = "seed") -> None:
 class TailEstimate:
     """Tail probability estimate with exact merge support.
 
-    ``quantity`` names what is estimated: the law literal, ``n``, ``x``
-    and the sha256 of the scale schedule. ``records`` holds per-chunk sums
+    ``quantity`` names what is estimated, and by which stream: the law
+    literal, ``n``, ``x``, the sha256 of the scale schedule and the
+    ``STREAM_VERSION``. ``records`` holds per-chunk sums
     of ``w * indicator`` and its square, sorted by (seed, chunk); every
     reported number is computed from them, so equal record sets give
     bit-equal estimates.
@@ -73,7 +87,7 @@ class TailEstimate:
 
     method: str  # "naive" | "tilted"
     event: str  # "max" | "sum"
-    quantity: tuple[str, int, float, str]
+    quantity: tuple[str, int, float, str, int]
     records: tuple[ChunkRecord, ...]
 
     def __post_init__(self):
@@ -107,11 +121,9 @@ class TailEstimate:
 
 @dataclass(frozen=True)
 class TiltPlan:
-    """Tilt parameter solving mean drift = x * B_n / n per step, and the
-    path weights' normalizer ``sum_j log E exp(theta s_j X)``."""
+    """Tilt parameter solving mean drift = x * B_n / n per step."""
 
     theta: float
-    log_mgf_total: float
 
 
 def _step_sum(seq: SequenceSpec, f) -> float:
@@ -172,10 +184,7 @@ def choose_tilt(seq: SequenceSpec, x: float) -> TiltPlan:
             f"tilt solve residual {abs(achieved - total_target):.3g} "
             "exceeds 1e-10"
         )
-    return TiltPlan(
-        theta=theta,
-        log_mgf_total=_step_sum(seq, lambda s: dist.log_mgf(theta * s)),
-    )
+    return TiltPlan(theta=theta)
 
 
 def _chunk_layout(n_samples: int, first_chunk: int) -> list[tuple[int, int]]:
@@ -186,35 +195,152 @@ def _chunk_layout(n_samples: int, first_chunk: int) -> list[tuple[int, int]]:
     ]
 
 
+@dataclass(frozen=True)
+class _SwitchedTilt:
+    """What a tilted run needs besides the law: the per-step tilts
+    ``theta * s_j``, the prefix sums ``Psi_k`` for ``k = 0..n`` and the
+    barrier ``x * B_n`` whose first passage switches a path's tilt off."""
+
+    theta: float
+    steps: np.ndarray
+    log_mgf_prefix: np.ndarray
+    barrier: float
+
+
+def _switched_tilt(seq: SequenceSpec, x: float) -> _SwitchedTilt:
+    dist, theta = seq.dist, choose_tilt(seq, x).theta
+    steps = theta * seq.scale_array()
+    if seq.is_iid:
+        log_mgf_prefix = np.arange(seq.n + 1) * dist.log_mgf(theta)
+    else:
+        log_mgfs = [dist.log_mgf(t) for t in steps.tolist()]
+        log_mgf_prefix = np.concatenate(([0.0], np.cumsum(log_mgfs)))
+    return _SwitchedTilt(theta, steps, log_mgf_prefix, x * math.sqrt(seq.variance_sum()))
+
+
+class _Passage:
+    """The paths of one chunk still under the tilt, and the log-weight
+    ``-theta S_{tau^n} + Psi_{tau^n}`` of every path whose tilt is off. A
+    kernel passes its running sums as levels in units of ``span``."""
+
+    def __init__(self, tilt: _SwitchedTilt, n_paths: int, span: float):
+        self.tilt, self.span = tilt, span
+        self.active = np.ones(n_paths, dtype=bool)
+        self.log_weight = np.empty(n_paths)
+        self._barrier = tilt.barrier / span
+        self._hit = np.empty(n_paths, dtype=bool)
+
+    def _settle(self, paths, level, k):
+        self.log_weight[paths] = (-self.tilt.theta * (self.span * level[paths])
+                                  + self.tilt.log_mgf_prefix[k])
+
+    def update(self, k: int, level: np.ndarray) -> np.ndarray:
+        """Switch off the paths whose level reached the barrier at step
+        ``k + 1``; returns their indices."""
+        np.greater_equal(level, self._barrier, out=self._hit)
+        self._hit &= self.active
+        hit = np.flatnonzero(self._hit)
+        self.active[hit] = False
+        self._settle(hit, level, k + 1)
+        return hit
+
+    def finish(self, level: np.ndarray) -> np.ndarray:
+        """The log-weights, once ``level`` holds the sums after the last step."""
+        self._settle(self.active, level, len(self.tilt.steps))
+        return self.log_weight
+
+
+def _two_point_paths(seq: SequenceSpec, rng, n_paths: int, tilt: Optional[_SwitchedTilt]):
+    """(max_k S_k, S_n, V_n^2, log-weights) of two-point paths.
+
+    Step ``j`` is ``+a s_j`` when its raw word is below the path's
+    threshold, else ``-b s_j``. With ``W_k = sum_{j<=k} s_j 1{up}`` and
+    ``P_k = sum_{j<=k} s_j``, the level ``W_k - b P_k / (a + b)`` is
+    ``S_k / (a + b)``, and ``V_n^2 = a^2 Q + b^2 (sum_j s_j^2 - Q)`` with
+    ``Q`` the up-count weighted by ``s_j^2``. On iid steps ``W`` and ``Q``
+    are the up-count itself, so no float column is formed per step.
+    """
+    dist = seq.dist
+    a, b, span = dist.a, dist.b, dist.a + dist.b
+    scales = seq.scale_array()
+    prefix = np.cumsum(scales)
+    # the level keeps the smaller step even when it is below the rounding of
+    # a + b: W - (b / span) P when a >= b, else (W - P) + (a / span) P
+    offset = None if a >= b else prefix
+    drift = -(b / span) * prefix if a >= b else (a / span) * prefix
+    bits = rng.bit_generator
+    count = np.zeros(n_paths)
+    sq_count = count if seq.is_iid else np.zeros(n_paths)
+    level, up = np.empty(n_paths), np.empty(n_paths, dtype=bool)
+    peak = np.full(n_paths, -np.inf)
+    untilted = np.uint64(dist.up_threshold(0.0))
+    threshold = untilted
+    if tilt is not None:
+        passage = _Passage(tilt, n_paths, span)
+        tilted = [np.uint64(dist.up_threshold(t)) for t in tilt.steps.tolist()]
+        threshold = np.full(n_paths, tilted[0])
+    for k, s in enumerate(scales.tolist()):
+        if tilt is not None and k and tilted[k] != tilted[k - 1]:
+            np.copyto(threshold, tilted[k], where=passage.active)
+        np.less(bits.random_raw(n_paths), threshold, out=up)
+        if seq.is_iid:
+            count += up
+        else:
+            count += s * up
+            sq_count += (s * s) * up
+        if offset is None:
+            np.add(count, drift[k], out=level)
+        else:
+            np.subtract(count, offset[k], out=level)
+            level += drift[k]
+        np.maximum(peak, level, out=peak)
+        if tilt is not None:
+            threshold[passage.update(k, level)] = untilted
+    sq_norm = a * a * sq_count + b * b * (float(np.sum(scales * scales)) - sq_count)
+    log_weight = None if tilt is None else passage.finish(level)
+    return span * peak, span * level, sq_norm, log_weight
+
+
+def _float_paths(seq: SequenceSpec, rng, n_paths: int, tilt: Optional[_SwitchedTilt]):
+    """(max_k S_k, S_n, V_n^2, log-weights) of paths drawn as float columns;
+    a tilted column takes the per-path tilt ``theta s_j``, 0 once off."""
+    dist = seq.dist
+    running = np.zeros(n_paths)
+    sq_norm = np.zeros(n_paths)
+    peak = np.full(n_paths, -np.inf)
+    passage = None if tilt is None else _Passage(tilt, n_paths, 1.0)
+    for k, s in enumerate(seq.scale_array().tolist()):
+        if passage is None:
+            col = dist.sample(rng, n_paths)
+        else:
+            col = dist.tilted_sample(tilt.steps[k] * passage.active, rng, n_paths)
+        col = s * np.asarray(col, dtype=float)
+        running += col
+        sq_norm += col * col
+        np.maximum(peak, running, out=peak)
+        if passage is not None:
+            passage.update(k, running)
+    return peak, running, sq_norm, None if passage is None else passage.finish(running)
+
+
 def _run_chunk(
     seq: SequenceSpec,
     x: float,
     seed: int,
     chunk_index: int,
     n_paths: int,
-    plan: Optional[TiltPlan],
+    tilt: Optional[_SwitchedTilt],
     unit: float,
 ) -> tuple[ChunkRecord, ChunkRecord]:
     # a list holding an int >= 2^63 would become float64 and lose the low bits
     key = np.array([seed, chunk_index], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
-    dist = seq.dist
-    running = np.zeros(n_paths)
-    sq_norm = np.zeros(n_paths)
-    peak = np.full(n_paths, -np.inf)
-    for s in seq.scale_array().tolist():
-        if plan is None:
-            col = dist.sample(rng, n_paths)
-        else:
-            col = dist.tilted_sample(plan.theta * s, rng, n_paths)
-        col = s * np.asarray(col, dtype=float)
-        running += col
-        sq_norm += col * col
-        np.maximum(peak, running, out=peak)
+    paths = _two_point_paths if isinstance(seq.dist, _TwoPointLaw) else _float_paths
+    peak, total, sq_norm, log_weight = paths(seq, rng, n_paths, tilt)
     with np.errstate(over="ignore"):  # a huge x gives an inf barrier: no hit
         cut = _tie_cut(x * np.sqrt(sq_norm), unit)
-    weights = 1.0 if plan is None else np.exp(-plan.theta * running + plan.log_mgf_total)
-    w_max, w_sum = weights * (peak >= cut), weights * (running >= cut)
+    weights = 1.0 if log_weight is None else np.exp(log_weight)
+    w_max, w_sum = weights * (peak >= cut), weights * (total >= cut)
     return tuple((seed, chunk_index, n_paths, float(w.sum()), float((w * w).sum()))
                  for w in (w_max, w_sum))
 
@@ -231,9 +357,13 @@ def simulate(
     """Estimate P(max_k S_k >= x V_n) and P(S_n >= x V_n) on shared paths.
 
     One pass per path tracks the running maximum, the terminal sum, and
-    the accumulated ``V_n^2``, so the per-path sum indicator never exceeds
-    the max indicator. Output is bit-identical for fixed
-    ``(seed, n_samples, first_chunk)`` regardless of ``workers``.
+    ``V_n^2``, so the per-path sum indicator never exceeds the max
+    indicator. ``method="tilted"`` draws each path under the tilt of
+    :func:`choose_tilt` until it first reaches ``x * B_n`` and untilted
+    after it, weighing it by ``exp(-theta S_{tau^n} + Psi_{tau^n})``; both
+    events share these weights. Output is bit-identical for fixed
+    ``(seed, n_samples, first_chunk)`` regardless of ``workers``; every
+    chunk index must be an unsigned 64-bit integer, as the seed must.
     """
     if n_samples < 1000:
         raise ConfigError(f"n_samples must be >= 1000, got {n_samples}")
@@ -243,25 +373,27 @@ def simulate(
         raise ConfigError(f"workers must be >= 1, got {workers}")
     if first_chunk < 0:
         raise ConfigError(f"first_chunk must be >= 0, got {first_chunk}")
+    layout = _chunk_layout(n_samples, first_chunk)
+    _check_seed(layout[-1][0], "the last chunk index")
     if method not in ("naive", "tilted"):
         raise ConfigError(f"method must be 'naive' or 'tilted', got {method!r}")
 
-    plan = choose_tilt(seq, x) if method == "tilted" else None
+    tilt = _switched_tilt(seq, x) if method == "tilted" else None
     unit = _tie_unit(seq)
     # map yields in submission order, so the records never depend on workers
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(lambda chunk: _run_chunk(seq, x, seed, *chunk, plan, unit),
-                                _chunk_layout(n_samples, first_chunk)))
+        results = list(pool.map(lambda chunk: _run_chunk(seq, x, seed, *chunk, tilt, unit),
+                                layout))
 
     quantity = (json.dumps(seq.dist.literal(), sort_keys=True), seq.n, x,
-                hashlib.sha256(seq.scale_array().tobytes()).hexdigest())
+                hashlib.sha256(seq.scale_array().tobytes()).hexdigest(), STREAM_VERSION)
     return tuple(TailEstimate(method, event, quantity, tuple(r[i] for r in results))
                  for i, event in enumerate(("max", "sum")))
 
 
 def merge(a: TailEstimate, b: TailEstimate) -> TailEstimate:
     """Pool two estimates of the same method, event and quantity (law,
-    ``n``, ``x`` and scale schedule).
+    ``n``, ``x``, scale schedule and stream version).
 
     Associative and commutative: the union of chunk records is re-sorted
     and re-reduced exactly. Seeds may differ (pooling independent runs);

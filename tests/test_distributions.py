@@ -379,6 +379,8 @@ def test_rademacher_is_the_symmetric_two_point_law(c):
     for got, want in zip(rad.finite_support(), two.finite_support()):
         assert np.array_equal(got, want)
     assert rad.support_max() == two.support_max() == c
+    assert np.array_equal(rad.sample(np.random.default_rng(8), 1000),
+                          two.sample(np.random.default_rng(8), 1000))
     for theta in (0.3, 2.0):
         assert np.array_equal(rad.tilted_sample(theta, np.random.default_rng(8), 1000),
                               two.tilted_sample(theta, np.random.default_rng(8), 1000))
@@ -386,6 +388,48 @@ def test_rademacher_is_the_symmetric_two_point_law(c):
         # forms cancel, so they agree to rounding at the scale of their terms
         assert abs(rad.log_mgf(theta) - two.log_mgf(theta)) <= 1e-15 * max(1.0, theta * c)
         assert abs(rad.tilted_mean(theta) - two.tilted_mean(theta)) <= 1e-15 * c
+
+
+@pytest.mark.parametrize("dist", [TwoPoint(2.0, 1.0), Rademacher(0.3), TwoPoint(0.5, 4.0)],
+                         ids=["twopoint", "rademacher", "skewed"])
+@pytest.mark.parametrize("theta", [0.0, 0.4, -1.3, 9.0])
+def test_up_threshold_is_the_tilted_up_mass(dist, theta):
+    # a raw word below T draws +a: T / 2^64 is P_theta(X = a) to within 2^-64
+    p_up = (dist.tilted_mean(theta) + dist.b) / (dist.a + dist.b)
+    assert abs(dist.up_threshold(theta) - p_up * 2.0**64) <= 1e-14 * 2.0**64
+
+
+def test_naive_two_point_draw_is_the_untilted_draw():
+    dist = TwoPoint(2.0, 1.0)
+    assert np.array_equal(dist.sample(np.random.default_rng(4), 100),
+                          dist.tilted_sample(0.0, np.random.default_rng(4), 100))
+    assert dist.sample(np.random.default_rng(4)) in (2.0, -1.0)
+
+
+@pytest.mark.parametrize("dist, threshold", [(TwoPoint(1e-160, 1.0), 2**64 - 1),
+                                             (TwoPoint(1.0, 1e-160), 0)],
+                         ids=["p_plus_rounds_to_1", "p_plus_near_0"])
+def test_threshold_ends_fit_a_word_and_draw_in_the_support(dist, threshold):
+    # a mass that rounds to 1 would need T = 2^64, one word past the range
+    assert dist.up_threshold(0.0) == threshold
+    for theta in (0.0, 2.0, -2.0):
+        assert 0 <= dist.up_threshold(theta) <= 2**64 - 1
+        draws = dist.tilted_sample(theta, np.random.default_rng(6), 10_000)
+        assert set(np.unique(draws)) <= {dist.a, -dist.b}
+    assert set(np.unique(dist.sample(np.random.default_rng(6), 10_000))) <= {dist.a, -dist.b}
+
+
+def test_uniform_tilted_draw_takes_a_tilt_per_draw():
+    # each draw follows its own tilt, from the same uniforms; a tilt of 0 is -a + 2a u
+    dist, size = Uniform(1.5), 1000
+    thetas = np.where(np.arange(size) % 3 == 0, 0.0, 0.8)
+    thetas[1::3] = -0.4
+    got = dist.tilted_sample(thetas, np.random.default_rng(12), size)
+    for theta in (0.0, 0.8, -0.4):
+        want = dist.tilted_sample(theta, np.random.default_rng(12), size)
+        assert np.array_equal(got[thetas == theta], want[thetas == theta])
+    u = np.random.default_rng(12).random(size)
+    assert np.array_equal(got[thetas == 0.0], (-1.5 + 3.0 * u)[thetas == 0.0])
 
 
 @pytest.mark.parametrize("dist", [CenteredExponential(1.0), StudentT(5.0)])

@@ -8,6 +8,7 @@ import time
 import pytest
 
 from mdlab import SequenceSpec, TwoPoint, experiments
+from mdlab.distributions import STREAM_VERSION
 from mdlab.errors import BudgetExceededError, ConfigError
 from mdlab.experiments import (
     CSV_COLUMNS,
@@ -75,6 +76,7 @@ def test_oracle_sweep_rows_and_schema(tmp_path):
     assert manifest["config_hash"] == cfg.config_hash()
     assert manifest["columns"] == CSV_COLUMNS
     assert manifest["seed"] == 333
+    assert manifest["stream_version"] == STREAM_VERSION
     assert "tool_version" in manifest
 
 
@@ -324,6 +326,56 @@ def test_oracle_budget_error_without_fallback(tmp_path):
             n_grid=[16], x_values=[1.0], mc_fallback=False,
         ))
     assert os.listdir(tmp_path) == []
+
+
+def _set_manifest_stream_version(cfg, version):
+    """Rewrite the manifest as a run of stream ``version`` left it; None
+    drops the key, as manifests written before it was recorded lack it."""
+    path = cfg.manifest_path()
+    with open(path) as fh:
+        manifest = json.load(fh)
+    manifest.pop("stream_version")
+    if version is not None:
+        manifest["stream_version"] = version
+    with open(path, "w") as fh:
+        json.dump(manifest, fh)
+
+
+@pytest.mark.parametrize("version", [None, 1])
+@pytest.mark.parametrize("make_cfg, rows", [
+    (mc_cfg, 2),
+    # an exact row first, then a Monte Carlo fallback row: TwoPoint past n = 255
+    (lambda tmp_path, name: oracle_cfg(tmp_path, name=name, dist={"family": "twopoint"},
+                                       n_grid=[8, 300], mc_samples=2000), 2),
+], ids=["mc", "fallback"])
+def test_resume_refuses_monte_carlo_rows_of_another_stream_version(tmp_path, make_cfg, rows,
+                                                                   version):
+    cfg = make_cfg(tmp_path, name="v.csv")
+    run_sweep(cfg, stop_after_rows=rows)
+    _set_manifest_stream_version(cfg, version)
+    files = [cfg.output, cfg.manifest_path()]
+    before = [open(f, "rb").read() for f in files]
+    with pytest.raises(ConfigError, match=f"stream version {version or 1}"):
+        run_sweep(cfg)
+    assert [open(f, "rb").read() for f in files] == before
+
+
+@pytest.mark.parametrize("version", [None, 1])
+def test_exact_rows_of_another_stream_version_resume(tmp_path, version):
+    # only Monte Carlo rows depend on the stream; the rows still to come
+    # are drawn by this one, and the manifest now says so
+    full_cfg = oracle_cfg(tmp_path, name="full.csv", dist={"family": "twopoint"},
+                          n_grid=[8, 12, 300], mc_samples=2000)
+    full = run_sweep(full_cfg)
+    assert [row.method for row in full] == ["lattice_dp", "lattice_dp", "naive"]
+    cfg = oracle_cfg(tmp_path, name="old.csv", dist={"family": "twopoint"},
+                     n_grid=[8, 12, 300], mc_samples=2000)
+    run_sweep(cfg, stop_after_rows=2)
+    _set_manifest_stream_version(cfg, version)
+    assert run_sweep(cfg) == full
+    with open(cfg.manifest_path()) as fh:
+        assert json.load(fh)["stream_version"] == STREAM_VERSION
+    assert run_sweep(cfg) == full  # and its Monte Carlo row resumes
 
 
 def test_scaling_rule_default_power(tmp_path):

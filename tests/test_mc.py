@@ -1,5 +1,6 @@
 """Monte Carlo engine: determinism, merging, importance sampling."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from mdlab import CenteredExponential, Rademacher, SequenceSpec, TwoPoint, Uniform, oracle
 from mdlab.errors import ConfigError, InfeasibleError, TiltUnsupportedError
-from mdlab.mc import CHUNK_SIZE, choose_tilt, merge, simulate
+from mdlab.mc import CHUNK_SIZE, STREAM_VERSION, choose_tilt, merge, simulate
 from mdlab.oracle import enumerate_exact, lattice_dp_max, twopoint_dp
 
 
@@ -87,12 +88,12 @@ def test_worker_count_does_not_change_bits():
     "seq, x, seed, theta, pins",
     [
         (SequenceSpec(TwoPoint(2.0, 1.0), 64), 2.0, 5, "0x1.5376ab4217185p-3",
-         ["0x1.ed47d36abbc36p-6", "0x1.08ac7bff8ff8fp-12",
-          "0x1.125f23c113437p-6", "0x1.ac56af5f31c35p-14"]),
+         ["0x1.edaf3a765d2c8p-6", "0x1.31e96d0ca10e2p-13",
+          "0x1.1301f1b1a0b0fp-6", "0x1.05a730680708fp-13"]),
         (SequenceSpec(Uniform(1.0), 50, scales=np.random.default_rng(123).uniform(0.8, 1.25, 50)),
          1.5, 31, "0x1.70c5510128c10p-2",
-         ["0x1.dd5e14ecb6e1fp-4", "0x1.784a797b2933ap-11",
-          "0x1.11ed6fb2b7f73p-4", "0x1.6f69a8f042e07p-12"]),
+         ["0x1.dd7853d82e444p-4", "0x1.e9a50b3a7b172p-12",
+          "0x1.13ab2c411f5b0p-4", "0x1.8a51895dc3049p-12"]),
     ],
     ids=["twopoint_iid", "uniform_schedule"],
 )
@@ -149,6 +150,17 @@ def test_merge_rejects_mismatches_and_duplicates():
         merge(a_max, tilted)
     with pytest.raises(ConfigError):
         merge(a_max, a_max)  # duplicate (seed, chunk) records
+
+
+def test_merge_refuses_estimates_of_another_stream_version():
+    seq = SequenceSpec(Rademacher(1.0), 16)
+    est = simulate(seq, 1.0, 2000, seed=1)[0]
+    assert est.quantity[-1] == STREAM_VERSION == 2
+    # the same law, n, x and schedule drawn by the version-1 stream
+    older = dataclasses.replace(est, quantity=est.quantity[:-1] + (1,),
+                                records=tuple((2,) + r[1:] for r in est.records))
+    with pytest.raises(ConfigError, match="quantity"):
+        merge(est, older)
 
 
 def test_merge_refuses_estimates_on_different_scale_schedules():
@@ -258,6 +270,17 @@ def test_simulate_validation():
         simulate(seq, 1.0, 2000, seed=2**64)
 
 
+def test_chunk_indices_past_64_bits_are_config_errors():
+    # a chunk index is the second Philox key word: the last one must fit too
+    seq = SequenceSpec(Uniform(1.0), 4)
+    with pytest.raises(ConfigError, match="last chunk index"):
+        simulate(seq, 1.0, 2000, first_chunk=2**64)
+    with pytest.raises(ConfigError, match="last chunk index"):
+        simulate(seq, 1.0, CHUNK_SIZE + 1, first_chunk=2**64 - 1)
+    last = simulate(seq, 1.0, 2000, first_chunk=2**64 - 1)[0]
+    assert last.records[0][1] == 2**64 - 1
+
+
 def test_seeds_from_2_63_up_key_their_own_streams():
     # every seed up to 2^64 - 1 is a Philox key word of its own: none is
     # rounded through a double (2^63 and 2^63 + 1 would share one stream)
@@ -301,3 +324,53 @@ def test_tilted_weights_on_scaled_schedule():
     exact = enumerate_exact(seq, 1.5)
     est_max, _ = simulate(seq, 1.5, 200_000, seed=31, method="tilted")
     assert abs(est_max.p_hat - exact.p_max) <= 4.0 * est_max.stderr
+
+
+# ---------------------------------------------------------------------------
+# the switched tilt (stream version 2)
+# ---------------------------------------------------------------------------
+
+def test_switched_tilt_matches_the_reflection_closed_form_deep_in_the_tail():
+    # n = 1024, x = 5: a tilt kept on to step n had a relative stderr of 0.015
+    # on the max event at 2^16 paths; switched off at the passage it is 0.006
+    exact = lattice_dp_max(1024, 5.0)
+    est_max, est_sum = simulate(SequenceSpec(Rademacher(1.0), 1024), 5.0, 1 << 16, seed=51,
+                                method="tilted")
+    assert abs(est_max.p_hat - exact.p_max) <= 4.0 * est_max.stderr
+    assert abs(est_sum.p_hat - exact.p_sum) <= 4.0 * est_sum.stderr
+    assert est_max.stderr < 0.008 * est_max.p_hat
+
+
+@pytest.mark.parametrize("n, x", [(200, 2.5), (255, 3.0)])
+def test_switched_tilt_matches_the_twopoint_dp(n, x):
+    exact = twopoint_dp(n, x, 2.0, 1.0)
+    est_max, est_sum = simulate(SequenceSpec(TwoPoint(2.0, 1.0), n), x, 1 << 16, seed=52,
+                                method="tilted")
+    assert abs(est_max.p_hat - exact.p_max) <= 4.0 * est_max.stderr
+    assert abs(est_sum.p_hat - exact.p_sum) <= 4.0 * est_sum.stderr
+
+
+@pytest.mark.parametrize("x", [1.5, 2.5])
+def test_switched_tilt_on_a_twopoint_schedule_matches_enumeration(x):
+    # per-step tilts theta * s_j, thresholds that change every step, and the
+    # prefix sums of log E exp(theta s_j X) in the weights
+    scales = np.random.default_rng(7).uniform(0.5, 2.0, 14)
+    seq = SequenceSpec(TwoPoint(2.0, 1.0), 14, scales=scales)
+    exact = enumerate_exact(seq, x)
+    est_max, est_sum = simulate(seq, x, 200_000, seed=53, method="tilted")
+    assert abs(est_max.p_hat - exact.p_max) <= 4.0 * est_max.stderr
+    assert abs(est_sum.p_hat - exact.p_sum) <= 4.0 * est_sum.stderr
+
+
+@pytest.mark.parametrize("dist", [TwoPoint(1e-160, 1.0), TwoPoint(1.0, 1e-160)],
+                         ids=["p_plus_rounds_to_1", "p_plus_near_0"])
+@pytest.mark.parametrize("x", [0.0, 1.0])
+@pytest.mark.parametrize("method", ["naive", "tilted"])
+def test_threshold_ends_match_enumeration(dist, x, method):
+    # a step far below the rounding of a + b still moves S_k, and the
+    # thresholds of masses 1 and 1e-160 neither overflow a word nor warn
+    seq = SequenceSpec(dist, 5)
+    exact = enumerate_exact(seq, x)
+    est_max, est_sum = simulate(seq, x, 2000, seed=54, method=method)
+    assert est_max.p_hat == pytest.approx(exact.p_max, abs=1e-12)
+    assert est_sum.p_hat == pytest.approx(exact.p_sum, abs=1e-12)
