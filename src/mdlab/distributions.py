@@ -14,12 +14,11 @@ module provides three services the rest of the package is built on:
   :class:`~mdlab.errors.TiltUnsupportedError`.
 
 Rademacher is the ``a = b`` case of the two-point law on ``{a, -b}``. A
-two-point step, tilted or not, is one raw 64-bit Philox word compared
-against :meth:`~_TwoPointLaw.up_threshold`, so naive sampling is the
-``theta = 0`` case of the tilted draw. ``STREAM_VERSION`` names the
-layout of the Monte Carlo stream these draws and :mod:`mdlab.mc` define
-together; version 2 is this raw-word draw with the switched tilt of
-:mod:`mdlab.mc`.
+tilted two-point step is one raw 64-bit Philox word, which draws ``+a``
+when it is below :meth:`~_TwoPointLaw.up_threshold` (see
+:meth:`~_TwoPointLaw.up_draws`). ``STREAM_VERSION`` names the layout of
+the Monte Carlo stream these draws and :mod:`mdlab.mc` define together;
+version 2 is this raw-word draw with the switched tilt of :mod:`mdlab.mc`.
 
 Families and their config literals (all keys optional except ``family``):
 
@@ -125,7 +124,10 @@ class Distribution:
     def tilted_mean(self, theta: float) -> float:
         raise self._tilt_unsupported()
 
-    def tilted_sample(self, theta, rng: np.random.Generator, size=None):
+    def tilted_sample(self, theta: float, rng: np.random.Generator, size=None, where=None):
+        """Draws of the law tilted by ``theta``. With ``where``, a boolean
+        array of the draws' shape, only the draws where it is True take the
+        tilt; the others are untilted draws from the same random words."""
         raise self._tilt_unsupported()
 
     # -- misc ----------------------------------------------------------
@@ -191,9 +193,17 @@ class _TwoPointLaw(Distribution):
             return round(math.ldexp(wa / (wa + wb), 64))
         return min(_WORDS - round(math.ldexp(wb / (wa + wb), 64)), _WORDS - 1)
 
-    def tilted_sample(self, theta, rng, size=None):
-        words = rng.bit_generator.random_raw(size)
-        return np.where(words < np.uint64(self.up_threshold(theta)), self.a, -self.b)[()]
+    def up_draws(self, rng, threshold, size=None):
+        """Whether each step draws ``+a``: a raw 64-bit word of ``rng``'s
+        stream below ``threshold``, a ``uint64`` or an array of them from
+        :meth:`up_threshold`, one per draw."""
+        return rng.bit_generator.random_raw(size) < threshold
+
+    def tilted_sample(self, theta, rng, size=None, where=None):
+        threshold = np.uint64(self.up_threshold(theta))
+        if where is not None:
+            threshold = np.where(where, threshold, np.uint64(self.up_threshold(0.0)))
+        return np.where(self.up_draws(rng, threshold, size), self.a, -self.b)[()]
 
     def finite_support(self):
         return (np.array([self.a, -self.b]), np.array([self.p_plus, 1.0 - self.p_plus]))
@@ -212,8 +222,11 @@ class Rademacher(_TwoPointLaw):
 
     a = b = property(lambda self: self.scale)  # read-only, not config fields
 
-    # these two fix the bytes of the tilt solve; the rest is the two-point
-    # arithmetic, exact at a = b while c^p is normal
+    # these three fix the bytes of the naive stream and of the tilt solve; the
+    # rest is the two-point arithmetic, exact at a = b while c^p is normal
+    def sample(self, rng, size=None):
+        return self.scale * (2.0 * rng.integers(0, 2, size=size) - 1.0)
+
     def log_mgf(self, theta: float) -> float:
         # log cosh, overflow-safe
         z = abs(theta * self.scale)
@@ -282,16 +295,15 @@ class Uniform(Distribution):
             lang = 1.0 / math.tanh(z) - 1.0 / z
         return self.half_width * lang
 
-    def tilted_sample(self, theta, rng, size=None):
-        """One draw per tilt: ``theta`` is a number or an array of per-draw
-        tilts of the draws' shape, and a tilt of 0 draws ``-a + 2a u``."""
+    def tilted_sample(self, theta, rng, size=None, where=None):
         a = self.half_width
+        if theta == 0.0:
+            return rng.uniform(-a, a, size=size)
         u = rng.random(size)
-        theta = np.asarray(theta, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 at theta = 0, replaced below
-            # inverse CDF of the tilted density, of either sign of theta, stable for small theta*a
-            shifted = np.asarray(np.log1p(u * np.expm1(2.0 * theta * a)) / theta)
-        np.copyto(shifted, 2.0 * a * u, where=theta == 0.0)
+        # inverse CDF of the tilted density, of either sign of theta, stable for small theta*a
+        shifted = np.log1p(u * math.expm1(2.0 * theta * a)) / theta
+        if where is not None:
+            shifted = np.where(where, shifted, 2.0 * a * u)  # the untilted -a + 2a u
         return -a + shifted
 
 

@@ -22,13 +22,14 @@ estimators stay unbiased, since ``tau`` is a stopping time, and a path
 that crosses the barrier and ends below it no longer carries the large
 weight that a tilt kept on to the end would give it.
 
-Two kernels draw the paths. Rademacher and TwoPoint steps are raw Philox
-words compared against an unsigned 64-bit threshold per path (the tilted
-one before ``tau``, the untilted one after it), with ``S_k`` and ``V_n^2``
-formed from up-counts; the other laws draw float columns through
-``sample``, or ``tilted_sample`` with a per-path tilt that is 0 after
-``tau``. ``STREAM_VERSION`` is part of every estimate's ``quantity``, so
-estimates from different stream layouts do not merge.
+Two kernels draw the paths. Tilted Rademacher and TwoPoint steps are raw
+Philox words compared against an unsigned 64-bit threshold per path (the
+tilted one before ``tau``, the untilted one after it), with ``S_k`` and
+``V_n^2`` formed from up-counts. Every other run draws float columns
+through ``sample``, or through ``tilted_sample`` with the tilt applied
+only to the paths still under it. ``STREAM_VERSION`` is part of every
+estimate's ``quantity``, so estimates from different stream layouts do
+not merge.
 """
 
 from __future__ import annotations
@@ -250,11 +251,12 @@ class _Passage:
         return self.log_weight
 
 
-def _two_point_paths(seq: SequenceSpec, rng, n_paths: int, tilt: Optional[_SwitchedTilt]):
-    """(max_k S_k, S_n, V_n^2, log-weights) of two-point paths.
+def _two_point_paths(seq: SequenceSpec, rng, n_paths: int, tilt: _SwitchedTilt):
+    """(max_k S_k, S_n, V_n^2, log-weights) of tilted two-point paths.
 
-    Step ``j`` is ``+a s_j`` when its raw word is below the path's
-    threshold, else ``-b s_j``. With ``W_k = sum_{j<=k} s_j 1{up}`` and
+    Step ``j`` is ``+a s_j`` when :meth:`~mdlab.distributions._TwoPointLaw.up_draws`
+    says so for the path's threshold: the tilted one before ``tau``, the
+    untilted one after it. With ``W_k = sum_{j<=k} s_j 1{up}`` and
     ``P_k = sum_{j<=k} s_j``, the level ``W_k - b P_k / (a + b)`` is
     ``S_k / (a + b)``, and ``V_n^2 = a^2 Q + b^2 (sum_j s_j^2 - Q)`` with
     ``Q`` the up-count weighted by ``s_j^2``. On iid steps ``W`` and ``Q``
@@ -268,21 +270,18 @@ def _two_point_paths(seq: SequenceSpec, rng, n_paths: int, tilt: Optional[_Switc
     # a + b: W - (b / span) P when a >= b, else (W - P) + (a / span) P
     offset = None if a >= b else prefix
     drift = -(b / span) * prefix if a >= b else (a / span) * prefix
-    bits = rng.bit_generator
     count = np.zeros(n_paths)
     sq_count = count if seq.is_iid else np.zeros(n_paths)
-    level, up = np.empty(n_paths), np.empty(n_paths, dtype=bool)
+    level = np.empty(n_paths)
     peak = np.full(n_paths, -np.inf)
+    passage = _Passage(tilt, n_paths, span)
     untilted = np.uint64(dist.up_threshold(0.0))
-    threshold = untilted
-    if tilt is not None:
-        passage = _Passage(tilt, n_paths, span)
-        tilted = [np.uint64(dist.up_threshold(t)) for t in tilt.steps.tolist()]
-        threshold = np.full(n_paths, tilted[0])
+    tilted = [np.uint64(dist.up_threshold(t)) for t in tilt.steps.tolist()]
+    threshold = np.full(n_paths, tilted[0])
     for k, s in enumerate(scales.tolist()):
-        if tilt is not None and k and tilted[k] != tilted[k - 1]:
+        if k and tilted[k] != tilted[k - 1]:
             np.copyto(threshold, tilted[k], where=passage.active)
-        np.less(bits.random_raw(n_paths), threshold, out=up)
+        up = dist.up_draws(rng, threshold, n_paths)
         if seq.is_iid:
             count += up
         else:
@@ -294,16 +293,14 @@ def _two_point_paths(seq: SequenceSpec, rng, n_paths: int, tilt: Optional[_Switc
             np.subtract(count, offset[k], out=level)
             level += drift[k]
         np.maximum(peak, level, out=peak)
-        if tilt is not None:
-            threshold[passage.update(k, level)] = untilted
+        threshold[passage.update(k, level)] = untilted
     sq_norm = a * a * sq_count + b * b * (float(np.sum(scales * scales)) - sq_count)
-    log_weight = None if tilt is None else passage.finish(level)
-    return span * peak, span * level, sq_norm, log_weight
+    return span * peak, span * level, sq_norm, passage.finish(level)
 
 
 def _float_paths(seq: SequenceSpec, rng, n_paths: int, tilt: Optional[_SwitchedTilt]):
     """(max_k S_k, S_n, V_n^2, log-weights) of paths drawn as float columns;
-    a tilted column takes the per-path tilt ``theta s_j``, 0 once off."""
+    a tilted column takes the tilt ``theta s_j`` on the paths still under it."""
     dist = seq.dist
     running = np.zeros(n_paths)
     sq_norm = np.zeros(n_paths)
@@ -313,7 +310,7 @@ def _float_paths(seq: SequenceSpec, rng, n_paths: int, tilt: Optional[_SwitchedT
         if passage is None:
             col = dist.sample(rng, n_paths)
         else:
-            col = dist.tilted_sample(tilt.steps[k] * passage.active, rng, n_paths)
+            col = dist.tilted_sample(tilt.steps[k], rng, n_paths, passage.active)
         col = s * np.asarray(col, dtype=float)
         running += col
         sq_norm += col * col
@@ -335,7 +332,8 @@ def _run_chunk(
     # a list holding an int >= 2^63 would become float64 and lose the low bits
     key = np.array([seed, chunk_index], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
-    paths = _two_point_paths if isinstance(seq.dist, _TwoPointLaw) else _float_paths
+    two_point = tilt is not None and isinstance(seq.dist, _TwoPointLaw)
+    paths = _two_point_paths if two_point else _float_paths
     peak, total, sq_norm, log_weight = paths(seq, rng, n_paths, tilt)
     with np.errstate(over="ignore"):  # a huge x gives an inf barrier: no hit
         cut = _tie_cut(x * np.sqrt(sq_norm), unit)

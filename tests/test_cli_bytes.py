@@ -83,7 +83,7 @@ DIGESTS = {
     "enumerate_twopoint": "cd28c6f148597a81548cbacd4025f095cca53372887c3aa136a1017903532fd7",
     "enumerate_skewed": "45f24e0e4e0185689e619c9f24cb457e553a6d96c119be16115cfdd1ab6b99cf",
     "enumerate_rademacher_x0": "5c94929fc8133dd27dadfe41f121fb367eb79a2869b45d3d04811e8f8fe34e5a",
-    "simulate_rademacher_naive": "bcb1a3a1791567f47234b0eb3bbf6d93a8e869c1a9ea3e751f96c29fefe8ad22",
+    "simulate_rademacher_naive": "d143805ce1bf2e3c3911732bbdbaa261df410c07adf620706696bdbc7a8b4b95",
     "simulate_rademacher_tilted": "ec08e49984b714654b828a276167d3ebda786f57771a1fac737335f7879d0be2",
     "simulate_rademacher_scaled_tilted": "51ed8abf87d3bbed170671df9d520d7fa4cc55b9bd66f4f9f5eaba164da94e61",
     "simulate_twopoint_naive": "70f18cdc54a12e3ae3f19b0146a9f0da103d713adddc0592df014db0ecae8758",
@@ -99,8 +99,8 @@ DIGESTS = {
     "sweep_uniform_mc_fallback.csv": "5690ddc6d3818e34d7584ad425379f7d104707603737bec96408343a75d5ccb7",
     "sweep_rademacher_mc_tilted": "f1ed048ee3fb69512925cd1799c6a6ea167ad79fb6ba0624ffc9af0ccf274fea",
     "sweep_rademacher_mc_tilted.csv": "19386bb8ce48d83e9dde903115d75770a10aca0c54caeca2b9e9a5e04daef2c9",
-    "sweep_rademacher_mc_naive": "beaac9125e6b417216c6a7f1a06e4a1095e3ac303632935784dca3d88d8b58f6",
-    "sweep_rademacher_mc_naive.csv": "6edf5b943abd908d96ac55df4490a17ce3b463e5523b9ae6aa9613fc5b8bc1f0",
+    "sweep_rademacher_mc_naive": "d478ad0eafbb33e9278a5468ed7c5bb2f42ccac9fe54afae8bcdbf05de5d6475",
+    "sweep_rademacher_mc_naive.csv": "6dd0b12b076f646706090b7e8e20fe4f9440c59ba1fa2cb3813b3b9cc9b94c92",
 }
 
 

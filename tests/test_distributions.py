@@ -379,8 +379,6 @@ def test_rademacher_is_the_symmetric_two_point_law(c):
     for got, want in zip(rad.finite_support(), two.finite_support()):
         assert np.array_equal(got, want)
     assert rad.support_max() == two.support_max() == c
-    assert np.array_equal(rad.sample(np.random.default_rng(8), 1000),
-                          two.sample(np.random.default_rng(8), 1000))
     for theta in (0.3, 2.0):
         assert np.array_equal(rad.tilted_sample(theta, np.random.default_rng(8), 1000),
                               two.tilted_sample(theta, np.random.default_rng(8), 1000))
@@ -419,17 +417,30 @@ def test_threshold_ends_fit_a_word_and_draw_in_the_support(dist, threshold):
     assert set(np.unique(dist.sample(np.random.default_rng(6), 10_000))) <= {dist.a, -dist.b}
 
 
-def test_uniform_tilted_draw_takes_a_tilt_per_draw():
-    # each draw follows its own tilt, from the same uniforms; a tilt of 0 is -a + 2a u
-    dist, size = Uniform(1.5), 1000
-    thetas = np.where(np.arange(size) % 3 == 0, 0.0, 0.8)
-    thetas[1::3] = -0.4
-    got = dist.tilted_sample(thetas, np.random.default_rng(12), size)
-    for theta in (0.0, 0.8, -0.4):
-        want = dist.tilted_sample(theta, np.random.default_rng(12), size)
-        assert np.array_equal(got[thetas == theta], want[thetas == theta])
-    u = np.random.default_rng(12).random(size)
-    assert np.array_equal(got[thetas == 0.0], (-1.5 + 3.0 * u)[thetas == 0.0])
+def test_two_point_draws_are_raw_words_below_the_threshold():
+    # one rule serves every two-point draw: a word below T is +a
+    dist = TwoPoint(2.0, 1.0)
+    words = np.random.default_rng(4).bit_generator.random_raw(100)
+    for theta in (0.0, 0.7):
+        threshold = np.uint64(dist.up_threshold(theta))
+        assert np.array_equal(dist.up_draws(np.random.default_rng(4), threshold, 100),
+                              words < threshold)
+        assert np.array_equal(dist.tilted_sample(theta, np.random.default_rng(4), 100),
+                              np.where(words < threshold, 2.0, -1.0))
+
+
+@pytest.mark.parametrize("dist", [Uniform(1.5), TwoPoint(2.0, 1.0), Rademacher(0.3)],
+                         ids=["uniform", "twopoint", "rademacher"])
+def test_tilted_draw_takes_the_tilt_only_where_asked(dist):
+    # the draws off the mask are untilted draws from the same random words
+    size, theta = 1000, 0.8
+    where = np.arange(size) % 3 != 0
+    got = dist.tilted_sample(theta, np.random.default_rng(12), size, where)
+    tilted = dist.tilted_sample(theta, np.random.default_rng(12), size)
+    untilted = dist.tilted_sample(0.0, np.random.default_rng(12), size)
+    assert np.array_equal(got[where], tilted[where])
+    assert np.array_equal(got[~where], untilted[~where])
+    assert not np.array_equal(tilted, untilted)
 
 
 @pytest.mark.parametrize("dist", [CenteredExponential(1.0), StudentT(5.0)])

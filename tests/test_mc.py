@@ -92,8 +92,8 @@ def test_worker_count_does_not_change_bits():
           "0x1.1301f1b1a0b0fp-6", "0x1.05a730680708fp-13"]),
         (SequenceSpec(Uniform(1.0), 50, scales=np.random.default_rng(123).uniform(0.8, 1.25, 50)),
          1.5, 31, "0x1.70c5510128c10p-2",
-         ["0x1.dd7853d82e444p-4", "0x1.e9a50b3a7b172p-12",
-          "0x1.13ab2c411f5b0p-4", "0x1.8a51895dc3049p-12"]),
+         ["0x1.dd7853d82e442p-4", "0x1.e9a50b3a7b173p-12",
+          "0x1.13ab2c411f5b0p-4", "0x1.8a51895dc3048p-12"]),
     ],
     ids=["twopoint_iid", "uniform_schedule"],
 )
