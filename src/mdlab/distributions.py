@@ -299,12 +299,18 @@ class Uniform(Distribution):
         a = self.half_width
         if theta == 0.0:
             return rng.uniform(-a, a, size=size)
-        u = rng.random(size)
-        # inverse CDF of the tilted density, of either sign of theta, stable for small theta*a
-        shifted = np.log1p(u * math.expm1(2.0 * theta * a)) / theta
+        u = rng.random(1 if size is None else size)
+        # inverse CDF of the tilted density, of either sign of theta, stable for small
+        # theta*a; worked in place, as a fresh array per pass costs as much as the pass
+        shifted = u * math.expm1(2.0 * theta * a)
+        np.log1p(shifted, out=shifted)
+        shifted /= theta
         if where is not None:
-            shifted = np.where(where, shifted, 2.0 * a * u)  # the untilted -a + 2a u
-        return -a + shifted
+            u *= 2.0 * a  # the untilted draw, -a + 2a u
+            np.copyto(u, shifted, where=where)
+            shifted = u
+        shifted -= a
+        return shifted[0] if size is None else shifted
 
 
 @dataclass(frozen=True)
