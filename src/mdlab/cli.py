@@ -26,10 +26,10 @@ import sys
 from dataclasses import asdict
 
 from .distributions import from_literal
-from .errors import ConfigError, MdlabError, check_finite
+from .errors import ConfigError, MdlabError, check_finite, read_json
 from .experiments import SweepConfig, convergence_report, run_sweep
 from .mc import DEFAULT_SEED, simulate
-from .oracle import enumerate_exact
+from .oracle import enumerate_exact, exact_method
 from .theory import SequenceSpec, compute_quantities
 
 __all__ = ["main", "build_parser"]
@@ -40,7 +40,7 @@ def _parse_dist(text: str):
     if text.startswith("{"):
         try:
             literal = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # ValueError: bad JSON
             raise ConfigError(f"bad distribution literal: {exc}") from exc
     else:
         literal = {"family": text}
@@ -50,14 +50,7 @@ def _parse_dist(text: str):
 def _load_scales(path):
     if path is None:
         return None
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read scales file {path}: {exc}") from exc
-    if not isinstance(data, list):
-        raise ConfigError("scales file must hold a JSON list of numbers")
-    return [check_finite("scales entry", v) for v in data]
+    return [check_finite("scales entry", v) for v in read_json(path, "scales file", list)]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_theory.add_argument("--scales", default=None, help="JSON list file of per-index scales")
 
     sub.add_parser(
-        "enumerate", parents=[instance], help="exact enumeration of both tail events"
+        "enumerate", parents=[instance], help="exact probabilities of both tail events"
     )
     p_sim = sub.add_parser(
         "simulate", parents=[instance], help="Monte Carlo estimate of both tail events"
@@ -103,8 +96,9 @@ def _cmd_theory(args) -> dict:
 
 
 def _cmd_enumerate(args) -> dict:
-    dist = _parse_dist(args.dist)
-    return asdict(enumerate_exact(SequenceSpec(dist, args.n), args.x))
+    seq = SequenceSpec(_parse_dist(args.dist), args.n)
+    engine = exact_method(seq) or (lambda x: enumerate_exact(seq, x))
+    return asdict(engine(args.x))
 
 
 def _cmd_simulate(args) -> dict:

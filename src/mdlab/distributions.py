@@ -448,7 +448,7 @@ def from_literal(lit: dict) -> Distribution:
     if not isinstance(lit, dict) or "family" not in lit:
         raise ConfigError(f"distribution literal needs a 'family' key: {lit!r}")
     family = lit["family"]
-    if family not in _FAMILIES:
+    if not isinstance(family, str) or family not in _FAMILIES:
         raise ConfigError(
             f"unknown family {family!r}; known: {sorted(_FAMILIES)}"
         )

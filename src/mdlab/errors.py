@@ -1,5 +1,6 @@
-"""Exception hierarchy shared across the package, and the finite-number
-check every entry point applies to its numeric inputs.
+"""Exception hierarchy shared across the package, the finite-number check
+every entry point applies to its numeric inputs, and the reader of the
+JSON files they take.
 
 The classes map onto CLI exit codes: :class:`ConfigError` means the caller
 asked for something malformed (exit 2), the remaining classes mean a
@@ -7,6 +8,7 @@ well-formed request that is numerically infeasible for the given inputs
 (exit 3).
 """
 
+import json
 import math
 
 
@@ -46,3 +48,17 @@ def check_finite(name: str, value, lower: float = -math.inf) -> float:
         need = "a finite number" if lower == -math.inf else f"finite and >= {lower:g}"
         raise ConfigError(f"{name} must be {need}, got {value!r}")
     return float(value)
+
+
+def read_json(path: str, what: str, kind: type):
+    """The JSON document in the UTF-8 file at ``path``, which must be a
+    ``kind`` (``dict`` or ``list``); :class:`ConfigError` if the file cannot
+    be read or parsed or holds another type. ``what`` names the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: not UTF-8, or bad JSON
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    if not isinstance(data, kind):
+        raise ConfigError(f"{what} {path} must hold a JSON {'object' if kind is dict else 'list'}")
+    return data

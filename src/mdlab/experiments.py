@@ -31,10 +31,11 @@ from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 from . import __version__
-from .distributions import STREAM_VERSION, Distribution, Rademacher, TwoPoint, from_literal
-from .errors import BudgetExceededError, ConfigError, InfeasibleError, check_finite
+from .distributions import STREAM_VERSION, Distribution, from_literal
+from .errors import BudgetExceededError, ConfigError, InfeasibleError, check_finite, read_json
 from .mc import DEFAULT_SEED, _check_seed, choose_tilt, simulate
-from .oracle import lattice_dp_max, twopoint_dp, twopoint_dp_fits
+from .oracle import exact_method
+from .oracle import lattice_dp_max  # noqa: F401  (the benchmark tracer asserts this alias)
 from .theory import (SequenceSpec, _dnr, check_parameters, compute_quantities, error_envelope,
                      normal_tail)
 
@@ -121,6 +122,8 @@ class SweepConfig:
             raise ConfigError(f"mc_method must be 'naive' or 'tilted', got {self.mc_method!r}")
         if self.mc_samples < 1000:
             raise ConfigError(f"mc_samples must be >= 1000, got {self.mc_samples}")
+        if not os.path.basename(self.output):
+            raise ConfigError(f"output must name a file, got {self.output!r}")
         # every value a row uses is checked, and the parts of every row that
         # can fail are evaluated, here: before any file is written
         check_parameters(self.r, self.delta, self.a0_constant)
@@ -136,10 +139,11 @@ class SweepConfig:
             if normal_tail(check_finite("x", x, 0.0)) < sys.float_info.min:
                 raise InfeasibleError(f"1 - Phi({x}) is below the normal double range")
             _theory_fields(dist, n, x, self)
-            if _oracle(self, dist, n) is None:
+            seq = SequenceSpec(dist, n)
+            if _oracle(self, seq) is None:
                 _check_seed(self.seed + idx, f"the seed of Monte Carlo row {idx} (seed + {idx})")
                 if self.mc_method == "tilted":
-                    choose_tilt(SequenceSpec(dist, n), x)
+                    choose_tilt(seq, x)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SweepConfig":
@@ -155,12 +159,7 @@ class SweepConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "SweepConfig":
-        try:
-            with open(path) as fh:
-                raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        return cls.from_dict(raw)
+        return cls.from_dict(read_json(path, "config", dict))
 
     def distribution(self) -> Distribution:
         return from_literal(self.dist)
@@ -263,18 +262,15 @@ def _theory_fields(dist: Distribution, n: int, x: float, cfg: SweepConfig):
     return q.delta_nx, q.dnr, q.n0, q.epsilon
 
 
-def _oracle(cfg: SweepConfig, dist: Distribution, n: int):
-    """The exact method ``x -> ExactResult`` of the rows at ``n``, or None
+def _oracle(cfg: SweepConfig, seq: SequenceSpec):
+    """The exact method ``x -> ExactResult`` of the rows of ``seq``, or None
     when they run Monte Carlo."""
     if cfg.engine == "mc":
         return None
-    if isinstance(dist, Rademacher):
-        return lambda x: lattice_dp_max(n, x)
-    if isinstance(dist, TwoPoint) and twopoint_dp_fits(n):
-        return lambda x: twopoint_dp(n, x, dist.a, dist.b)
-    if not cfg.mc_fallback:
-        raise BudgetExceededError(f"n={n} exceeds every oracle budget and mc_fallback is off")
-    return None
+    engine = exact_method(seq)
+    if engine is None and not cfg.mc_fallback:
+        raise BudgetExceededError(f"n={seq.n} exceeds every oracle budget and mc_fallback is off")
+    return engine
 
 
 def compute_row(cfg: SweepConfig, row_index: int, n: int, x: float) -> RatioRow:
@@ -284,18 +280,17 @@ def compute_row(cfg: SweepConfig, row_index: int, n: int, x: float) -> RatioRow:
     independent, resume-stable stream family.
     """
     dist = cfg.distribution()
+    seq = SequenceSpec(dist, n)
     row_seed = cfg.seed + row_index
     tail = normal_tail(x)
 
-    oracle = _oracle(cfg, dist, n)
+    oracle = _oracle(cfg, seq)
     if oracle is not None:
         res = oracle(x)
         p_max, p_sum, method, samples = res.p_max, res.p_sum, res.method, 0
         ci_low = ci_high = p_max / tail
     else:
-        est_max, est_sum = simulate(
-            SequenceSpec(dist, n), x, cfg.mc_samples, seed=row_seed, method=cfg.mc_method
-        )
+        est_max, est_sum = simulate(seq, x, cfg.mc_samples, seed=row_seed, method=cfg.mc_method)
         p_max, p_sum = est_max.p_hat, est_sum.p_hat
         method, samples = cfg.mc_method, cfg.mc_samples
         if cfg.mc_method == "naive":
@@ -325,8 +320,12 @@ def _read_completed(csv_path: str) -> list[str]:
     kill mid-write) is discarded."""
     if not os.path.exists(csv_path):
         return []
-    with open(csv_path, "r", newline="") as fh:
-        return fh.read().split("\n")[1:-1]  # drop the header and the partial tail
+    try:
+        with open(csv_path, "r", encoding="utf-8", newline="") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {csv_path}: {exc}") from exc
+    return text.split("\n")[1:-1]  # drop the header and the partial tail
 
 
 def _write_manifest(cfg: SweepConfig):
@@ -364,8 +363,7 @@ def run_sweep(
     jobs = cfg.jobs()
 
     if os.path.exists(cfg.manifest_path()):
-        with open(cfg.manifest_path()) as fh:
-            manifest = json.load(fh)
+        manifest = read_json(cfg.manifest_path(), "sweep manifest", dict)
         if manifest.get("config_hash") != cfg.config_hash():
             raise ConfigError(
                 f"{cfg.output} was produced by a different config; refusing "
@@ -398,8 +396,10 @@ def run_sweep(
             f"{cfg.output} exists without its manifest; refusing to overwrite it"
         )
     else:
-        outdir = os.path.dirname(os.path.abspath(cfg.output))
-        os.makedirs(outdir, exist_ok=True)
+        try:
+            os.makedirs(os.path.dirname(os.path.abspath(cfg.output)), exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot make the directory of {cfg.output}: {exc}") from exc
         _write_manifest(cfg)
         done_lines = []
 

@@ -1,6 +1,6 @@
 """Exact tail probabilities for the self-normalized walk.
 
-Three exact methods:
+Three exact methods; :func:`exact_method` routes a schedule to the last two:
 
 * :func:`enumerate_exact` sums path probabilities over every outcome of a
   finite-support schedule (budget ``support^n <= 2^24``), handling
@@ -30,12 +30,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
+from .distributions import Rademacher, TwoPoint
 from .errors import BudgetExceededError, ConfigError, check_finite
 from .theory import SequenceSpec, _tie_cut, _tie_unit
 
 __all__ = [
     "ExactResult",
     "enumerate_exact",
+    "exact_method",
     "lattice_dp_max",
     "twopoint_dp",
     "twopoint_dp_fits",
@@ -92,11 +94,7 @@ def enumerate_exact(seq: SequenceSpec, x: float) -> ExactResult:
     values, probs = support
     s = len(values)
     if s ** min(seq.n, 64) > ENUMERATION_BUDGET:  # s >= 2, and no n-bit integer is built
-        raise BudgetExceededError(
-            f"{s}^{seq.n} outcomes exceed the {ENUMERATION_BUDGET} budget; the exact sweep "
-            "rows are the Rademacher closed form (lattice_dp_max, any n) and the TwoPoint "
-            "DP (twopoint_dp, n <= 255), otherwise use Monte Carlo"
-        )
+        raise BudgetExceededError(f"{s}^{seq.n} outcomes exceed the {ENUMERATION_BUDGET} budget")
     scales = seq.scale_array()
     split = min(seq.n, int(math.log(_ENUM_CHUNK, s) + 1e-9))
     pre_w, pre_sum, pre_max, pre_sq = _path_states(values, probs, scales[:split])
@@ -215,3 +213,14 @@ def twopoint_dp(n: int, x: float, a: float, b: float) -> ExactResult:
         x=x,
         method="lattice_dp",
     )
+
+
+def exact_method(seq: SequenceSpec):
+    """The engine ``x -> ExactResult`` short of enumeration: the closed form for
+    iid Rademacher steps, the DP for iid TwoPoint steps that fit, else None."""
+    dist, n = seq.dist, seq.n
+    if seq.is_iid and isinstance(dist, Rademacher):
+        return lambda x: lattice_dp_max(n, x)
+    if seq.is_iid and isinstance(dist, TwoPoint) and twopoint_dp_fits(n):
+        return lambda x: twopoint_dp(n, x, dist.a, dist.b)
+    return None

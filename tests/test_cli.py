@@ -8,13 +8,17 @@ import os
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import mdlab
 from mdlab.cli import main
-from mdlab.experiments import CSV_COLUMNS
+from mdlab.experiments import CSV_COLUMNS, SweepConfig, run_sweep
+from mdlab.oracle import lattice_dp_max
+
+_TWOPOINT = {"family": "twopoint", "a": 2.0, "b": 1.0}
 
 
 def run_cli(capsys, *argv):
@@ -72,7 +76,7 @@ def test_enumerate_payload(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload == {
-        "p_max": 0.375, "p_sum": 0.3125, "n": 4, "x": 1.0, "method": "enumeration"
+        "p_max": 0.375, "p_sum": 0.3125, "n": 4, "x": 1.0, "method": "lattice_dp"
     }
     assert list(payload) == ["p_max", "p_sum", "n", "x", "method"]
 
@@ -147,10 +151,16 @@ _PARAMS = {cls.family: [f.name for f in dataclasses.fields(cls)] for cls in (
 )}
 
 
+# family values that are not strings, hashable or not
+_NOT_A_NAME = st.one_of(st.lists(st.integers(), max_size=2),
+                        st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+                        st.integers(), st.floats(), st.none())
+
+
 @st.composite
 def cli_argv(draw):
     family = draw(st.sampled_from(sorted(_PARAMS)))
-    literal = {"family": family}
+    literal = {"family": family if draw(st.integers(0, 4)) else draw(_NOT_A_NAME)}
     for key in _PARAMS[family]:
         if draw(st.booleans()):
             literal[key] = draw(st.one_of(st.floats(), st.text(max_size=3), st.none(), st.booleans()))
@@ -193,6 +203,11 @@ _SCALED = ["theory", "--dist", "rademacher", "--n=2", "--x=1"]
 @example((_SCALED, [1e308, 1e308]))
 @example((["simulate", "--dist", '{"family": "uniform", "half_width": 1e150}', "--n=4",
            "--x=1e200", "--samples=1000"], None))
+@example((["theory", "--dist", '{"family": []}', "--n=4", "--x=1"], None))
+@example((["enumerate", "--dist", '{"family": {}}', "--n=4", "--x=1"], None))
+@example((["theory", "--dist", '{"a": ' * 5000, "--n=4", "--x=1"], None))
+@example((["theory", "--dist", '{"family": "rademacher", "scale": %s}' % ("1" * 5000), "--n=4",
+           "--x=1"], None))
 def test_fuzz_exit_codes_and_strict_json(case):
     argv, scales = case
     out, err = io.StringIO(), io.StringIO()
@@ -251,9 +266,34 @@ def test_unknown_family_exits_2(capsys):
 
 
 def test_budget_exceeded_exits_3(capsys):
-    code, _, err = run_cli(capsys, "enumerate", "--dist", "rademacher", "--n", "30", "--x", "1")
-    assert code == 3
+    code, out, err = run_cli(capsys, "enumerate", "--dist", json.dumps(_TWOPOINT), "--n", "256",
+                             "--x", "1")
+    assert (code, out) == (3, "")
     assert "budget" in err
+
+
+def test_enumerate_answers_rademacher_past_the_enumeration_budget(capsys):
+    code, out, _ = run_cli(capsys, "enumerate", "--dist", "rademacher", "--n", "30", "--x", "1")
+    assert code == 0
+    assert json.loads(out) == dataclasses.asdict(lattice_dp_max(30, 1.0))
+
+
+def test_enumerate_twopoint_is_bit_equal_to_the_sweep_row(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "enumerate", "--dist", json.dumps(_TWOPOINT), "--n", "255",
+                           "--x", "1")
+    assert code == 0
+    cfg = SweepConfig.from_dict({"dist": _TWOPOINT, "n_grid": [255], "x_values": [1.0],
+                                 "output": str(tmp_path / "s.csv")})
+    (row,) = run_sweep(cfg)
+    payload = json.loads(out)
+    assert (payload["p_max"], payload["p_sum"]) == (row.p_max, row.p_sum)
+    assert payload["method"] == row.method == "lattice_dp"
+
+
+def test_enumerate_without_finite_support_exits_2(capsys):
+    code, out, err = run_cli(capsys, "enumerate", "--dist", "uniform", "--n", "4", "--x", "1")
+    assert (code, out) == (2, "")
+    assert "finite support" in err
 
 
 def test_tilt_unsupported_exits_3(capsys):
@@ -329,6 +369,11 @@ _SWEEP = '{"dist": %s, "n_grid": %s, "x_values": %s, "output": "out/q.csv"%s}'
         (_SWEEP % ('{"family": "rademacher"}', "[4]", "[1.0]", ', "r": null'), 2),
         (_SWEEP % ('{"family": "rademacher"}', "[1.5]", "[1.0]", ""), 2),
         (_SWEEP % ('{"family": "rademacher", "scale": "x"}', "[4]", "[1.0]", ""), 2),
+        (_SWEEP % ('{"family": {}}', "[4]", "[1.0]", ""), 2),
+        ('[{"dist": {"family": "rademacher"}}]', 2),
+        ('{"dist": {"family": "rademacher"}, "n_grid": [4], "x_values": [1.0], "output": ""}', 2),
+        ('{"dist": {"family": "rademacher"}, "n_grid": [4], "x_values": [1.0], "output": "out/"}',
+         2),
         (_SWEEP % ('{"family": "rademacher"}', "[4]", "[NaN]", ""), 2),
         (_SWEEP % ('{"family": "rademacher"}', "[4]", "[1e400]", ""), 2),
         (_SWEEP % ('{"family": "rademacher"}', "[4]", "[41]", ""), 2),
@@ -356,6 +401,72 @@ def test_sweep_config_is_checked_before_any_file_is_written(tmp_path, monkeypatc
     assert os.listdir(tmp_path) == ["cfg.json"]
 
 
+def _files(root):
+    """{path under root: its bytes, or None for a directory}."""
+    return {str(p.relative_to(root)): None if p.is_dir() else p.read_bytes()
+            for p in Path(root).rglob("*")}
+
+
+def _config(output):
+    """Writes cfg.json, a two-row sweep to ``output``, in the current directory."""
+    Path("cfg.json").write_text(json.dumps({"dist": {"family": "rademacher"}, "n_grid": [4, 8],
+                                            "x_values": [1.0], "output": output}))
+
+
+def _swept(output):
+    _config(output)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["sweep", "--config", "cfg.json"]) == 0
+
+
+def _manifest_holds(data):
+    return lambda: (_swept("s.csv"), Path("s.csv.manifest.json").write_bytes(data))
+
+
+def _csv_not_utf8():
+    _swept("s.csv")
+    with open("s.csv", "ab") as fh:
+        fh.write(b"\xff\n")
+
+
+def _output_is_a_directory():
+    _swept("d")
+    os.remove("d")
+    os.mkdir("d")
+
+
+def _output_under_a_file():
+    Path("f").write_bytes(b"")
+    _config("f/s.csv")
+
+
+@pytest.mark.parametrize("setup", [
+    pytest.param(_manifest_holds(b"\xff"), id="manifest_not_utf8"),
+    pytest.param(_manifest_holds(b"garbage"), id="manifest_not_json"),
+    pytest.param(_manifest_holds(b"[1, 2]"), id="manifest_a_list"),
+    pytest.param(_csv_not_utf8, id="csv_not_utf8"),
+    pytest.param(_output_is_a_directory, id="output_a_directory"),
+    pytest.param(_output_under_a_file, id="output_under_a_file"),
+    pytest.param(lambda: Path("cfg.json").write_bytes(b"\xff"), id="config_not_utf8"),
+    pytest.param(lambda: Path("cfg.json").write_bytes(b"[" * 100_000), id="config_too_deep"),
+])
+def test_unreadable_sweep_files_exit_2_and_touch_nothing(tmp_path, monkeypatch, capsys, setup):
+    monkeypatch.chdir(tmp_path)
+    setup()
+    before = _files(tmp_path)
+    assert run_cli(capsys, "sweep", "--config", "cfg.json")[:2] == (2, "")
+    assert _files(tmp_path) == before
+
+
+@pytest.mark.parametrize("data", [b"\xff", b"garbage", b'{"a": 1}', b"[" * 100_000, b"1" * 5000],
+                         ids=["not_utf8", "not_json", "an_object", "too_deep", "too_many_digits"])
+def test_unreadable_scales_file_exits_2(tmp_path, capsys, data):
+    (tmp_path / "scales.json").write_bytes(data)
+    argv = ["theory", "--dist", "rademacher", "--n", "2", "--x", "1", "--scales",
+            str(tmp_path / "scales.json")]
+    assert run_cli(capsys, *argv)[:2] == (2, "")
+
+
 def test_module_invocation_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "mdlab", "enumerate", "--dist", "rademacher",
@@ -377,7 +488,6 @@ def test_cli_import_loads_neither_quadrature_nor_stats():
 
 # scipy.optimize and the packages that importing it pulls in
 _ROOT_FINDER_MODULES = ("scipy.optimize", "scipy.linalg", "scipy.sparse", "scipy.fft", "scipy.spatial")
-_TWOPOINT = {"family": "twopoint", "a": 2.0, "b": 1.0}
 _SCALES = [0.5, 1.0, 2.0, 1.5, 0.75, 3.0, 1.25, 0.9]
 
 

@@ -79,10 +79,10 @@ DIGESTS = {
     "theory_student_t": "7e313a39f624bdf60489458c48c71d99c5b7fd523a255ca399a17f87dd6e9f6c",
     "theory_scales": "e9adad34e88102a2cd23c2b036616267c972af02ff442056df1ca235c6153175",
     "theory_rademacher_scales": "b37f0b55283b062ab1e9f63680fa05512e7b39ecc956a0620e8c35e374f43ce8",
-    "enumerate_rademacher": "26ba4a7b26ce671c51de6d13dc0cb590e18c9fd855767cef145b9b0aa7e2b976",
-    "enumerate_twopoint": "cd28c6f148597a81548cbacd4025f095cca53372887c3aa136a1017903532fd7",
-    "enumerate_skewed": "45f24e0e4e0185689e619c9f24cb457e553a6d96c119be16115cfdd1ab6b99cf",
-    "enumerate_rademacher_x0": "5c94929fc8133dd27dadfe41f121fb367eb79a2869b45d3d04811e8f8fe34e5a",
+    "enumerate_rademacher": "b42207a8581ca283be3476ce481f4cd733707b46943455c2e5e3231fe307175d",
+    "enumerate_twopoint": "ec712e6b7f070cd7c853e8d11588d78cad187bc4bb21e0cf154d9906664d9f47",
+    "enumerate_skewed": "eb81992f3788520b63ffd26f4986ed596b472d38562fd0690ba4243d09f30349",
+    "enumerate_rademacher_x0": "8f59e1dd3f321fe427c85fa394c9934aff4b789b1d9113d0c97b35d136c4df9b",
     "simulate_rademacher_naive": "d143805ce1bf2e3c3911732bbdbaa261df410c07adf620706696bdbc7a8b4b95",
     "simulate_rademacher_tilted": "ec08e49984b714654b828a276167d3ebda786f57771a1fac737335f7879d0be2",
     "simulate_rademacher_scaled_tilted": "51ed8abf87d3bbed170671df9d520d7fa4cc55b9bd66f4f9f5eaba164da94e61",

@@ -482,6 +482,12 @@ def test_from_literal_rejects_values_that_are_not_finite_numbers(value):
         from_literal({"family": "twopoint", "a": 2.0, "b": value})
 
 
+@pytest.mark.parametrize("family", [[], ["rademacher"], {}, 1, 1.5, None, True])
+def test_from_literal_rejects_a_family_that_is_not_a_string(family):
+    with pytest.raises(ConfigError, match="unknown family"):
+        from_literal({"family": family})
+
+
 def test_from_literal_takes_numbers_as_floats():
     d = from_literal({"family": "twopoint", "a": 2, "b": 1})
     assert d == TwoPoint(2.0, 1.0) and isinstance(d.a, float)
