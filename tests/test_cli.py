@@ -175,6 +175,8 @@ def cli_argv(draw):
         n = len(scales) if isinstance(scales, list) else draw(st.integers(1, 10**24))
         argv.append(f"--n={n}")
         argv += [f"{flag}={draw(st.floats())!r}" for flag in ("--r", "--delta", "--a0-constant")]
+    elif command == "enumerate":  # past 24 steps only the closed form and the DP answer
+        argv.append(f"--n={draw(st.integers(1, 6) | st.integers(1, 10**400))}")
     else:
         argv.append(f"--n={draw(st.integers(1, 6))}")
     if command == "simulate":
@@ -205,6 +207,8 @@ _SCALED = ["theory", "--dist", "rademacher", "--n=2", "--x=1"]
            "--x=1e200", "--samples=1000"], None))
 @example((["theory", "--dist", '{"family": []}', "--n=4", "--x=1"], None))
 @example((["enumerate", "--dist", '{"family": {}}', "--n=4", "--x=1"], None))
+@example((["enumerate", "--dist", "rademacher", f"--n={10**23}", "--x=1"], None))
+@example((["enumerate", "--dist", "rademacher", f"--n={10**400}", "--x=1"], None))
 @example((["theory", "--dist", '{"a": ' * 5000, "--n=4", "--x=1"], None))
 @example((["theory", "--dist", '{"family": "rademacher", "scale": %s}' % ("1" * 5000), "--n=4",
            "--x=1"], None))
@@ -276,6 +280,14 @@ def test_enumerate_answers_rademacher_past_the_enumeration_budget(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--dist", "rademacher", "--n", "30", "--x", "1")
     assert code == 0
     assert json.loads(out) == dataclasses.asdict(lattice_dp_max(30, 1.0))
+
+
+@pytest.mark.parametrize("n", [2**30 + 1, 10**23, 10**400])
+def test_enumerate_rademacher_past_the_closed_form_range_exits_3(capsys, n):
+    # the closed form loses digits past 2^30 and reads 0.0 from about 1e23
+    code, out, err = run_cli(capsys, "enumerate", "--dist", "rademacher", "--n", str(n), "--x", "1")
+    assert (code, out) == (3, "")
+    assert "budget" in err
 
 
 def test_enumerate_twopoint_is_bit_equal_to_the_sweep_row(tmp_path, capsys):

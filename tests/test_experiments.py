@@ -299,9 +299,9 @@ def test_oracle_twopoint_far_apart_steps(tmp_path):
 
 def test_oracle_rademacher_exact_at_any_n(tmp_path):
     cfg = oracle_cfg(
-        tmp_path, name="big.csv", n_grid=[100_001, 10**6], x_values=[1.5], mc_fallback=False,
+        tmp_path, name="big.csv", n_grid=[100_001, 10**6, 2**30], x_values=[1.5], mc_fallback=False,
     )
-    for row, n in zip(run_sweep(cfg), (100_001, 10**6)):
+    for row, n in zip(run_sweep(cfg), (100_001, 10**6, 2**30)):
         assert row.method == "lattice_dp"
         assert row.samples == 0
         assert row.p_max == lattice_dp_max(n, 1.5).p_max
@@ -325,6 +325,8 @@ def test_oracle_budget_error_without_fallback(tmp_path):
             tmp_path, name="nf.csv", dist={"family": "uniform", "half_width": 1.0},
             n_grid=[16], x_values=[1.0], mc_fallback=False,
         ))
+    with pytest.raises(BudgetExceededError):  # past the closed form's range
+        run_sweep(oracle_cfg(tmp_path, n_grid=[2**30, 2**30 + 1], mc_fallback=False))
     assert os.listdir(tmp_path) == []
 
 

@@ -1,6 +1,7 @@
 """Exact oracles: enumeration vs the Rademacher closed form vs the TwoPoint
 DP vs independent references (itertools enumeration, the absorbing-barrier
-DP, exact binomial sums, scipy.stats.binom, TwoPoint path counting)."""
+DP, exact binomial sums, scipy.stats.binom, a 40-digit mpmath sum, TwoPoint
+path counting)."""
 
 import itertools
 import math
@@ -8,6 +9,7 @@ import tracemalloc
 import warnings
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -241,6 +243,53 @@ def test_dp_sum_matches_binomial_tail(n, x):
     k_min = math.ceil((n + barrier) / 2.0)
     want = float(binom.sf(k_min - 1, n, 0.5))
     assert lattice_dp_max(n, x).p_sum == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+def _mp_walk_tail(n, t):
+    """P(S_n >= t) for the +-1 walk to about 40 digits, without scipy. The
+    Bin(n, 1/2) pmf is smooth on the scale sqrt(n), so its sum over j >= k is
+    its integral over the next 8 sqrt(n) plus three Euler-Maclaurin terms."""
+    k = -(-(n + t) // 2)
+    with mp.workdps(40):
+        c = mp.loggamma(n + 1) - n * mp.ln2
+        pmf = lambda j: mp.exp(c - mp.loggamma(j + 1) - mp.loggamma(n - j + 1))  # noqa: E731
+        ends = [k + i * math.isqrt(n) for i in range(9)]
+        total = mp.quad(pmf, ends) + (pmf(ends[0]) + pmf(ends[-1])) / 2
+        for p in (1, 3, 5):
+            total += mp.bernoulli(p + 1) / mp.factorial(p + 1) * (
+                mp.diff(pmf, ends[-1], p) - mp.diff(pmf, k, p))
+        return total
+
+
+def test_mp_reference_matches_exact_binomial_sums():
+    n = 2**16
+    row = [1]
+    for j in range(n):
+        row.append(row[-1] * (n - j) // (j + 1))
+    for t in (64, 256, 1280):
+        want = Fraction(sum(row[-(-(n + t) // 2):]), 2**n)
+        assert float(_mp_walk_tail(n, t)) == pytest.approx(float(want), rel=1e-15, abs=0.0), t
+
+
+@pytest.mark.parametrize("n", [2**20, 2**25, oracle.CLOSED_FORM_MAX_N])
+def test_closed_form_matches_the_mp_reference_up_to_its_range(n):
+    # scipy's incomplete beta drifts as n grows (3e-11 at 2^30, 6e-8 at
+    # 2^53, 0.0 at 1e23), so the closed form stops at CLOSED_FORM_MAX_N
+    for x in (0.25, 1.0, 3.0, 5.0):
+        b = math.ceil(x * math.sqrt(n) - 1e-9)
+        want_sum = _mp_walk_tail(n, b)
+        got = lattice_dp_max(n, x)
+        assert got.p_sum == pytest.approx(float(want_sum), rel=1e-10, abs=0.0), x
+        assert got.p_max == pytest.approx(float(want_sum + _mp_walk_tail(n, b + 1)), rel=1e-10,
+                                          abs=0.0), x
+
+
+@pytest.mark.parametrize("n", [oracle.CLOSED_FORM_MAX_N + 1, 10**23, 10**400])
+def test_closed_form_refuses_past_its_range(n):
+    with pytest.raises(BudgetExceededError):
+        lattice_dp_max(n, 1.0)
+    assert oracle.exact_method(SequenceSpec(Rademacher(1.0), n)) is None
+    assert oracle.exact_method(SequenceSpec(Rademacher(1.0), oracle.CLOSED_FORM_MAX_N)) is not None
 
 
 @pytest.mark.parametrize("n", [256, 4096, 16384])
