@@ -311,9 +311,11 @@ def _float_paths(seq: SequenceSpec, rng, n_paths: int, tilt: Optional[_SwitchedT
             col = dist.sample(rng, n_paths)
         else:
             col = dist.tilted_sample(tilt.steps[k], rng, n_paths, passage.active)
-        col = s * np.asarray(col, dtype=float)
+        # every sampler returns a fresh float column, so it is worked in place
+        col *= s
         running += col
-        sq_norm += col * col
+        col *= col
+        sq_norm += col
         np.maximum(peak, running, out=peak)
         if passage is not None:
             passage.update(k, running)
