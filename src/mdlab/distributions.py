@@ -14,11 +14,13 @@ module provides three services the rest of the package is built on:
   :class:`~mdlab.errors.TiltUnsupportedError`.
 
 Rademacher is the ``a = b`` case of the two-point law on ``{a, -b}``. A
-tilted two-point step is one raw 64-bit Philox word, which draws ``+a``
-when it is below :meth:`~_TwoPointLaw.up_threshold` (see
-:meth:`~_TwoPointLaw.up_draws`). ``STREAM_VERSION`` names the layout of
-the Monte Carlo stream these draws and :mod:`mdlab.mc` define together;
-version 2 is this raw-word draw with the switched tilt of :mod:`mdlab.mc`.
+tilted two-point step is one raw 64-bit word of the generator's bit
+stream, which draws ``+a`` when it is below
+:meth:`~_TwoPointLaw.up_threshold` (see :meth:`~_TwoPointLaw.up_draws`).
+``STREAM_VERSION`` names the layout of the Monte Carlo stream these draws
+and :mod:`mdlab.mc` define together; version 3 is this raw-word draw and
+the switched tilt of :mod:`mdlab.mc`, drawn from SFC64 bit generators
+(version 2 drew the same layout from counter-based generators).
 
 Families and their config literals (all keys optional except ``family``):
 
@@ -56,8 +58,8 @@ __all__ = [
 ]
 
 # the Monte Carlo stream layout; bump it whenever a fixed seed can give other bytes
-STREAM_VERSION = 2
-_WORDS = 1 << 64  # raw Philox words are uniform on [0, 2^64)
+STREAM_VERSION = 3
+_WORDS = 1 << 64  # the raw words of a 64-bit bit generator are uniform on [0, 2^64)
 
 
 def _levelwise(fn, levels) -> float | np.ndarray:

@@ -1,11 +1,12 @@
 """Reproducible Monte Carlo estimation of the max- and sum-event tails.
 
 Paths are generated in fixed-size chunks of ``CHUNK_SIZE`` (2^16), each
-chunk owning a counter-based Philox stream keyed by ``(seed, chunk
-index)`` and drawing one increment column per step. Because a chunk's
-content depends only on that key, estimates are byte-identical for a
-fixed seed no matter how many workers run the chunks, and a run may be
-split across processes by chunk index and merged back exactly.
+chunk owning an SFC64 stream seeded by ``SeedSequence(seed,
+spawn_key=(chunk index,))`` and drawing one increment column per step.
+Because a chunk's content depends only on ``(seed, chunk index)``,
+estimates are byte-identical for a fixed seed no matter how many workers
+run the chunks, and a run may be split across processes by chunk index
+and merged back exactly.
 
 Estimates carry their per-chunk sufficient statistics, so
 :func:`merge` is exact: records are re-sorted by (seed, chunk) and the
@@ -23,7 +24,7 @@ that crosses the barrier and ends below it no longer carries the large
 weight that a tilt kept on to the end would give it.
 
 Two kernels draw the paths. Tilted Rademacher and TwoPoint steps are raw
-Philox words compared against an unsigned 64-bit threshold per path (the
+64-bit words compared against an unsigned 64-bit threshold per path (the
 tilted one before ``tau``, the untilted one after it), with ``S_k`` and
 ``V_n^2`` formed from up-counts. Every other run draws float columns
 through ``sample``, or through ``tilted_sample`` with the tilt applied
@@ -69,7 +70,8 @@ ChunkRecord = tuple[int, int, int, float, float]
 
 
 def _check_seed(seed: int, name: str = "seed") -> None:
-    """The one seed rule: a Philox key word, an unsigned 64-bit integer."""
+    """The one seed rule, for seeds and chunk indices alike: an unsigned
+    64-bit integer, which enters its chunk's ``SeedSequence`` exactly."""
     if not 0 <= seed <= _MAX_UINT64:
         raise ConfigError(f"{name} must be an unsigned 64-bit integer, got {seed}")
 
@@ -331,9 +333,8 @@ def _run_chunk(
     tilt: Optional[_SwitchedTilt],
     unit: float,
 ) -> tuple[ChunkRecord, ChunkRecord]:
-    # a list holding an int >= 2^63 would become float64 and lose the low bits
-    key = np.array([seed, chunk_index], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
+    entropy = np.random.SeedSequence(seed, spawn_key=(chunk_index,))
+    rng = np.random.Generator(np.random.SFC64(entropy))
     two_point = tilt is not None and isinstance(seq.dist, _TwoPointLaw)
     paths = _two_point_paths if two_point else _float_paths
     peak, total, sq_norm, log_weight = paths(seq, rng, n_paths, tilt)

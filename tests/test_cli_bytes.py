@@ -83,24 +83,24 @@ DIGESTS = {
     "enumerate_twopoint": "ec712e6b7f070cd7c853e8d11588d78cad187bc4bb21e0cf154d9906664d9f47",
     "enumerate_skewed": "eb81992f3788520b63ffd26f4986ed596b472d38562fd0690ba4243d09f30349",
     "enumerate_rademacher_x0": "8f59e1dd3f321fe427c85fa394c9934aff4b789b1d9113d0c97b35d136c4df9b",
-    "simulate_rademacher_naive": "d143805ce1bf2e3c3911732bbdbaa261df410c07adf620706696bdbc7a8b4b95",
-    "simulate_rademacher_tilted": "ec08e49984b714654b828a276167d3ebda786f57771a1fac737335f7879d0be2",
-    "simulate_rademacher_scaled_tilted": "51ed8abf87d3bbed170671df9d520d7fa4cc55b9bd66f4f9f5eaba164da94e61",
-    "simulate_twopoint_naive": "70f18cdc54a12e3ae3f19b0146a9f0da103d713adddc0592df014db0ecae8758",
-    "simulate_twopoint_tilted": "a5b741854e45bf668ec376eae3da6b398fbfb763b5b0be90f1ab5118469d99ae",
-    "simulate_uniform_tilted": "4f5a78a89c68d1d897047389a8b23b57dd75cafc18068e9a6ff8d7dd7da450b8",
-    "simulate_exponential_naive": "947983763338abb63b3e6597d2fc3af43da83d01ed40578829f9607a1968fbc0",
-    "simulate_student_t_naive": "7671b9d231f11c286f2ca8c19897c30e0a1e9c904cdf91b2a13b1b0b485d8008",
+    "simulate_rademacher_naive": "5d9ec7b3e988abcabc241e359872aaa974d913c5136cd948d673efa35d09e19f",
+    "simulate_rademacher_tilted": "fba55d19d786a79dcc7f4ae3e42b16f7c54b67b65880f0fc1c2d278aa6aa2cdc",
+    "simulate_rademacher_scaled_tilted": "7c784780e379ebc3445a5ba723a352cfb363377dfd8f28700ff696675fd1ff18",
+    "simulate_twopoint_naive": "c61c9ea0aaa1b96fd7a50bcb6359e37628b013bfcbb575ae2ee0a75ccf75c85e",
+    "simulate_twopoint_tilted": "ec933bb0fae1579352ba15169e5498774a71acebacee65ab7d20360390048d7e",
+    "simulate_uniform_tilted": "2d733ba05837c248353ae16897cb380264f06712141c48ce60c1c4c3307b56bf",
+    "simulate_exponential_naive": "d94a968e958554b0358d1db08ecec9538a4c64744f1eac7f2e8db8ba61b95592",
+    "simulate_student_t_naive": "b5b193a311ba61996757bf20cc083967b97fd0f6f8133f37e7518ad3dd89fd64",
     "sweep_rademacher_lattice": "5c6ae1c102fb689cada1e687dd0cd55d1a30ac01bf9ef82194da73b153615265",
     "sweep_rademacher_lattice.csv": "37c4339b9fea8bfc04041f34c40ce748b44eb34a3009dedb6bc7ad4cd990e516",
     "sweep_twopoint_dp": "8b699aedea93f7bfab5bebe99260d3d59ec961dbda20abd0259114a774ed4d5e",
     "sweep_twopoint_dp.csv": "c69b97930b81653c732b81110a7ca1befecae297a625fee767534e29b72e038a",
-    "sweep_uniform_mc_fallback": "1feff3bd414ee34c569ae1622d4c10dd467e18c45e9f51dc851176599d064986",
-    "sweep_uniform_mc_fallback.csv": "5690ddc6d3818e34d7584ad425379f7d104707603737bec96408343a75d5ccb7",
-    "sweep_rademacher_mc_tilted": "f1ed048ee3fb69512925cd1799c6a6ea167ad79fb6ba0624ffc9af0ccf274fea",
-    "sweep_rademacher_mc_tilted.csv": "19386bb8ce48d83e9dde903115d75770a10aca0c54caeca2b9e9a5e04daef2c9",
-    "sweep_rademacher_mc_naive": "d478ad0eafbb33e9278a5468ed7c5bb2f42ccac9fe54afae8bcdbf05de5d6475",
-    "sweep_rademacher_mc_naive.csv": "6dd0b12b076f646706090b7e8e20fe4f9440c59ba1fa2cb3813b3b9cc9b94c92",
+    "sweep_uniform_mc_fallback": "79e91ce1454c40cc60ffb8b9a5db13131470f8818a7049e839d0651e240bea05",
+    "sweep_uniform_mc_fallback.csv": "eb10f9477a88b6c6d3950073dd30a434e4341d6b3a994f1dfe0b2b21699dac6e",
+    "sweep_rademacher_mc_tilted": "eb1cd6cb2aead7450dce7e99a3231040018d6c146c5af705444da85428de87e3",
+    "sweep_rademacher_mc_tilted.csv": "cb0564aa8f40a5b8f9cd32932b9f70273c11521589f7d5bd900502235762200a",
+    "sweep_rademacher_mc_naive": "62e81ccdaa051962d29a72cd01ad677d77cd3154819f1be6159c8c136d420ea6",
+    "sweep_rademacher_mc_naive.csv": "e8d32a8ba917489d9df8d0ebc68f1d1c2bff6f6c24d7d9dd179cec8f2792817d",
 }
 
 

@@ -88,12 +88,12 @@ def test_worker_count_does_not_change_bits():
     "seq, x, seed, theta, pins",
     [
         (SequenceSpec(TwoPoint(2.0, 1.0), 64), 2.0, 5, "0x1.5376ab4217185p-3",
-         ["0x1.edaf3a765d2c8p-6", "0x1.31e96d0ca10e2p-13",
-          "0x1.1301f1b1a0b0fp-6", "0x1.05a730680708fp-13"]),
+         ["0x1.edd53c70f2eccp-6", "0x1.319c14d1c6c49p-13",
+          "0x1.130b610cd568dp-6", "0x1.0552ebfe15a8bp-13"]),
         (SequenceSpec(Uniform(1.0), 50, scales=np.random.default_rng(123).uniform(0.8, 1.25, 50)),
          1.5, 31, "0x1.70c5510128c10p-2",
-         ["0x1.dd7853d82e442p-4", "0x1.e9a50b3a7b173p-12",
-          "0x1.13ab2c411f5b0p-4", "0x1.8a51895dc3048p-12"]),
+         ["0x1.deea296103912p-4", "0x1.fc13909e174cep-12",
+          "0x1.13deedd2c3d59p-4", "0x1.8a60a790b0917p-12"]),
     ],
     ids=["twopoint_iid", "uniform_schedule"],
 )
@@ -155,12 +155,13 @@ def test_merge_rejects_mismatches_and_duplicates():
 def test_merge_refuses_estimates_of_another_stream_version():
     seq = SequenceSpec(Rademacher(1.0), 16)
     est = simulate(seq, 1.0, 2000, seed=1)[0]
-    assert est.quantity[-1] == STREAM_VERSION == 2
-    # the same law, n, x and schedule drawn by the version-1 stream
-    older = dataclasses.replace(est, quantity=est.quantity[:-1] + (1,),
-                                records=tuple((2,) + r[1:] for r in est.records))
-    with pytest.raises(ConfigError, match="quantity"):
-        merge(est, older)
+    assert est.quantity[-1] == STREAM_VERSION == 3
+    # the same law, n, x and schedule drawn by the version-1 and -2 streams
+    for version in (1, 2):
+        older = dataclasses.replace(est, quantity=est.quantity[:-1] + (version,),
+                                    records=tuple((2,) + r[1:] for r in est.records))
+        with pytest.raises(ConfigError, match="quantity"):
+            merge(est, older)
 
 
 def test_merge_refuses_estimates_on_different_scale_schedules():
@@ -271,7 +272,8 @@ def test_simulate_validation():
 
 
 def test_chunk_indices_past_64_bits_are_config_errors():
-    # a chunk index is the second Philox key word: the last one must fit too
+    # a chunk index is the spawn key of its stream, and a 64-bit word as the
+    # seed is: the last one must fit too
     seq = SequenceSpec(Uniform(1.0), 4)
     with pytest.raises(ConfigError, match="last chunk index"):
         simulate(seq, 1.0, 2000, first_chunk=2**64)
@@ -282,13 +284,33 @@ def test_chunk_indices_past_64_bits_are_config_errors():
 
 
 def test_seeds_from_2_63_up_key_their_own_streams():
-    # every seed up to 2^64 - 1 is a Philox key word of its own: none is
-    # rounded through a double (2^63 and 2^63 + 1 would share one stream)
-    # or wrapped with a RuntimeWarning (2^64 - 2 and 2^64 - 1 to key 0)
+    # every seed up to 2^64 - 1 seeds a stream of its own: none is rounded
+    # through a double (2^63 and 2^63 + 1 would share one stream) or
+    # wrapped round onto a small one (2^64 - 2 and 2^64 - 1 onto 0)
     seq = SequenceSpec(Uniform(1.0), 8)
     seeds = (0, 2**63, 2**63 + 1, 2**64 - 2, 2**64 - 1)
     p_hats = [simulate(seq, 1.0, 2000, seed=s, method="tilted")[0].p_hat for s in seeds]
     assert len(set(p_hats)) == len(seeds)
+
+
+@pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1])
+@pytest.mark.parametrize("chunk", [0, 2**64 - 1])
+def test_a_chunk_draws_from_sfc64_seeded_by_its_spawn_key(monkeypatch, seed, chunk):
+    # stream version 3: chunk c of seed s is SFC64(SeedSequence(s, spawn_key=(c,)))
+    columns = []
+    sample = Uniform.sample
+
+    def spy(self, rng, size=None):
+        col = sample(self, rng, size)
+        columns.append(col.copy())  # the kernel works the column in place
+        return col
+
+    monkeypatch.setattr(Uniform, "sample", spy)
+    simulate(SequenceSpec(Uniform(1.0), 3), 1.0, 1000, seed=seed, first_chunk=chunk)
+    rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(chunk,))))
+    assert len(columns) == 3
+    for col in columns:
+        assert np.array_equal(col, rng.uniform(-1.0, 1.0, 1000))
 
 
 # ---------------------------------------------------------------------------
