@@ -29,7 +29,7 @@ class TiltUnsupportedError(MdlabError):
 
 
 class BudgetExceededError(MdlabError):
-    """An exact method would exceed its instance-size budget."""
+    """An exact method or a Monte Carlo run would exceed its instance-size budget."""
 
 
 class InfeasibleError(MdlabError):

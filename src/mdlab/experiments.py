@@ -33,7 +33,7 @@ from typing import Optional
 from . import __version__
 from .distributions import STREAM_VERSION, Distribution, from_literal
 from .errors import BudgetExceededError, ConfigError, InfeasibleError, check_finite, read_json
-from .mc import DEFAULT_SEED, _check_seed, choose_tilt, simulate
+from .mc import DEFAULT_SEED, _check_path_steps, _check_seed, choose_tilt, simulate
 from .oracle import exact_method
 from .oracle import lattice_dp_max  # noqa: F401  (the benchmark tracer asserts this alias)
 from .theory import (SequenceSpec, _dnr, check_parameters, compute_quantities, error_envelope,
@@ -142,6 +142,7 @@ class SweepConfig:
             seq = SequenceSpec(dist, n)
             if _oracle(self, seq) is None:
                 _check_seed(self.seed + idx, f"the seed of Monte Carlo row {idx} (seed + {idx})")
+                _check_path_steps(n, self.mc_samples)
                 if self.mc_method == "tilted":
                     choose_tilt(seq, x)
 

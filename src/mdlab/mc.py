@@ -45,12 +45,13 @@ from typing import Optional
 import numpy as np
 
 from .distributions import STREAM_VERSION, Rademacher, _TwoPointLaw
-from .errors import ConfigError, InfeasibleError, check_finite
+from .errors import BudgetExceededError, ConfigError, InfeasibleError, check_finite
 from .theory import SequenceSpec, _tie_cut, _tie_unit
 
 __all__ = [
     "CHUNK_SIZE",
     "DEFAULT_SEED",
+    "PATH_STEP_BUDGET",
     "STREAM_VERSION",
     "TailEstimate",
     "TiltPlan",
@@ -62,6 +63,8 @@ __all__ = [
 CHUNK_SIZE = 1 << 16
 # fixed, documented default so unseeded runs stay deterministic
 DEFAULT_SEED = 715517
+# the most path-steps (n * n_samples) one run draws: minutes of kernel time
+PATH_STEP_BUDGET = 1 << 34
 _MAX_UINT64 = (1 << 64) - 1
 _DRIFT_TOL = 1e-10
 
@@ -74,6 +77,14 @@ def _check_seed(seed: int, name: str = "seed") -> None:
     64-bit integer, which enters its chunk's ``SeedSequence`` exactly."""
     if not 0 <= seed <= _MAX_UINT64:
         raise ConfigError(f"{name} must be an unsigned 64-bit integer, got {seed}")
+
+
+def _check_path_steps(n: int, n_samples: int) -> None:
+    """Refuse a run of more than ``PATH_STEP_BUDGET`` path-steps, before
+    anything of length ``n`` is built."""
+    if n * n_samples > PATH_STEP_BUDGET:
+        raise BudgetExceededError(f"{n_samples} paths of n={n} steps exceed the budget of "
+                                  f"{PATH_STEP_BUDGET} Monte Carlo path-steps")
 
 
 @dataclass(frozen=True)
@@ -364,7 +375,9 @@ def simulate(
     after it, weighing it by ``exp(-theta S_{tau^n} + Psi_{tau^n})``; both
     events share these weights. Output is bit-identical for fixed
     ``(seed, n_samples, first_chunk)`` regardless of ``workers``; every
-    chunk index must be an unsigned 64-bit integer, as the seed must.
+    chunk index must be an unsigned 64-bit integer, as the seed must. A
+    run of more than ``PATH_STEP_BUDGET`` path-steps (``seq.n *
+    n_samples``) raises :class:`BudgetExceededError`.
     """
     if n_samples < 1000:
         raise ConfigError(f"n_samples must be >= 1000, got {n_samples}")
@@ -378,6 +391,7 @@ def simulate(
     _check_seed(layout[-1][0], "the last chunk index")
     if method not in ("naive", "tilted"):
         raise ConfigError(f"method must be 'naive' or 'tilted', got {method!r}")
+    _check_path_steps(seq.n, n_samples)
 
     tilt = _switched_tilt(seq, x) if method == "tilted" else None
     unit = _tie_unit(seq)

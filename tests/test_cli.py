@@ -177,8 +177,8 @@ def cli_argv(draw):
         argv += [f"{flag}={draw(st.floats())!r}" for flag in ("--r", "--delta", "--a0-constant")]
     elif command == "enumerate":  # past 24 steps only the closed form and the DP answer
         argv.append(f"--n={draw(st.integers(1, 6) | st.integers(1, 10**400))}")
-    else:
-        argv.append(f"--n={draw(st.integers(1, 6))}")
+    else:  # past 2^25 steps every --samples drawn here is over the path-step budget
+        argv.append(f"--n={draw(st.integers(1, 6) | st.integers(2**25, 10**400))}")
     if command == "simulate":
         argv += [
             f"--samples={draw(st.integers(1000, 2000))}",
@@ -209,6 +209,9 @@ _SCALED = ["theory", "--dist", "rademacher", "--n=2", "--x=1"]
 @example((["enumerate", "--dist", '{"family": {}}', "--n=4", "--x=1"], None))
 @example((["enumerate", "--dist", "rademacher", f"--n={10**23}", "--x=1"], None))
 @example((["enumerate", "--dist", "rademacher", f"--n={10**400}", "--x=1"], None))
+@example((["simulate", "--dist", "rademacher", f"--n={10**9}", "--x=1", "--samples=1000"], None))
+@example((["simulate", "--dist", "rademacher", f"--n={10**400}", "--x=1", "--samples=1000",
+           "--method=tilted"], None))
 @example((["theory", "--dist", '{"a": ' * 5000, "--n=4", "--x=1"], None))
 @example((["theory", "--dist", '{"family": "rademacher", "scale": %s}' % ("1" * 5000), "--n=4",
            "--x=1"], None))
@@ -286,6 +289,18 @@ def test_enumerate_answers_rademacher_past_the_enumeration_budget(capsys):
 def test_enumerate_rademacher_past_the_closed_form_range_exits_3(capsys, n):
     # the closed form loses digits past 2^30 and reads 0.0 from about 1e23
     code, out, err = run_cli(capsys, "enumerate", "--dist", "rademacher", "--n", str(n), "--x", "1")
+    assert (code, out) == (3, "")
+    assert "budget" in err
+
+
+@pytest.mark.parametrize("n, samples, method", [
+    (1075830521, 1000, "naive"),  # an 8 GiB array of unit scales
+    (10**400, 1000, "tilted"),  # n does not convert to a double
+    (2**24, 1025, "naive"),  # one path past the budget
+])
+def test_simulate_past_the_path_step_budget_exits_3(capsys, n, samples, method):
+    code, out, err = run_cli(capsys, "simulate", "--dist", "rademacher", "--n", str(n), "--x", "1",
+                             "--samples", str(samples), "--method", method)
     assert (code, out) == (3, "")
     assert "budget" in err
 
@@ -404,6 +419,13 @@ _SWEEP = '{"dist": %s, "n_grid": %s, "x_values": %s, "output": "out/q.csv"%s}'
         # row 1 of a Monte Carlo sweep draws with seed + 1, past 2^64 - 1
         (_SWEEP % ('{"family": "uniform"}', "[4, 8]", "[1.0]", ', "seed": 18446744073709551615'), 2),
         (_SWEEP % ('{"family": "twopoint"}', "[4, 300]", "[1.0]", ', "mc_fallback": false'), 3),
+        # Monte Carlo rows past the path-step budget: a fallback row past the
+        # closed form's range, and rows of a Monte Carlo sweep
+        (_SWEEP % ('{"family": "rademacher"}', "[4, 2147483648]", "[1.0]", ""), 3),
+        (_SWEEP % ('{"family": "uniform"}', "[4, 17179870]", "[1.0]",
+                   ', "engine": "mc", "mc_samples": 1000'), 3),
+        (_SWEEP % ('{"family": "rademacher"}', "[4, 1000000]", "[1.0]",
+                   ', "engine": "mc", "mc_method": "tilted", "mc_samples": 100000'), 3),
     ],
 )
 def test_sweep_config_is_checked_before_any_file_is_written(tmp_path, monkeypatch, capsys, text, code):

@@ -330,6 +330,18 @@ def test_oracle_budget_error_without_fallback(tmp_path):
     assert os.listdir(tmp_path) == []
 
 
+def test_monte_carlo_rows_past_the_path_step_budget_are_refused(tmp_path):
+    # 2^31 steps of 1000 paths: the fallback past the closed form's range,
+    # refused with the config, not when its row builds 2^31 unit scales
+    with pytest.raises(BudgetExceededError, match="path-steps"):
+        oracle_cfg(tmp_path, n_grid=[16, 2**31], mc_samples=1000)
+    with pytest.raises(BudgetExceededError, match="path-steps"):
+        mc_cfg(tmp_path, n_grid=[16, 2**24], mc_samples=1025)
+    mc_cfg(tmp_path, n_grid=[16, 2**24], mc_samples=1024)  # 2^34 path-steps: checked only
+    oracle_cfg(tmp_path, n_grid=[2**30], mc_samples=10**6)  # an exact row draws no path
+    assert os.listdir(tmp_path) == []
+
+
 def _set_manifest_stream_version(cfg, version):
     """Rewrite the manifest as a run of stream ``version`` left it; None
     drops the key, as manifests written before it was recorded lack it."""

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from mdlab import CenteredExponential, Rademacher, SequenceSpec, TwoPoint, Uniform, oracle
-from mdlab.errors import ConfigError, InfeasibleError, TiltUnsupportedError
-from mdlab.mc import CHUNK_SIZE, STREAM_VERSION, choose_tilt, merge, simulate
+from mdlab.errors import BudgetExceededError, ConfigError, InfeasibleError, TiltUnsupportedError
+from mdlab.mc import (CHUNK_SIZE, PATH_STEP_BUDGET, STREAM_VERSION, _check_path_steps, choose_tilt,
+                      merge, simulate)
 from mdlab.oracle import enumerate_exact, lattice_dp_max, twopoint_dp
 
 
@@ -269,6 +270,17 @@ def test_simulate_validation():
         simulate(seq, 1.0, 2000, seed=1, first_chunk=-1)
     with pytest.raises(ConfigError):
         simulate(seq, 1.0, 2000, seed=2**64)
+
+
+def test_path_step_budget():
+    _check_path_steps(2**24, 1024)  # 2^34 path-steps: within the budget
+    with pytest.raises(BudgetExceededError, match="budget"):
+        _check_path_steps(2**24, 1025)
+    # refused before an n-sized array of scales or log-MGF sums is built
+    for n, method in ((1075830521, "naive"), (10**400, "tilted")):
+        with pytest.raises(BudgetExceededError, match="budget"):
+            simulate(SequenceSpec(Rademacher(1.0), n), 1.0, 1000, method=method)
+    assert PATH_STEP_BUDGET == 2**34
 
 
 def test_chunk_indices_past_64_bits_are_config_errors():
