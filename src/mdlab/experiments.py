@@ -30,6 +30,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
+import numpy as np
+import scipy
+
 from . import __version__
 from .distributions import STREAM_VERSION, Distribution, from_literal
 from .errors import BudgetExceededError, ConfigError, InfeasibleError, check_finite, read_json
@@ -329,6 +332,25 @@ def _read_completed(csv_path: str) -> list[str]:
     return text.split("\n")[1:-1]  # drop the header and the partial tail
 
 
+def _library_versions() -> dict:
+    """The versions the Monte Carlo stream depends on besides
+    ``STREAM_VERSION``: numpy's bit generators and samplers, scipy's
+    special functions and root finder, and the Python that runs them."""
+    return {"python": ".".join(map(str, sys.version_info[:3])), "numpy": np.__version__,
+            "scipy": scipy.__version__}
+
+
+def _warn_on_other_versions(manifest: dict, path: str):
+    """One stderr line naming each library version the manifest recorded
+    that differs from the running one; a manifest without them is silent."""
+    changed = [f"{name} {manifest[name]} (now {version})"
+               for name, version in _library_versions().items()
+               if name in manifest and manifest[name] != version]
+    if changed:
+        print(f"mdlab: {path} was written with {', '.join(changed)}; the rows it holds may "
+              "not reproduce byte for byte", file=sys.stderr)
+
+
 def _write_manifest(cfg: SweepConfig):
     manifest = {
         "config": cfg.canonical(),
@@ -337,6 +359,7 @@ def _write_manifest(cfg: SweepConfig):
         "stream_version": STREAM_VERSION,
         "tool_version": __version__,
         "columns": CSV_COLUMNS,
+        **_library_versions(),
     }
     with open(cfg.manifest_path(), "w") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
@@ -357,6 +380,8 @@ def run_sweep(
     how tests exercise interruption and resume. A CSV without a manifest,
     whose rows do not match the config's jobs, or whose Monte Carlo rows
     come from another stream version than this one, is refused untouched.
+    A resume whose manifest recorded other Python, numpy or scipy
+    versions than the running ones says so in one stderr line.
     """
     workers = cfg.workers if workers is None else workers
     if workers < 1:
@@ -392,6 +417,7 @@ def run_sweep(
                     "to mix them (delete the output or change the path)"
                 )
             _write_manifest(cfg)  # only exact rows so far: the rows to come set the version
+        _warn_on_other_versions(manifest, cfg.manifest_path())
     elif os.path.exists(cfg.output):
         raise ConfigError(
             f"{cfg.output} exists without its manifest; refusing to overwrite it"

@@ -3,9 +3,12 @@
 import json
 import math
 import os
+import platform
 import time
 
+import numpy as np
 import pytest
+import scipy
 
 from mdlab import SequenceSpec, TwoPoint, experiments
 from mdlab.distributions import STREAM_VERSION
@@ -78,6 +81,8 @@ def test_oracle_sweep_rows_and_schema(tmp_path):
     assert manifest["seed"] == 333
     assert manifest["stream_version"] == STREAM_VERSION
     assert "tool_version" in manifest
+    assert (manifest["python"], manifest["numpy"], manifest["scipy"]) == (
+        platform.python_version(), np.__version__, scipy.__version__)
 
 
 def test_readme_documents_the_csv_header():
@@ -390,6 +395,40 @@ def test_exact_rows_of_another_stream_version_resume(tmp_path, version):
     with open(cfg.manifest_path()) as fh:
         assert json.load(fh)["stream_version"] == STREAM_VERSION
     assert run_sweep(cfg) == full  # and its Monte Carlo row resumes
+
+
+def _edit_manifest(cfg, edit):
+    with open(cfg.manifest_path()) as fh:
+        manifest = json.load(fh)
+    edit(manifest)
+    with open(cfg.manifest_path(), "w") as fh:
+        json.dump(manifest, fh)
+
+
+@pytest.mark.parametrize("edit, warning", [
+    (lambda m: m.update(numpy="0.0.0"), f"numpy 0.0.0 (now {np.__version__})"),
+    (lambda m: m.update(python="2.7.0", scipy="0.1.0"),
+     f"python 2.7.0 (now {platform.python_version()}), scipy 0.1.0 (now {scipy.__version__})"),
+    # a manifest from before the versions were recorded resumes silently
+    (lambda m: [m.pop(key) for key in ("python", "numpy", "scipy")], None),
+], ids=["numpy", "python_and_scipy", "unrecorded"])
+def test_resume_names_library_versions_that_differ(tmp_path, capsys, edit, warning):
+    full_cfg = mc_cfg(tmp_path, name="full.csv")
+    run_sweep(full_cfg)
+    cfg = mc_cfg(tmp_path, name="v.csv")
+    run_sweep(cfg, stop_after_rows=2)
+    _edit_manifest(cfg, edit)
+    manifest = open(cfg.manifest_path(), "rb").read()
+    capsys.readouterr()
+    assert run_sweep(cfg) == run_sweep(full_cfg)
+    err = capsys.readouterr().err
+    if warning is None:
+        assert err == ""
+    else:
+        assert err.count("\n") == 1 and warning in err
+    # the warning changes neither the CSV nor the manifest
+    assert open(cfg.output, "rb").read() == open(full_cfg.output, "rb").read()
+    assert open(cfg.manifest_path(), "rb").read() == manifest
 
 
 def test_scaling_rule_default_power(tmp_path):
