@@ -347,17 +347,23 @@ def test_monte_carlo_rows_past_the_path_step_budget_are_refused(tmp_path):
     assert os.listdir(tmp_path) == []
 
 
+def _edit_manifest(cfg, edit):
+    with open(cfg.manifest_path()) as fh:
+        manifest = json.load(fh)
+    edit(manifest)
+    with open(cfg.manifest_path(), "w") as fh:
+        json.dump(manifest, fh)
+
+
 def _set_manifest_stream_version(cfg, version):
     """Rewrite the manifest as a run of stream ``version`` left it; None
     drops the key, as manifests written before it was recorded lack it."""
-    path = cfg.manifest_path()
-    with open(path) as fh:
-        manifest = json.load(fh)
-    manifest.pop("stream_version")
-    if version is not None:
-        manifest["stream_version"] = version
-    with open(path, "w") as fh:
-        json.dump(manifest, fh)
+    def edit(manifest):
+        manifest.pop("stream_version")
+        if version is not None:
+            manifest["stream_version"] = version
+
+    _edit_manifest(cfg, edit)
 
 
 @pytest.mark.parametrize("version", [None, 1, 2])
@@ -395,14 +401,6 @@ def test_exact_rows_of_another_stream_version_resume(tmp_path, version):
     with open(cfg.manifest_path()) as fh:
         assert json.load(fh)["stream_version"] == STREAM_VERSION
     assert run_sweep(cfg) == full  # and its Monte Carlo row resumes
-
-
-def _edit_manifest(cfg, edit):
-    with open(cfg.manifest_path()) as fh:
-        manifest = json.load(fh)
-    edit(manifest)
-    with open(cfg.manifest_path(), "w") as fh:
-        json.dump(manifest, fh)
 
 
 @pytest.mark.parametrize("edit, warning", [

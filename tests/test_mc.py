@@ -284,8 +284,8 @@ def test_path_step_budget():
 
 
 def test_chunk_indices_past_64_bits_are_config_errors():
-    # a chunk index is the spawn key of its stream, and a 64-bit word as the
-    # seed is: the last one must fit too
+    # a chunk index is its stream's spawn key and follows the seed rule: the
+    # last one must fit in 64 bits too
     seq = SequenceSpec(Uniform(1.0), 4)
     with pytest.raises(ConfigError, match="last chunk index"):
         simulate(seq, 1.0, 2000, first_chunk=2**64)
