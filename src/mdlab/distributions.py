@@ -18,9 +18,11 @@ tilted two-point step is one raw 64-bit word of the generator's bit
 stream, which draws ``+a`` when it is below
 :meth:`~_TwoPointLaw.up_threshold` (see :meth:`~_TwoPointLaw.up_draws`).
 ``STREAM_VERSION`` names the layout of the Monte Carlo stream these draws
-and :mod:`mdlab.mc` define together; version 3 is this raw-word draw and
-the switched tilt of :mod:`mdlab.mc`, drawn from SFC64 bit generators
-(version 2 drew the same layout from counter-based generators).
+and :mod:`mdlab.mc` define together; version 4 is this raw-word draw and
+the switched tilt of :mod:`mdlab.mc`, drawn from SFC64 bit generators,
+with the tilt of iid two-point laws solved in closed form (version 3
+root-found it for ``TwoPoint``; version 2 drew from counter-based
+generators).
 
 Families and their config literals (all keys optional except ``family``):
 
@@ -58,7 +60,7 @@ __all__ = [
 ]
 
 # the Monte Carlo stream layout; bump it whenever a fixed seed can give other bytes
-STREAM_VERSION = 3
+STREAM_VERSION = 4
 _WORDS = 1 << 64  # the raw words of a 64-bit bit generator are uniform on [0, 2^64)
 
 
@@ -364,7 +366,9 @@ class CenteredExponential(Distribution):
         return np.where(t > 0.0, upper + lower, 1.0)
 
     def sample(self, rng, size=None):
-        return rng.exponential(self.shift, size=size) - self.shift
+        draws = rng.exponential(self.shift, size=size)
+        draws -= self.shift  # in place: no second column per step
+        return draws
 
 
 @dataclass(frozen=True)

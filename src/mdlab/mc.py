@@ -28,9 +28,12 @@ Two kernels draw the paths. Tilted Rademacher and TwoPoint steps are raw
 tilted one before ``tau``, the untilted one after it), with ``S_k`` and
 ``V_n^2`` formed from up-counts. Every other run draws float columns
 through ``sample``, or through ``tilted_sample`` with the tilt applied
-only to the paths still under it. ``STREAM_VERSION`` is part of every
-estimate's ``quantity``, so estimates from different stream layouts do
-not merge.
+only to the paths still under it. On iid steps neither kernel builds
+anything of length ``n``: every step has scale 1 and one tilted threshold,
+so a chunk's memory is set by its paths alone. ``STREAM_VERSION`` is part
+of every estimate's ``quantity``, so estimates from different stream
+layouts do not merge; version 4 solves the tilt of iid two-point laws in
+closed form (see :func:`choose_tilt`).
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from typing import Optional
 
 import numpy as np
 
-from .distributions import STREAM_VERSION, Rademacher, _TwoPointLaw
+from .distributions import STREAM_VERSION, _TwoPointLaw
 from .errors import BudgetExceededError, ConfigError, InfeasibleError, check_finite
 from .theory import SequenceSpec, _tie_cut, _tie_unit
 
@@ -67,6 +70,8 @@ DEFAULT_SEED = 715517
 PATH_STEP_BUDGET = 1 << 34
 _MAX_UINT64 = (1 << 64) - 1
 _DRIFT_TOL = 1e-10
+_BELOW_ONE = math.nextafter(1.0, 0.0)
+_HASH_BLOCK = 1 << 12  # unit scales hashed per update for an iid schedule
 
 # one chunk's sufficient statistics: (seed, chunk_index, n_paths, sum_w, sum_w2)
 ChunkRecord = tuple[int, int, int, float, float]
@@ -148,16 +153,39 @@ def _step_sum(seq: SequenceSpec, f) -> float:
     return math.fsum(f(s) for s in seq.scales)
 
 
+def _two_point_tilt(dist: _TwoPointLaw, u: float) -> float:
+    """The root of ``tilted_mean(theta) = u * sqrt(a b)`` for the law on
+    ``{a, -b}``: ``theta = 2 atanh(z) / (a + b)`` with ``z = m (a + b) /
+    (2 a b + m (a - b))`` and ``m = u sqrt(a b)``, worked in units of the
+    larger step. At ``a = b = c`` it is ``atanh(u) / c`` to the bit.
+
+    ``z`` rounds to 1 near the hull, or where ``b`` is so far below ``m``
+    that ``1 - z ~ 2 b / m`` is below the rounding of 1; there the equal
+    form ``(log1p(m / b) - log1p(-m / a)) / (a + b)`` is used, with ``m /
+    a`` kept below 1.
+    """
+    top = max(dist.a, dist.b)
+    a, b = dist.a / top, dist.b / top
+    r = math.sqrt(a * b)
+    z = u * ((r * (a + b)) / (2.0 * a * b + u * r * (a - b)))
+    if z < 1.0:
+        return 2.0 * math.atanh(z) / (a + b) / top
+    m = u * r
+    return (math.log1p(m / b) - math.log1p(-min(m / a, _BELOW_ONE))) / (a + b) / top
+
+
 def choose_tilt(seq: SequenceSpec, x: float) -> TiltPlan:
     """Solve ``sum_j tilted_mean_j(theta) = x * B_n`` for theta >= 0.
 
-    Rademacher has the closed form ``theta = atanh(x / sqrt(n)) / c``;
-    other tiltable laws use Brent's method (``scipy.optimize.brentq``),
-    refined until the drift equation holds to 1e-10. ``scipy.optimize``
-    is imported on the first such solve, so runs that never root-find do
-    not pay for loading it. A target outside the support hull
-    raises :class:`InfeasibleError`; a law that does not implement the
-    tilt methods raises :class:`TiltUnsupportedError` from them.
+    Iid two-point steps (Rademacher and TwoPoint) have a closed form, see
+    :func:`_two_point_tilt`; on Rademacher it is ``atanh(x / sqrt(n)) /
+    c``. Laws and schedules without one (Uniform, and every scale
+    schedule) use Brent's method (``scipy.optimize.brentq``). Either way
+    the drift equation must hold to 1e-10. ``scipy.optimize`` is imported
+    on the first Brent solve, so runs that never root-find do not pay for
+    loading it. A target outside the support hull raises
+    :class:`InfeasibleError`; a law that does not implement the tilt
+    methods raises :class:`TiltUnsupportedError` from them.
     """
     check_finite("x", x, 0.0)
     dist = seq.dist
@@ -176,8 +204,8 @@ def choose_tilt(seq: SequenceSpec, x: float) -> TiltPlan:
 
     if x == 0.0 or total_drift(0.0) >= total_target:  # a target within the rounding of no tilt
         theta = 0.0
-    elif seq.is_iid and isinstance(dist, Rademacher) and x < math.sqrt(seq.n):
-        theta = math.atanh(x / math.sqrt(seq.n)) / dist.scale
+    elif seq.is_iid and isinstance(dist, _TwoPointLaw):
+        theta = _two_point_tilt(dist, x / math.sqrt(seq.n))
     else:
         from scipy import optimize
 
@@ -213,23 +241,33 @@ def _chunk_layout(n_samples: int, first_chunk: int) -> list[tuple[int, int]]:
 class _SwitchedTilt:
     """What a tilted run needs besides the law: the per-step tilts
     ``theta * s_j``, the prefix sums ``Psi_k`` for ``k = 0..n`` and the
-    barrier ``x * B_n`` whose first passage switches a path's tilt off."""
+    barrier ``x * B_n`` whose first passage switches a path's tilt off.
+    On iid steps the tilt is ``theta`` at every step and ``Psi_k = k
+    log_mgf``, so ``steps`` and ``log_mgf_prefix`` are None."""
 
     theta: float
-    steps: np.ndarray
-    log_mgf_prefix: np.ndarray
+    n: int
     barrier: float
+    log_mgf: float
+    steps: Optional[np.ndarray]
+    log_mgf_prefix: Optional[np.ndarray]
+
+    def step(self, k: int) -> float:
+        return self.theta if self.steps is None else self.steps[k]
+
+    def psi(self, k: int) -> float:
+        return k * self.log_mgf if self.log_mgf_prefix is None else self.log_mgf_prefix[k]
 
 
 def _switched_tilt(seq: SequenceSpec, x: float) -> _SwitchedTilt:
     dist, theta = seq.dist, choose_tilt(seq, x).theta
-    steps = theta * seq.scale_array()
-    if seq.is_iid:
-        log_mgf_prefix = np.arange(seq.n + 1) * dist.log_mgf(theta)
-    else:
+    steps = log_mgf_prefix = None
+    if not seq.is_iid:
+        steps = theta * seq.scales
         log_mgfs = [dist.log_mgf(t) for t in steps.tolist()]
         log_mgf_prefix = np.concatenate(([0.0], np.cumsum(log_mgfs)))
-    return _SwitchedTilt(theta, steps, log_mgf_prefix, x * math.sqrt(seq.variance_sum()))
+    return _SwitchedTilt(theta, seq.n, x * math.sqrt(seq.variance_sum()), dist.log_mgf(theta),
+                         steps, log_mgf_prefix)
 
 
 class _Passage:
@@ -246,7 +284,7 @@ class _Passage:
 
     def _settle(self, paths, level, k):
         self.log_weight[paths] = (-self.tilt.theta * (self.span * level[paths])
-                                  + self.tilt.log_mgf_prefix[k])
+                                  + self.tilt.psi(k))
 
     def update(self, k: int, level: np.ndarray) -> np.ndarray:
         """Switch off the paths whose level reached the barrier at step
@@ -260,7 +298,7 @@ class _Passage:
 
     def finish(self, level: np.ndarray) -> np.ndarray:
         """The log-weights, once ``level`` holds the sums after the last step."""
-        self._settle(self.active, level, len(self.tilt.steps))
+        self._settle(self.active, level, self.tilt.n)
         return self.log_weight
 
 
@@ -273,41 +311,44 @@ def _two_point_paths(seq: SequenceSpec, rng, n_paths: int, tilt: _SwitchedTilt):
     ``P_k = sum_{j<=k} s_j``, the level ``W_k - b P_k / (a + b)`` is
     ``S_k / (a + b)``, and ``V_n^2 = a^2 Q + b^2 (sum_j s_j^2 - Q)`` with
     ``Q`` the up-count weighted by ``s_j^2``. On iid steps ``W`` and ``Q``
-    are the up-count itself, so no float column is formed per step.
+    are the up-count itself and ``P_k = k``, so no float column is formed
+    per step, and the tilted threshold is one word for every step.
     """
-    dist = seq.dist
+    dist, iid = seq.dist, seq.is_iid
     a, b, span = dist.a, dist.b, dist.a + dist.b
-    scales = seq.scale_array()
-    prefix = np.cumsum(scales)
-    # the level keeps the smaller step even when it is below the rounding of
-    # a + b: W - (b / span) P when a >= b, else (W - P) + (a / span) P
-    offset = None if a >= b else prefix
-    drift = -(b / span) * prefix if a >= b else (a / span) * prefix
     count = np.zeros(n_paths)
-    sq_count = count if seq.is_iid else np.zeros(n_paths)
+    sq_count = count if iid else np.zeros(n_paths)
     level = np.empty(n_paths)
     peak = np.full(n_paths, -np.inf)
     passage = _Passage(tilt, n_paths, span)
     untilted = np.uint64(dist.up_threshold(0.0))
-    tilted = [np.uint64(dist.up_threshold(t)) for t in tilt.steps.tolist()]
+    tilted = [np.uint64(dist.up_threshold(t))
+              for t in ([tilt.theta] if iid else tilt.steps.tolist())]
     threshold = np.full(n_paths, tilted[0])
-    for k, s in enumerate(scales.tolist()):
-        if k and tilted[k] != tilted[k - 1]:
+    if iid:
+        steps = ((1.0, float(k)) for k in range(1, seq.n + 1))
+    else:
+        steps = zip(seq.scales.tolist(), np.cumsum(seq.scales).tolist())
+    for k, (s, prefix) in enumerate(steps):
+        if k and not iid and tilted[k] != tilted[k - 1]:
             np.copyto(threshold, tilted[k], where=passage.active)
         up = dist.up_draws(rng, threshold, n_paths)
-        if seq.is_iid:
+        if iid:
             count += up
         else:
             count += s * up
             sq_count += (s * s) * up
-        if offset is None:
-            np.add(count, drift[k], out=level)
+        # the level keeps the smaller step even when it is below the rounding
+        # of a + b: W - (b / span) P when a >= b, else (W - P) + (a / span) P
+        if a >= b:
+            np.add(count, -(b / span) * prefix, out=level)
         else:
-            np.subtract(count, offset[k], out=level)
-            level += drift[k]
+            np.subtract(count, prefix, out=level)
+            level += (a / span) * prefix
         np.maximum(peak, level, out=peak)
         threshold[passage.update(k, level)] = untilted
-    sq_norm = a * a * sq_count + b * b * (float(np.sum(scales * scales)) - sq_count)
+    sq_sum = float(seq.n) if iid else float(np.sum(seq.scales * seq.scales))
+    sq_norm = a * a * sq_count + b * b * (sq_sum - sq_count)
     return span * peak, span * level, sq_norm, passage.finish(level)
 
 
@@ -319,13 +360,16 @@ def _float_paths(seq: SequenceSpec, rng, n_paths: int, tilt: Optional[_SwitchedT
     sq_norm = np.zeros(n_paths)
     peak = np.full(n_paths, -np.inf)
     passage = None if tilt is None else _Passage(tilt, n_paths, 1.0)
-    for k, s in enumerate(seq.scale_array().tolist()):
+    scales = None if seq.is_iid else seq.scales.tolist()
+    for k in range(seq.n):
         if passage is None:
             col = dist.sample(rng, n_paths)
         else:
-            col = dist.tilted_sample(tilt.steps[k], rng, n_paths, passage.active)
-        # every sampler returns a fresh float column, so it is worked in place
-        col *= s
+            col = dist.tilted_sample(tilt.step(k), rng, n_paths, passage.active)
+        # every sampler returns a fresh float column, so it is worked in
+        # place; iid steps have scale 1 and skip the product
+        if scales is not None:
+            col *= scales[k]
         running += col
         col *= col
         sq_norm += col
@@ -355,6 +399,20 @@ def _run_chunk(
     w_max, w_sum = weights * (peak >= cut), weights * (total >= cut)
     return tuple((seed, chunk_index, n_paths, float(w.sum()), float((w * w).sum()))
                  for w in (w_max, w_sum))
+
+
+def _schedule_digest(seq: SequenceSpec) -> str:
+    """The sha256 of the scale schedule's float64 bytes; an iid schedule's
+    ``n`` unit scales are hashed block by block, never built whole."""
+    if not seq.is_iid:
+        return hashlib.sha256(seq.scales.tobytes()).hexdigest()
+    digest = hashlib.sha256()
+    block = np.ones(min(seq.n, _HASH_BLOCK)).tobytes()
+    full, rest = divmod(seq.n, _HASH_BLOCK)
+    for _ in range(full):
+        digest.update(block)
+    digest.update(block[: rest * 8])
+    return digest.hexdigest()
 
 
 def simulate(
@@ -401,7 +459,7 @@ def simulate(
                                 layout))
 
     quantity = (json.dumps(seq.dist.literal(), sort_keys=True), seq.n, x,
-                hashlib.sha256(seq.scale_array().tobytes()).hexdigest(), STREAM_VERSION)
+                _schedule_digest(seq), STREAM_VERSION)
     return tuple(TailEstimate(method, event, quantity, tuple(r[i] for r in results))
                  for i, event in enumerate(("max", "sum")))
 

@@ -569,20 +569,25 @@ def test_commands_that_never_root_find_leave_scipy_optimize_unloaded(tmp_path):
         ("enumerate", ["enumerate", "--dist", twopoint, "--n", "8", "--x", "1"]),
         ("simulate_naive", ["simulate", "--dist", twopoint, "--n", "8", "--x", "1",
                             "--samples", "1000", "--method", "naive"]),
-        # x < sqrt(n): the atanh closed form
+        # iid two-point laws: the closed-form tilt
         ("simulate_rademacher_tilted", ["simulate", "--dist", "rademacher", "--n", "16", "--x", "2",
                                         "--samples", "1000", "--method", "tilted"]),
+        ("simulate_twopoint_tilted", ["simulate", "--dist", twopoint, "--n", "8", "--x", "1",
+                                      "--samples", "1000", "--method", "tilted"]),
+        ("sweep_twopoint_mc_tilted", _sweep_config(
+            tmp_path / "twopoint.json", dist=_TWOPOINT, output="t.csv", engine="mc",
+            mc_method="tilted", mc_samples=1000)),
         ("sweep_oracle", _sweep_config(tmp_path / "oracle.json", dist=_TWOPOINT, output="o.csv")),
     ]
     seen = _fresh_interpreter(_COMMANDS_PROBE, json.dumps(commands), cwd=tmp_path)
     assert seen == {name: [0, False] for name, _ in commands}
 
 
-@pytest.mark.parametrize("command", ["simulate_twopoint_tilted", "sweep_uniform_mc_tilted"])
+@pytest.mark.parametrize("command", ["simulate_uniform_tilted", "sweep_uniform_mc_tilted"])
 def test_a_tilt_without_closed_form_loads_scipy_optimize(tmp_path, command):
     argv = {
-        "simulate_twopoint_tilted": ["simulate", "--dist", json.dumps(_TWOPOINT), "--n", "8",
-                                     "--x", "1", "--samples", "1000", "--method", "tilted"],
+        "simulate_uniform_tilted": ["simulate", "--dist", "uniform", "--n", "8", "--x", "1",
+                                    "--samples", "1000", "--method", "tilted"],
         "sweep_uniform_mc_tilted": _sweep_config(
             tmp_path / "uniform.json", dist={"family": "uniform"}, output="u.csv", engine="mc",
             mc_method="tilted", mc_samples=1000),

@@ -87,7 +87,7 @@ DIGESTS = {
     "simulate_rademacher_tilted": "fba55d19d786a79dcc7f4ae3e42b16f7c54b67b65880f0fc1c2d278aa6aa2cdc",
     "simulate_rademacher_scaled_tilted": "7c784780e379ebc3445a5ba723a352cfb363377dfd8f28700ff696675fd1ff18",
     "simulate_twopoint_naive": "c61c9ea0aaa1b96fd7a50bcb6359e37628b013bfcbb575ae2ee0a75ccf75c85e",
-    "simulate_twopoint_tilted": "ec933bb0fae1579352ba15169e5498774a71acebacee65ab7d20360390048d7e",
+    "simulate_twopoint_tilted": "ba7603cf37f88ce5f680dbd55610b4c59ddf984c4ea90ac77f6bbe82c0e38042",
     "simulate_uniform_tilted": "2d733ba05837c248353ae16897cb380264f06712141c48ce60c1c4c3307b56bf",
     "simulate_exponential_naive": "d94a968e958554b0358d1db08ecec9538a4c64744f1eac7f2e8db8ba61b95592",
     "simulate_student_t_naive": "b5b193a311ba61996757bf20cc083967b97fd0f6f8133f37e7518ad3dd89fd64",

@@ -1,15 +1,19 @@
 """Monte Carlo engine: determinism, merging, importance sampling."""
 
 import dataclasses
+import hashlib
 import math
+import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from mdlab import CenteredExponential, Rademacher, SequenceSpec, TwoPoint, Uniform, oracle
 from mdlab.errors import BudgetExceededError, ConfigError, InfeasibleError, TiltUnsupportedError
-from mdlab.mc import (CHUNK_SIZE, PATH_STEP_BUDGET, STREAM_VERSION, _check_path_steps, choose_tilt,
-                      merge, simulate)
+from mdlab.mc import (CHUNK_SIZE, PATH_STEP_BUDGET, STREAM_VERSION, _check_path_steps, _run_chunk,
+                      _schedule_digest, _switched_tilt, choose_tilt, merge, simulate)
+from mdlab.theory import _tie_unit
 from mdlab.oracle import enumerate_exact, lattice_dp_max, twopoint_dp
 
 
@@ -88,9 +92,9 @@ def test_worker_count_does_not_change_bits():
 @pytest.mark.parametrize(
     "seq, x, seed, theta, pins",
     [
-        (SequenceSpec(TwoPoint(2.0, 1.0), 64), 2.0, 5, "0x1.5376ab4217185p-3",
-         ["0x1.edd53c70f2eccp-6", "0x1.319c14d1c6c49p-13",
-          "0x1.130b610cd568dp-6", "0x1.0552ebfe15a8bp-13"]),
+        (SequenceSpec(TwoPoint(2.0, 1.0), 64), 2.0, 5, "0x1.5376ab421717bp-3",
+         ["0x1.edd53c70f2edbp-6", "0x1.319c14d1c6c50p-13",
+          "0x1.130b610cd5694p-6", "0x1.0552ebfe15a91p-13"]),
         (SequenceSpec(Uniform(1.0), 50, scales=np.random.default_rng(123).uniform(0.8, 1.25, 50)),
          1.5, 31, "0x1.70c5510128c10p-2",
          ["0x1.deea296103912p-4", "0x1.fc13909e174cep-12",
@@ -156,13 +160,21 @@ def test_merge_rejects_mismatches_and_duplicates():
 def test_merge_refuses_estimates_of_another_stream_version():
     seq = SequenceSpec(Rademacher(1.0), 16)
     est = simulate(seq, 1.0, 2000, seed=1)[0]
-    assert est.quantity[-1] == STREAM_VERSION == 3
-    # the same law, n, x and schedule drawn by the version-1 and -2 streams
-    for version in (1, 2):
+    assert est.quantity[-1] == STREAM_VERSION == 4
+    # the same law, n, x and schedule drawn by the version-1, -2 and -3 streams
+    for version in (1, 2, 3):
         older = dataclasses.replace(est, quantity=est.quantity[:-1] + (version,),
                                     records=tuple((2,) + r[1:] for r in est.records))
         with pytest.raises(ConfigError, match="quantity"):
             merge(est, older)
+
+
+@pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 3 * 4096 + 5])
+def test_an_iid_schedule_hashes_as_its_unit_scales(n):
+    # hashed block by block, the digest is still that of n float64 ones
+    want = hashlib.sha256(np.ones(n).tobytes()).hexdigest()
+    assert _schedule_digest(SequenceSpec(Uniform(1.0), n)) == want
+    assert _schedule_digest(SequenceSpec(Uniform(1.0), n, scales=np.ones(n))) == want
 
 
 def test_merge_refuses_estimates_on_different_scale_schedules():
@@ -192,7 +204,61 @@ def test_choose_tilt_rademacher_closed_form():
     plan = choose_tilt(SequenceSpec(Rademacher(1.0), 64), 2.0)
     assert plan.theta == math.atanh(2.0 / 8.0)
     plan_scaled = choose_tilt(SequenceSpec(Rademacher(0.5), 64), 2.0)
-    assert plan_scaled.theta == pytest.approx(math.atanh(2.0 / 8.0) / 0.5, rel=1e-14)
+    assert plan_scaled.theta == math.atanh(2.0 / 8.0) / 0.5
+    # the two-point closed form at a = b = c is atanh(x / sqrt(n)) / c to the bit
+    for c in (0.3, 2.0, 1e-100, 1e100):
+        for n, x in ((16, 1.5), (1000, 3.3), (3, 1.0)):
+            theta = choose_tilt(SequenceSpec(Rademacher(c), n), x).theta
+            assert theta == math.atanh(x / math.sqrt(n)) / c
+
+
+def _exact_two_point_tilt(a, b, n, x):
+    """The root of the iid two-point tilt equation to 50 digits:
+    ``log(a (b + m) / (b (a - m))) / (a + b)`` with ``m = x sqrt(a b / n)``."""
+    with mp.workdps(50):
+        a, b, n, x = map(mp.mpf, (a, b, n, x))
+        m = x * mp.sqrt(a * b / n)
+        return mp.log(a * (b + m) / (b * (a - m))) / (a + b)
+
+
+@pytest.mark.parametrize("a, b", [(2.0, 1.0), (1.0, 2.0), (1.5, 0.8), (0.8, 1.5), (3.0, 1.0),
+                                  (1.0, 3.0)])
+def test_two_point_tilt_matches_the_exact_root(a, b):
+    # targets up to 0.9 of the hull a, past which the root's own condition
+    # number grows; Brent's method was up to 1e-12 off on this grid
+    checked = 0
+    for n in (1, 4, 16, 64, 256, 1024, 10**6):
+        for x in (0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0):
+            if x * math.sqrt(a * b / n) >= 0.9 * a:
+                continue
+            theta = choose_tilt(SequenceSpec(TwoPoint(a, b), n), x).theta
+            exact = _exact_two_point_tilt(a, b, n, x)
+            assert abs(theta - exact) <= 1e-15 * exact, (n, x, theta, exact)
+            checked += 1
+    assert checked >= 30
+
+
+@pytest.mark.parametrize("x", [1e-79, 0.5, 1.0, 1e10, 2e80])
+def test_two_point_tilt_with_a_step_below_the_rounding_of_the_other(x):
+    # with m = x sqrt(ab / n), 1 - z ~ 2b / m is below the rounding of 1
+    # from x ~ 1e-63 on, where the log form takes over; x = 1e-79 is still
+    # on the atanh side
+    theta = choose_tilt(SequenceSpec(TwoPoint(1.0, 1e-160), 5), x).theta
+    assert math.isfinite(theta)
+    assert abs(theta - _exact_two_point_tilt(1.0, 1e-160, 5, x)) <= 1e-15 * theta
+    # P(X = a) rounds to 1 here: the untilted drift is already the hull a
+    assert choose_tilt(SequenceSpec(TwoPoint(1e-160, 1.0), 5), min(x, 1.0)).theta == 0.0
+
+
+@pytest.mark.parametrize("dist, n, x", [
+    (TwoPoint(2.0, 1.0), 16, 6.0),  # target 6 sqrt(32) against the hull 2n = 32
+    (TwoPoint(1.0, 2.0), 16, 3.0),  # 3 sqrt(32) against n = 16
+    (TwoPoint(1.0, 1e-160), 5, 1e81),
+    (TwoPoint(1e-160, 1.0), 5, 1e10),
+])
+def test_two_point_tilt_past_the_hull_is_infeasible(dist, n, x):
+    with pytest.raises(InfeasibleError, match="support hull"):
+        choose_tilt(SequenceSpec(dist, n), x)
 
 
 def test_choose_tilt_uniform_by_root_finding():
@@ -225,8 +291,9 @@ def test_choose_tilt_range_precondition():
 
 
 def test_rademacher_tilt_at_the_edge_of_the_hull():
-    # x = sqrt(3) puts the rounded target just below the hull n, where the
-    # closed form would need atanh(1); the root finder takes over there
+    # x = sqrt(3) puts the rounded target just below the hull n, where
+    # x / sqrt(n) rounds to 1 and atanh(1) is infinite; the log form of the
+    # closed form takes over there, with m / a kept below 1
     est_max, est_sum = simulate(SequenceSpec(Rademacher(1.0), 3), math.sqrt(3.0), 2000,
                                 method="tilted")
     assert est_max.p_hat == pytest.approx(0.125, rel=1e-9)
@@ -283,6 +350,25 @@ def test_path_step_budget():
     assert PATH_STEP_BUDGET == 2**34
 
 
+@pytest.mark.parametrize("dist, method", [(TwoPoint(2.0, 1.0), "tilted"), (Uniform(1.0), "tilted"),
+                                          (Rademacher(1.0), "naive")],
+                         ids=["two_point_kernel", "float_tilted", "float_naive"])
+def test_an_iid_chunk_builds_nothing_of_length_n(dist, method):
+    # 2^15 steps of 8 paths: a float64 array of length n alone is 256 KiB,
+    # and a list of its n floats 1 MiB; what a chunk allocates is set by
+    # its paths, not by n
+    seq = SequenceSpec(dist, 1 << 15)
+    tilt = _switched_tilt(seq, 2.0) if method == "tilted" else None
+    unit = _tie_unit(seq)
+    tracemalloc.start()
+    try:
+        _run_chunk(seq, 2.0, 1, 0, 8, tilt, unit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 1024
+
+
 def test_chunk_indices_past_64_bits_are_config_errors():
     # a chunk index is its stream's spawn key and follows the seed rule: the
     # last one must fit in 64 bits too
@@ -308,7 +394,7 @@ def test_seeds_from_2_63_up_key_their_own_streams():
 @pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1])
 @pytest.mark.parametrize("chunk", [0, 2**64 - 1])
 def test_a_chunk_draws_from_sfc64_seeded_by_its_spawn_key(monkeypatch, seed, chunk):
-    # stream version 3: chunk c of seed s is SFC64(SeedSequence(s, spawn_key=(c,)))
+    # since stream version 3: chunk c of seed s is SFC64(SeedSequence(s, spawn_key=(c,)))
     columns = []
     sample = Uniform.sample
 
