@@ -32,8 +32,9 @@ only to the paths still under it. On iid steps neither kernel builds
 anything of length ``n``: every step has scale 1 and one tilted threshold,
 so a chunk's memory is set by its paths alone. ``STREAM_VERSION`` is part
 of every estimate's ``quantity``, so estimates from different stream
-layouts do not merge; version 4 solves the tilt of iid two-point laws in
-closed form (see :func:`choose_tilt`).
+layouts do not merge; version 5 draws Student t steps by Bailey's polar
+method (see :class:`~mdlab.distributions.StudentT`), and version 4 solved
+the tilt of iid two-point laws in closed form (see :func:`choose_tilt`).
 """
 
 from __future__ import annotations
@@ -243,7 +244,14 @@ class _SwitchedTilt:
     ``theta * s_j``, the prefix sums ``Psi_k`` for ``k = 0..n`` and the
     barrier ``x * B_n`` whose first passage switches a path's tilt off.
     On iid steps the tilt is ``theta`` at every step and ``Psi_k = k
-    log_mgf``, so ``steps`` and ``log_mgf_prefix`` are None."""
+    log_mgf``, so ``steps`` and ``log_mgf_prefix`` are None.
+
+    A two-point law also carries what its kernel reads at every step, built
+    once per run rather than once per chunk: the raw-word thresholds of
+    :meth:`~mdlab.distributions._TwoPointLaw.up_draws`, ``untilted_word``
+    and ``tilted_words`` (one per step, a single one on iid steps), and on
+    a schedule ``scale_prefix``, the lists of the scales ``s_j`` and of
+    their prefix sums ``P_j``."""
 
     theta: float
     n: int
@@ -251,6 +259,9 @@ class _SwitchedTilt:
     log_mgf: float
     steps: Optional[np.ndarray]
     log_mgf_prefix: Optional[np.ndarray]
+    untilted_word: Optional[np.uint64]
+    tilted_words: tuple[np.uint64, ...]
+    scale_prefix: Optional[tuple[list[float], list[float]]]
 
     def step(self, k: int) -> float:
         return self.theta if self.steps is None else self.steps[k]
@@ -262,12 +273,19 @@ class _SwitchedTilt:
 def _switched_tilt(seq: SequenceSpec, x: float) -> _SwitchedTilt:
     dist, theta = seq.dist, choose_tilt(seq, x).theta
     steps = log_mgf_prefix = None
+    step_tilts = [theta]
     if not seq.is_iid:
         steps = theta * seq.scales
-        log_mgfs = [dist.log_mgf(t) for t in steps.tolist()]
-        log_mgf_prefix = np.concatenate(([0.0], np.cumsum(log_mgfs)))
+        step_tilts = steps.tolist()
+        log_mgf_prefix = np.concatenate(([0.0], np.cumsum([dist.log_mgf(t) for t in step_tilts])))
+    untilted_word, tilted_words, scale_prefix = None, (), None
+    if isinstance(dist, _TwoPointLaw):
+        untilted_word = np.uint64(dist.up_threshold(0.0))
+        tilted_words = tuple(np.uint64(dist.up_threshold(t)) for t in step_tilts)
+        if not seq.is_iid:
+            scale_prefix = (seq.scales.tolist(), np.cumsum(seq.scales).tolist())
     return _SwitchedTilt(theta, seq.n, x * math.sqrt(seq.variance_sum()), dist.log_mgf(theta),
-                         steps, log_mgf_prefix)
+                         steps, log_mgf_prefix, untilted_word, tilted_words, scale_prefix)
 
 
 class _Passage:
@@ -321,14 +339,12 @@ def _two_point_paths(seq: SequenceSpec, rng, n_paths: int, tilt: _SwitchedTilt):
     level = np.empty(n_paths)
     peak = np.full(n_paths, -np.inf)
     passage = _Passage(tilt, n_paths, span)
-    untilted = np.uint64(dist.up_threshold(0.0))
-    tilted = [np.uint64(dist.up_threshold(t))
-              for t in ([tilt.theta] if iid else tilt.steps.tolist())]
+    untilted, tilted = tilt.untilted_word, tilt.tilted_words
     threshold = np.full(n_paths, tilted[0])
     if iid:
         steps = ((1.0, float(k)) for k in range(1, seq.n + 1))
     else:
-        steps = zip(seq.scales.tolist(), np.cumsum(seq.scales).tolist())
+        steps = zip(*tilt.scale_prefix)
     for k, (s, prefix) in enumerate(steps):
         if k and not iid and tilted[k] != tilted[k - 1]:
             np.copyto(threshold, tilted[k], where=passage.active)

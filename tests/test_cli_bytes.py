@@ -90,7 +90,7 @@ DIGESTS = {
     "simulate_twopoint_tilted": "ba7603cf37f88ce5f680dbd55610b4c59ddf984c4ea90ac77f6bbe82c0e38042",
     "simulate_uniform_tilted": "2d733ba05837c248353ae16897cb380264f06712141c48ce60c1c4c3307b56bf",
     "simulate_exponential_naive": "d94a968e958554b0358d1db08ecec9538a4c64744f1eac7f2e8db8ba61b95592",
-    "simulate_student_t_naive": "b5b193a311ba61996757bf20cc083967b97fd0f6f8133f37e7518ad3dd89fd64",
+    "simulate_student_t_naive": "58fc3faaf9616724e04a3e05df844ad4958b694a54089e5b5f30ddb63fc48490",
     "sweep_rademacher_lattice": "5c6ae1c102fb689cada1e687dd0cd55d1a30ac01bf9ef82194da73b153615265",
     "sweep_rademacher_lattice.csv": "37c4339b9fea8bfc04041f34c40ce748b44eb34a3009dedb6bc7ad4cd990e516",
     "sweep_twopoint_dp": "8b699aedea93f7bfab5bebe99260d3d59ec961dbda20abd0259114a774ed4d5e",

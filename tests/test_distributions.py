@@ -1,6 +1,7 @@
 """Distribution families: moments, sampling, tilting."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -34,6 +35,7 @@ ALL = [
 BOUNDED = [d for d in ALL if d.support_max() < math.inf]
 IDS = [f"{type(d).__name__}-{i}" for i, d in enumerate(ALL)]
 BOUNDED_IDS = [f"{type(d).__name__}-{i}" for i, d in enumerate(BOUNDED)]
+_BELOW_ONE = math.nextafter(1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +163,57 @@ def test_sampling_second_moment(dist):
     ex4 = dist.abs_moment(4.0)  # finite for every family in ALL
     stderr = math.sqrt((ex4 - ex2 * ex2) / n)
     assert abs(float(np.mean(draws * draws)) - ex2) <= 5.0 * stderr
+
+
+@pytest.mark.parametrize("nu", [3.01, 3.5, 5.0, 30.0, 1e8])
+def test_student_t_draws_follow_the_t_law(nu):
+    # Bailey's polar method is exact for every nu, down to the edge of the
+    # family and up to the normal limit
+    draws = StudentT(nu).sample(np.random.default_rng(2024), 500_000)
+    assert np.all(np.isfinite(draws))
+    assert sps.kstest(draws, sps.t(nu).cdf).pvalue > 1e-3
+
+
+def test_student_t_scalar_sample_advances_stream():
+    d = StudentT(5.0)
+    rng = np.random.default_rng(3)
+    a = d.sample(rng)
+    b = d.sample(rng)
+    assert isinstance(a, float) and a != b
+    assert d.sample(np.random.default_rng(3)) == a
+    assert d.sample(rng, (3, 4)).shape == (3, 4)
+
+
+class _FirstBlockGiven:
+    """A generator whose first ``random`` call returns ``first``, and whose
+    later ones draw from a real generator; it records every size asked."""
+
+    def __init__(self, first):
+        self.first, self.sizes = np.array(first), []
+        self.rng = np.random.default_rng(5)
+
+    def random(self, size):
+        self.sizes.append(size)
+        if self.first is None:
+            return self.rng.random(size)
+        first, self.first = self.first, None
+        return first
+
+
+def test_student_t_redraws_only_the_pairs_off_the_disk():
+    # doubles r give U, V = 2 r - 1: slot 0 is the centre W = 0, slots 1 and
+    # 4 lie off the disk, slots 2 and 3 are on it at W = 0.5625 and 0.5
+    rng = _FirstBlockGiven([[0.5, 0.0, 0.875, 0.25, _BELOW_ONE],
+                            [0.5, 0.0, 0.5, 0.75, 0.0]])
+    nu = 5.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        draws = StudentT(nu).sample(rng, 5)
+    assert rng.sizes[:2] == [(2, 5), (2, 3)]
+    assert np.all(np.isfinite(draws))
+    for u, w, got in ((0.75, 0.5625, draws[2]), (-0.5, 0.5, draws[3])):
+        assert got == pytest.approx(u * math.sqrt(nu * math.expm1(-2.0 / nu * math.log(w)) / w),
+                                    rel=1e-14)
 
 
 # ---------------------------------------------------------------------------

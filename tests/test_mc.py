@@ -9,7 +9,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from mdlab import CenteredExponential, Rademacher, SequenceSpec, TwoPoint, Uniform, oracle
+from mdlab import CenteredExponential, Rademacher, SequenceSpec, StudentT, TwoPoint, Uniform, oracle
+from mdlab.distributions import _TwoPointLaw
 from mdlab.errors import BudgetExceededError, ConfigError, InfeasibleError, TiltUnsupportedError
 from mdlab.mc import (CHUNK_SIZE, PATH_STEP_BUDGET, STREAM_VERSION, _check_path_steps, _run_chunk,
                       _schedule_digest, _switched_tilt, choose_tilt, merge, simulate)
@@ -160,9 +161,9 @@ def test_merge_rejects_mismatches_and_duplicates():
 def test_merge_refuses_estimates_of_another_stream_version():
     seq = SequenceSpec(Rademacher(1.0), 16)
     est = simulate(seq, 1.0, 2000, seed=1)[0]
-    assert est.quantity[-1] == STREAM_VERSION == 4
-    # the same law, n, x and schedule drawn by the version-1, -2 and -3 streams
-    for version in (1, 2, 3):
+    assert est.quantity[-1] == STREAM_VERSION == 5
+    # the same law, n, x and schedule drawn by the version-1 to -4 streams
+    for version in (1, 2, 3, 4):
         older = dataclasses.replace(est, quantity=est.quantity[:-1] + (version,),
                                     records=tuple((2,) + r[1:] for r in est.records))
         with pytest.raises(ConfigError, match="quantity"):
@@ -351,8 +352,8 @@ def test_path_step_budget():
 
 
 @pytest.mark.parametrize("dist, method", [(TwoPoint(2.0, 1.0), "tilted"), (Uniform(1.0), "tilted"),
-                                          (Rademacher(1.0), "naive")],
-                         ids=["two_point_kernel", "float_tilted", "float_naive"])
+                                          (Rademacher(1.0), "naive"), (StudentT(5.0), "naive")],
+                         ids=["two_point_kernel", "float_tilted", "float_naive", "student_t_naive"])
 def test_an_iid_chunk_builds_nothing_of_length_n(dist, method):
     # 2^15 steps of 8 paths: a float64 array of length n alone is 256 KiB,
     # and a list of its n floats 1 MiB; what a chunk allocates is set by
@@ -367,6 +368,26 @@ def test_an_iid_chunk_builds_nothing_of_length_n(dist, method):
     finally:
         tracemalloc.stop()
     assert peak < 32 * 1024
+
+
+def test_a_schedule_builds_its_thresholds_once_per_run(monkeypatch):
+    # the tilted word of every step and the untilted one are built with the
+    # switched tilt, not again by every chunk
+    calls = []
+    up_threshold = _TwoPointLaw.up_threshold
+
+    def spy(self, theta):
+        calls.append(theta)
+        return up_threshold(self, theta)
+
+    monkeypatch.setattr(_TwoPointLaw, "up_threshold", spy)
+    seq = SequenceSpec(TwoPoint(2.0, 1.0), 8, scales=np.linspace(0.5, 2.0, 8))
+    counts = []
+    for n_samples in (2000, 3 * CHUNK_SIZE):
+        calls.clear()
+        simulate(seq, 1.5, n_samples, seed=3, method="tilted")
+        counts.append(len(calls))
+    assert counts == [9, 9]
 
 
 def test_chunk_indices_past_64_bits_are_config_errors():
@@ -427,6 +448,26 @@ def test_tilted_unbiased_over_seeds():
         mean = sum(e.p_hat for e in estimates) / len(estimates)
         pooled_se = math.sqrt(sum(e.stderr**2 for e in estimates)) / len(estimates)
         assert abs(mean - exact) <= 4.0 * pooled_se, (n, x, mean, exact, pooled_se)
+
+
+@pytest.mark.parametrize("nu", [3.5, 5.0])
+def test_naive_student_t_agrees_with_an_independent_standard_t_run(nu):
+    # the polar sampler on SFC64 chunks against numpy's standard_t on PCG64:
+    # both events within 5 combined standard errors
+    n, x, paths = 64, 1.5, 1 << 16
+    est_max, est_sum = simulate(SequenceSpec(StudentT(nu), n), x, paths, seed=81)
+    rng = np.random.Generator(np.random.PCG64(82))
+    running, sq_norm, peak = np.zeros(paths), np.zeros(paths), np.full(paths, -np.inf)
+    for _ in range(n):
+        step = rng.standard_t(nu, paths)
+        running += step
+        sq_norm += step * step
+        np.maximum(peak, running, out=peak)
+    cut = x * np.sqrt(sq_norm)
+    for est, hits in ((est_max, peak >= cut), (est_sum, running >= cut)):
+        p = float(hits.mean())
+        combined = math.hypot(est.stderr, math.sqrt(p * (1.0 - p) / paths))
+        assert abs(est.p_hat - p) <= 5.0 * combined, (est.event, est.p_hat, p, combined)
 
 
 def test_tilted_variance_reduction_deep_tail():
