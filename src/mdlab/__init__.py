@@ -8,7 +8,7 @@ Subpackages by responsibility:
 * :mod:`mdlab.theory` - moment functionals, regime flags, normal tails
 * :mod:`mdlab.oracle` - exact enumeration, Rademacher reflection closed
   form, TwoPoint first-passage DP
-* :mod:`mdlab.mc` - reproducible (counter-based) Monte Carlo with
+* :mod:`mdlab.mc` - reproducible (SFC64, seeded per chunk) Monte Carlo with
   importance sampling by an exponential tilt switched off at the first
   passage of the barrier
 * :mod:`mdlab.experiments` - config-driven sweeps with resumable CSV output

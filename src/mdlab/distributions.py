@@ -18,10 +18,12 @@ tilted two-point step is one raw 64-bit word of the generator's bit
 stream, which draws ``+a`` when it is below
 :meth:`~_TwoPointLaw.up_threshold` (see :meth:`~_TwoPointLaw.up_draws`).
 ``STREAM_VERSION`` names the layout of the Monte Carlo stream these draws
-and :mod:`mdlab.mc` define together; version 5 is this raw-word draw and
+and :mod:`mdlab.mc` define together; version 6 is this raw-word draw and
 the switched tilt of :mod:`mdlab.mc`, drawn from SFC64 bit generators,
-with the tilt of iid two-point laws solved in closed form and Student t
-drawn by Bailey's polar method (version 4 drew Student t by numpy's
+with the tilt of iid two-point laws solved in closed form, every other
+tilt by Newton's method on Uniform's series-accurate arithmetic, and
+Student t drawn by Bailey's polar method (version 5 found those other
+tilts by Brent's method; version 4 drew Student t by numpy's
 ``standard_t``; version 3 root-found the tilt of ``TwoPoint``; version 2
 drew from counter-based generators).
 
@@ -41,6 +43,7 @@ StudentT               ``{"family": "student_t", "nu": nu}``
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
@@ -60,9 +63,13 @@ __all__ = [
     "from_literal",
 ]
 
-# the Monte Carlo stream layout; bump it whenever a fixed seed can give other bytes
-STREAM_VERSION = 5
+# the Monte Carlo stream layout; bump it whenever a fixed seed can give other bytes.
+# Version 6: the tilt of Uniform and of scale schedules is solved by Newton's
+# method, with Uniform's tilt arithmetic in series at small tilts, and the tilt
+# of iid two-point laws with a > 3b by the log form of the closed form
+STREAM_VERSION = 6
 _WORDS = 1 << 64  # the raw words of a 64-bit bit generator are uniform on [0, 2^64)
+_LOG_MAX = math.log(sys.float_info.max)  # the largest z for which exp(z) is finite
 
 
 def _levelwise(fn, levels) -> float | np.ndarray:
@@ -129,6 +136,11 @@ class Distribution:
     def tilted_mean(self, theta: float) -> float:
         raise self._tilt_unsupported()
 
+    def tilted_variance(self, theta: float) -> float:
+        """The variance of the law tilted by ``theta``: the derivative of
+        :meth:`tilted_mean`."""
+        raise self._tilt_unsupported()
+
     def tilted_sample(self, theta: float, rng: np.random.Generator, size=None, where=None):
         """Draws of the law tilted by ``theta``. With ``where``, a boolean
         array of the draws' shape, only the draws where it is True take the
@@ -187,6 +199,13 @@ class _TwoPointLaw(Distribution):
     def tilted_mean(self, theta: float) -> float:
         _, wa, wb = self._tilt_weights(theta)
         return (self.a * wa - self.b * wb) / (wa + wb)
+
+    def tilted_variance(self, theta: float) -> float:
+        # (a - m)(m + b) for the tilted mean m, formed from the masses so that
+        # neither factor cancels near the hull
+        _, wa, wb = self._tilt_weights(theta)
+        total = wa + wb
+        return (self.a + self.b) ** 2 * (wa / total) * (wb / total)
 
     def up_threshold(self, theta: float) -> int:
         """The word ``T`` below which a raw 64-bit word draws ``+a`` under the
@@ -286,19 +305,29 @@ class Uniform(Distribution):
 
     def log_mgf(self, theta: float) -> float:
         z = abs(theta) * self.half_width
-        if z < 1e-8:
-            return z * z / 6.0  # log(sinh z / z) ~ z^2/6
+        if z < _SERIES_MAX:
+            return math.log1p(z * z * _sinhc_sums(z)[0])
         # log(sinh z / z) = z + log1p(-exp(-2z)) - log(2z)
         return z + math.log1p(-math.exp(-2.0 * z)) - math.log(2.0 * z)
 
     def tilted_mean(self, theta: float) -> float:
         z = theta * self.half_width
-        if abs(z) < 1e-5:
-            # Langevin function coth(z) - 1/z ~ z/3 - z^3/45
-            lang = z / 3.0 - z**3 / 45.0
-        else:
-            lang = 1.0 / math.tanh(z) - 1.0 / z
-        return self.half_width * lang
+        if abs(z) < _SERIES_MAX:
+            # the Langevin function coth(z) - 1/z = z tau / (1 + z^2 sigma)
+            sigma, tau = _sinhc_sums(z)
+            return self.half_width * (z * tau / (1.0 + z * z * sigma))
+        return self.half_width * (1.0 / math.tanh(z) - 1.0 / z)
+
+    def tilted_variance(self, theta: float) -> float:
+        z = abs(theta) * self.half_width
+        if z < _SERIES_MAX:
+            # 1/z^2 - 1/sinh^2 z = s (s + 2) / (z^2 (1 + s)^2), s = sinh(z)/z - 1
+            sigma = _sinhc_sums(z)[0]
+            s = z * z * sigma
+            return self.half_width**2 * (sigma * (s + 2.0) / (1.0 + s) ** 2)
+        # 1/sinh z as 2 exp(-z) / (1 - exp(-2z)), which does not overflow
+        inv_sinh = 2.0 * math.exp(-z) / -math.expm1(-2.0 * z)
+        return self.half_width**2 * (1.0 / (z * z) - inv_sinh * inv_sinh)
 
     def tilted_sample(self, theta, rng, size=None, where=None):
         a = self.half_width
@@ -307,15 +336,47 @@ class Uniform(Distribution):
         u = rng.random(1 if size is None else size)
         # inverse CDF of the tilted density, of either sign of theta, stable for small
         # theta*a; worked in place, as a fresh array per pass costs as much as the pass
-        shifted = u * math.expm1(2.0 * theta * a)
-        np.log1p(shifted, out=shifted)
-        shifted /= theta
+        if 2.0 * theta * a < _LOG_MAX:
+            shifted = u * math.expm1(2.0 * theta * a)
+            np.log1p(shifted, out=shifted)
+            shifted /= theta
+        else:
+            # expm1 overflows: log1p(u expm1(2 theta a)) is 2 theta a + log u,
+            # as exp(-2 theta a) is below the rounding of every nonzero u
+            with np.errstate(divide="ignore"):
+                shifted = np.log(u)
+            shifted /= theta
+            shifted += 2.0 * a
+            np.maximum(shifted, 0.0, out=shifted)  # u = 0 draws -a
         if where is not None:
             u *= 2.0 * a  # the untilted draw, -a + 2a u
             np.copyto(u, shifted, where=where)
             shifted = u
         shifted -= a
         return shifted[0] if size is None else shifted
+
+
+# the tilt arithmetic of Uniform is in series below this z and in closed form
+# from it on; both sides are within 6e-16 relative of 50-digit values, which a
+# switch at z = 1 or z = 3 misses (see the tests)
+_SERIES_MAX = 2.0
+# 1/(2k+1)! for k = 1..12: sinh(z)/z - 1 = sum_k z^(2k) / (2k+1)!, whose
+# terms past k = 12 are below 2^-55 of the sum for z < _SERIES_MAX
+_SINHC = tuple(1.0 / math.factorial(2 * k + 1) for k in range(1, 13))
+
+
+def _sinhc_sums(z: float) -> tuple[float, float]:
+    """``(sigma, tau)`` with ``sinh(z)/z - 1 = z^2 sigma`` and ``cosh(z) -
+    sinh(z)/z = z^2 tau``: ``sigma = sum_k z^(2k-2) / (2k+1)!`` and ``tau =
+    sum_k 2k z^(2k-2) / (2k+1)!``. Every term is positive, so neither
+    cancels, and the small-z forms of Uniform's tilt arithmetic are their
+    quotients."""
+    w = z * z
+    sigma = tau = 0.0
+    for k in range(len(_SINHC), 0, -1):
+        sigma = sigma * w + _SINHC[k - 1]
+        tau = tau * w + 2 * k * _SINHC[k - 1]
+    return sigma, tau
 
 
 @dataclass(frozen=True)

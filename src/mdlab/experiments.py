@@ -334,8 +334,8 @@ def _read_completed(csv_path: str) -> list[str]:
 
 def _library_versions() -> dict:
     """The versions a sweep's bytes depend on besides ``STREAM_VERSION``:
-    numpy's bit generators and samplers, scipy's special functions and
-    root finder, and the Python that runs them."""
+    numpy's bit generators and samplers, scipy's special functions, and
+    the Python that runs them."""
     return {"python": ".".join(map(str, sys.version_info[:3])), "numpy": np.__version__,
             "scipy": scipy.__version__}
 

@@ -32,9 +32,11 @@ only to the paths still under it. On iid steps neither kernel builds
 anything of length ``n``: every step has scale 1 and one tilted threshold,
 so a chunk's memory is set by its paths alone. ``STREAM_VERSION`` is part
 of every estimate's ``quantity``, so estimates from different stream
-layouts do not merge; version 5 draws Student t steps by Bailey's polar
-method (see :class:`~mdlab.distributions.StudentT`), and version 4 solved
-the tilt of iid two-point laws in closed form (see :func:`choose_tilt`).
+layouts do not merge; version 6 solves the tilts that have no closed form
+by Newton's method on the drift (see :func:`choose_tilt`), version 5 draws
+Student t steps by Bailey's polar method (see
+:class:`~mdlab.distributions.StudentT`), and version 4 solved the tilt of
+iid two-point laws in closed form.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from typing import Optional
 
 import numpy as np
 
-from .distributions import STREAM_VERSION, _TwoPointLaw
+from .distributions import STREAM_VERSION, Uniform, _TwoPointLaw
 from .errors import BudgetExceededError, ConfigError, InfeasibleError, check_finite
 from .theory import SequenceSpec, _tie_cut, _tie_unit
 
@@ -58,7 +60,6 @@ __all__ = [
     "PATH_STEP_BUDGET",
     "STREAM_VERSION",
     "TailEstimate",
-    "TiltPlan",
     "choose_tilt",
     "simulate",
     "merge",
@@ -71,6 +72,8 @@ DEFAULT_SEED = 715517
 PATH_STEP_BUDGET = 1 << 34
 _MAX_UINT64 = (1 << 64) - 1
 _DRIFT_TOL = 1e-10
+_STEP_TOL = 1e-12  # a Newton step this small, relative to theta, is near the drift's rounding
+_MAX_NEWTON_STEPS = 200
 _BELOW_ONE = math.nextafter(1.0, 0.0)
 _HASH_BLOCK = 1 << 12  # unit scales hashed per update for an iid schedule
 
@@ -139,13 +142,6 @@ class TailEstimate:
         return {key: getattr(self, key) for key in keys}
 
 
-@dataclass(frozen=True)
-class TiltPlan:
-    """Tilt parameter solving mean drift = x * B_n / n per step."""
-
-    theta: float
-
-
 def _step_sum(seq: SequenceSpec, f) -> float:
     """``sum_j f(s_j)`` over the scale schedule; ``n * f(1.0)`` when iid,
     which keeps the tilt solve O(1) per evaluation at any n."""
@@ -160,31 +156,67 @@ def _two_point_tilt(dist: _TwoPointLaw, u: float) -> float:
     (2 a b + m (a - b))`` and ``m = u sqrt(a b)``, worked in units of the
     larger step. At ``a = b = c`` it is ``atanh(u) / c`` to the bit.
 
-    ``z`` rounds to 1 near the hull, or where ``b`` is so far below ``m``
-    that ``1 - z ~ 2 b / m`` is below the rounding of 1; there the equal
-    form ``(log1p(m / b) - log1p(-m / a)) / (a + b)`` is used, with ``m /
-    a`` kept below 1.
+    The equal form ``(log1p(m / b) - log1p(-m / a)) / (a + b)``, with ``m /
+    a`` kept below 1, is used where ``a > 3 b``, as the atanh form loses
+    digits as ``a / b`` grows (2e-14 relative at ``a / b = 1e6``), and
+    where ``z`` rounds to 1: near the hull, or where ``b`` is so far below
+    ``m`` that ``1 - z ~ 2 b / m`` is below the rounding of 1.
     """
     top = max(dist.a, dist.b)
     a, b = dist.a / top, dist.b / top
     r = math.sqrt(a * b)
-    z = u * ((r * (a + b)) / (2.0 * a * b + u * r * (a - b)))
-    if z < 1.0:
-        return 2.0 * math.atanh(z) / (a + b) / top
+    if dist.a <= 3.0 * dist.b:
+        z = u * ((r * (a + b)) / (2.0 * a * b + u * r * (a - b)))
+        if z < 1.0:
+            return 2.0 * math.atanh(z) / (a + b) / top
     m = u * r
     return (math.log1p(m / b) - math.log1p(-min(m / a, _BELOW_ONE))) / (a + b) / top
 
 
-def choose_tilt(seq: SequenceSpec, x: float) -> TiltPlan:
-    """Solve ``sum_j tilted_mean_j(theta) = x * B_n`` for theta >= 0.
+def _newton_tilt(seq: SequenceSpec, total_drift, target: float, theta: float) -> float:
+    """The root of the increasing ``total_drift(theta) = target`` by Newton's
+    method from ``theta``, on the slope ``sum_j s_j^2 tilted_variance(theta
+    s_j)``. Each drift value narrows the bracket ``[lo, hi]`` that holds the
+    root, and a step that would leave it bisects it instead. A step within
+    ``_STEP_TOL`` of theta that no longer shrinks, or that would leave the
+    bracket, stops the iteration: the drift's rounding is reached. It stops
+    too where the slope is too flat for a finite step, and after
+    ``_MAX_NEWTON_STEPS``; the caller's residual check judges what it
+    returns."""
+    dist = seq.dist
+    lo, hi, last = 0.0, math.inf, math.inf
+    for _ in range(_MAX_NEWTON_STEPS):
+        gap = total_drift(theta) - target
+        if gap == 0.0:
+            break
+        if gap < 0.0:
+            lo = theta
+        else:
+            hi = theta
+        slope = _step_sum(seq, lambda s: s * s * dist.tilted_variance(theta * s))
+        step = -gap / slope
+        inside = lo < theta + step < hi
+        if abs(step) <= _STEP_TOL * theta and (abs(step) >= last or not inside):
+            break
+        if not inside:
+            if hi == math.inf:
+                break
+            step = 0.5 * (lo + hi) - theta
+        last = abs(step)
+        theta += step
+    return theta
+
+
+def choose_tilt(seq: SequenceSpec, x: float) -> float:
+    """The tilt ``theta >= 0`` that solves ``sum_j s_j tilted_mean(theta
+    s_j) = x * B_n``.
 
     Iid two-point steps (Rademacher and TwoPoint) have a closed form, see
     :func:`_two_point_tilt`; on Rademacher it is ``atanh(x / sqrt(n)) /
-    c``. Laws and schedules without one (Uniform, and every scale
-    schedule) use Brent's method (``scipy.optimize.brentq``). Either way
-    the drift equation must hold to 1e-10. ``scipy.optimize`` is imported
-    on the first Brent solve, so runs that never root-find do not pay for
-    loading it. A target outside the support hull raises
+    c``. Every other law and schedule is solved by :func:`_newton_tilt`,
+    iid Uniform from Cohen's Pade inverse of the Langevin function and the
+    rest from ``theta = 0``. Either way the drift equation must hold to
+    1e-10. A target outside the support hull raises
     :class:`InfeasibleError`; a law that does not implement the tilt
     methods raises :class:`TiltUnsupportedError` from them.
     """
@@ -208,18 +240,13 @@ def choose_tilt(seq: SequenceSpec, x: float) -> TiltPlan:
     elif seq.is_iid and isinstance(dist, _TwoPointLaw):
         theta = _two_point_tilt(dist, x / math.sqrt(seq.n))
     else:
-        from scipy import optimize
-
-        hi = 1.0
-        while total_drift(hi) < total_target:
-            hi *= 2.0
-            if hi > 1e8:
-                raise InfeasibleError("tilt root finding failed to bracket")
-        theta = float(
-            optimize.brentq(
-                lambda t: total_drift(t) - total_target, 0.0, hi, xtol=1e-15, rtol=8.9e-16
-            )
-        )
+        start = 0.0
+        if seq.is_iid and isinstance(dist, Uniform):
+            # Cohen's Pade inverse y (3 - y^2) / (1 - y^2) of the Langevin
+            # function coth z - 1/z (Cohen 1991, Rheol. Acta 30, 270-273)
+            y = total_target / hull
+            start = y * (3.0 - y * y) / ((1.0 - y) * (1.0 + y)) / dist.half_width
+        theta = _newton_tilt(seq, total_drift, total_target, start)
 
     achieved = total_drift(theta)
     if not abs(achieved - total_target) <= _DRIFT_TOL * max(1.0, abs(total_target)):
@@ -227,7 +254,7 @@ def choose_tilt(seq: SequenceSpec, x: float) -> TiltPlan:
             f"tilt solve residual {abs(achieved - total_target):.3g} "
             "exceeds 1e-10"
         )
-    return TiltPlan(theta=theta)
+    return theta
 
 
 def _chunk_layout(n_samples: int, first_chunk: int) -> list[tuple[int, int]]:
@@ -271,7 +298,7 @@ class _SwitchedTilt:
 
 
 def _switched_tilt(seq: SequenceSpec, x: float) -> _SwitchedTilt:
-    dist, theta = seq.dist, choose_tilt(seq, x).theta
+    dist, theta = seq.dist, choose_tilt(seq, x)
     steps = log_mgf_prefix = None
     step_tilts = [theta]
     if not seq.is_iid:

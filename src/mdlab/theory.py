@@ -143,11 +143,13 @@ class SequenceSpec:
 
 def _tie_unit(seq: SequenceSpec) -> float:
     """Smallest step size of ``seq``: min |support value| * min scale, or 0
-    for laws without finite support, whose ties have probability 0."""
+    for laws without finite support, whose ties have probability 0. Iid
+    steps have scale 1, so nothing of length ``n`` is built for them."""
     support = seq.dist.finite_support()
     if support is None:
         return 0.0
-    return float(np.min(np.abs(support[0]))) * float(np.min(seq.scale_array()))
+    min_scale = 1.0 if seq.is_iid else float(np.min(seq.scales))
+    return float(np.min(np.abs(support[0]))) * min_scale
 
 
 def _tie_cut(barrier, unit):

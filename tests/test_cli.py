@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -529,7 +530,7 @@ def _fresh_interpreter(probe, *args, cwd=None):
     src = os.path.dirname(os.path.dirname(mdlab.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-c", probe, *args], capture_output=True, text=True,
-                          env=env, cwd=cwd)
+                          env=env, cwd=cwd, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
@@ -560,6 +561,8 @@ def _sweep_config(path, **cfg):
 
 
 def test_commands_that_never_root_find_leave_scipy_optimize_unloaded(tmp_path):
+    # no command loads scipy.optimize: the tilt has a closed form for iid
+    # two-point laws, and Newton's method solves every other one
     (tmp_path / "scales.json").write_text(json.dumps(_SCALES))
     twopoint = json.dumps(_TWOPOINT)
     commands = [
@@ -578,19 +581,35 @@ def test_commands_that_never_root_find_leave_scipy_optimize_unloaded(tmp_path):
             tmp_path / "twopoint.json", dist=_TWOPOINT, output="t.csv", engine="mc",
             mc_method="tilted", mc_samples=1000)),
         ("sweep_oracle", _sweep_config(tmp_path / "oracle.json", dist=_TWOPOINT, output="o.csv")),
+        # Newton's method: Uniform, and a scale schedule
+        ("simulate_uniform_tilted", ["simulate", "--dist", "uniform", "--n", "8", "--x", "1",
+                                     "--samples", "1000", "--method", "tilted"]),
+        ("sweep_uniform_mc_tilted", _sweep_config(
+            tmp_path / "uniform.json", dist={"family": "uniform"}, output="u.csv", engine="mc",
+            mc_method="tilted", mc_samples=1000)),
     ]
     seen = _fresh_interpreter(_COMMANDS_PROBE, json.dumps(commands), cwd=tmp_path)
     assert seen == {name: [0, False] for name, _ in commands}
+    # the CLI tilts no scale schedule: solve one through the library
+    probe = ("import json, sys, numpy as np; from mdlab import SequenceSpec, TwoPoint; "
+             "from mdlab.mc import choose_tilt; "
+             f"seq = SequenceSpec(TwoPoint(2.0, 1.0), {len(_SCALES)}, scales=np.array({_SCALES})); "
+             "print(json.dumps([choose_tilt(seq, 1.2) > 0.0, 'scipy.optimize' in sys.modules]))")
+    assert _fresh_interpreter(probe) == [True, False]
 
 
-@pytest.mark.parametrize("command", ["simulate_uniform_tilted", "sweep_uniform_mc_tilted"])
-def test_a_tilt_without_closed_form_loads_scipy_optimize(tmp_path, command):
-    argv = {
-        "simulate_uniform_tilted": ["simulate", "--dist", "uniform", "--n", "8", "--x", "1",
-                                    "--samples", "1000", "--method", "tilted"],
-        "sweep_uniform_mc_tilted": _sweep_config(
-            tmp_path / "uniform.json", dist={"family": "uniform"}, output="u.csv", engine="mc",
-            mc_method="tilted", mc_samples=1000),
-    }[command]
-    seen = _fresh_interpreter(_COMMANDS_PROBE, json.dumps([(command, argv)]), cwd=tmp_path)
-    assert seen == {command: [0, True]}
+def test_tilted_uniform_runs_next_to_the_hull():
+    # x up to the largest double below the hull x = sqrt(3 n): a tilt of up
+    # to 1e16 per unit width, whose draws overflowed expm1 and exited 1 with
+    # a traceback from about 3e-3 below the hull on, and whose solve Brent's
+    # method refused from 1e-9 below it on
+    commands = []
+    for n in (4, 64):
+        hull_x = math.sqrt(3.0 * n)
+        for gap in (1e-3, 1e-6, 1e-9, 1e-15, 0.0):
+            x = math.nextafter(hull_x, 0.0) if gap == 0.0 else hull_x * (1.0 - gap)
+            commands.append((f"{n}_{gap}", ["simulate", "--dist", "uniform", "--n", str(n),
+                                            "--x", repr(x), "--samples", "1000",
+                                            "--method", "tilted"]))
+    seen = _fresh_interpreter(_COMMANDS_PROBE, json.dumps(commands))
+    assert seen == {name: [0, False] for name, _ in commands}

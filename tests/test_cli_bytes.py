@@ -88,7 +88,7 @@ DIGESTS = {
     "simulate_rademacher_scaled_tilted": "7c784780e379ebc3445a5ba723a352cfb363377dfd8f28700ff696675fd1ff18",
     "simulate_twopoint_naive": "c61c9ea0aaa1b96fd7a50bcb6359e37628b013bfcbb575ae2ee0a75ccf75c85e",
     "simulate_twopoint_tilted": "ba7603cf37f88ce5f680dbd55610b4c59ddf984c4ea90ac77f6bbe82c0e38042",
-    "simulate_uniform_tilted": "2d733ba05837c248353ae16897cb380264f06712141c48ce60c1c4c3307b56bf",
+    "simulate_uniform_tilted": "217a84b5dfea12d67b5d195df803fc1349d4465c3c1c42a984cd67bb69042119",
     "simulate_exponential_naive": "d94a968e958554b0358d1db08ecec9538a4c64744f1eac7f2e8db8ba61b95592",
     "simulate_student_t_naive": "58fc3faaf9616724e04a3e05df844ad4958b694a54089e5b5f30ddb63fc48490",
     "sweep_rademacher_lattice": "5c6ae1c102fb689cada1e687dd0cd55d1a30ac01bf9ef82194da73b153615265",

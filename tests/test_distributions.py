@@ -401,6 +401,67 @@ def test_log_mgf_derivative_is_tilted_mean(dist, theta):
 
 
 @pytest.mark.parametrize("dist", BOUNDED, ids=BOUNDED_IDS)
+@pytest.mark.parametrize("theta", [0.0, 0.1, 0.5, 1.0, 2.0, -0.7])
+def test_tilted_mean_derivative_is_tilted_variance(dist, theta):
+    h = 1e-5
+    deriv = (dist.tilted_mean(theta + h) - dist.tilted_mean(theta - h)) / (2.0 * h)
+    assert deriv == pytest.approx(dist.tilted_variance(theta), abs=1e-6)
+
+
+def _uniform_tilt_exact(z):
+    """``log(sinh z / z)``, the Langevin function ``coth z - 1/z`` and its
+    derivative ``1/z^2 - 1/sinh^2 z``, to 50 digits."""
+    with mp.workdps(50):
+        z = mp.mpf(z)
+        return (mp.log(mp.sinh(z) / z), mp.coth(z) - 1 / z, 1 / z**2 - 1 / mp.sinh(z) ** 2)
+
+
+def test_uniform_tilt_arithmetic_matches_50_digits_at_every_tilt():
+    # the series below z = 2 and the closed forms from it on are within
+    # 6e-16 relative. This picks the switch: the closed form of the variance
+    # is 8.6e-16 off at z = 1, and twelve terms of the series fall short at
+    # z = 3; the closed form of log(sinh z / z) was 1e8 relative off at 1.1e-8
+    dist = Uniform(1.0)
+    zs = np.concatenate([np.geomspace(1e-12, 50.0, 300), np.linspace(1.0, 3.0, 201)])
+    for z in zs.tolist():
+        exact = _uniform_tilt_exact(z)
+        for sign in (1.0, -1.0):
+            got = (dist.log_mgf(sign * z), sign * dist.tilted_mean(sign * z),
+                   dist.tilted_variance(sign * z))
+            for value, want in zip(got, exact):
+                assert abs(value - want) <= 6e-16 * want, (z, sign, value, float(want))
+
+
+def test_uniform_tilt_arithmetic_at_zero_and_past_overflow():
+    dist = Uniform(2.0)
+    assert (dist.log_mgf(0.0), dist.tilted_mean(0.0)) == (0.0, 0.0)
+    assert dist.tilted_variance(0.0) == pytest.approx(4.0 / 3.0, rel=1e-15)
+    # sinh overflows from z = 710 on; the variance is 1/theta^2 to the rounding
+    for theta in (400.0, 1e6, 1e150):
+        assert dist.tilted_variance(theta) == pytest.approx(1.0 / theta**2, rel=1e-15)
+        assert dist.tilted_mean(theta) == pytest.approx(2.0 - 1.0 / theta, rel=1e-15)
+
+
+@pytest.mark.parametrize("theta", [354.0, 356.0, 1e6, 1e15])
+def test_uniform_tilted_draws_past_the_overflow_of_expm1(theta):
+    # expm1(2 theta a) overflows from theta a = 354.9 on: the draws there are
+    # a + log(u) / theta, in the support and with the tilted mean, and the
+    # draws off the mask stay untilted
+    dist, size = Uniform(1.0), 100_000
+    where = np.arange(size) % 4 != 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        draws = dist.tilted_sample(theta, np.random.default_rng(21), size, where)
+    untilted = dist.tilted_sample(0.0, np.random.default_rng(21), size)
+    assert np.all((-1.0 <= draws) & (draws <= 1.0))
+    assert np.array_equal(draws[~where], untilted[~where])
+    tilted = draws[where]
+    # five standard errors, and the rounding of draws next to a = 1
+    bound = 5.0 * math.sqrt(dist.tilted_variance(theta) / tilted.size) + 4.0 * 2.0**-52
+    assert abs(float(np.mean(tilted)) - dist.tilted_mean(theta)) <= bound
+
+
+@pytest.mark.parametrize("dist", BOUNDED, ids=BOUNDED_IDS)
 def test_tilted_mean_strictly_increasing(dist):
     grid = np.linspace(-2.0, 2.0, 17)
     means = [dist.tilted_mean(t) for t in grid]
@@ -502,6 +563,8 @@ def test_tilt_unbounded_raises(dist):
         dist.log_mgf(0.5)
     with pytest.raises(TiltUnsupportedError):
         dist.tilted_mean(0.5)
+    with pytest.raises(TiltUnsupportedError):
+        dist.tilted_variance(0.5)
     with pytest.raises(TiltUnsupportedError):
         dist.tilted_sample(0.5, np.random.default_rng(0), 4)
 

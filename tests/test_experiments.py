@@ -366,7 +366,7 @@ def _set_manifest_stream_version(cfg, version):
     _edit_manifest(cfg, edit)
 
 
-@pytest.mark.parametrize("version", [None, 1, 2, 3, 4])
+@pytest.mark.parametrize("version", [None, 1, 2, 3, 4, 5])
 @pytest.mark.parametrize("make_cfg, rows", [
     (mc_cfg, 2),
     # an exact row first, then a Monte Carlo fallback row: TwoPoint past n = 255
@@ -385,7 +385,7 @@ def test_resume_refuses_monte_carlo_rows_of_another_stream_version(tmp_path, mak
     assert [open(f, "rb").read() for f in files] == before
 
 
-@pytest.mark.parametrize("version", [None, 1, 2, 3, 4])
+@pytest.mark.parametrize("version", [None, 1, 2, 3, 4, 5])
 def test_exact_rows_of_another_stream_version_resume(tmp_path, version):
     # only Monte Carlo rows depend on the stream; the rows still to come
     # are drawn by this one, and the manifest now says so

@@ -97,16 +97,16 @@ def test_worker_count_does_not_change_bits():
          ["0x1.edd53c70f2edbp-6", "0x1.319c14d1c6c50p-13",
           "0x1.130b610cd5694p-6", "0x1.0552ebfe15a91p-13"]),
         (SequenceSpec(Uniform(1.0), 50, scales=np.random.default_rng(123).uniform(0.8, 1.25, 50)),
-         1.5, 31, "0x1.70c5510128c10p-2",
-         ["0x1.deea296103912p-4", "0x1.fc13909e174cep-12",
-          "0x1.13deedd2c3d59p-4", "0x1.8a60a790b0917p-12"]),
+         1.5, 31, "0x1.70c5510128c09p-2",
+         ["0x1.deea29610392ap-4", "0x1.fc13909e174e6p-12",
+          "0x1.13deedd2c3d68p-4", "0x1.8a60a790b092cp-12"]),
     ],
     ids=["twopoint_iid", "uniform_schedule"],
 )
 @pytest.mark.parametrize("workers", [1, 2])
 def test_tilted_estimates_pinned_to_the_bit(seq, x, seed, theta, pins, workers):
     # 70,000 paths: one full chunk and a partial one
-    assert choose_tilt(seq, x).theta.hex() == theta
+    assert choose_tilt(seq, x).hex() == theta
     est_max, est_sum = simulate(seq, x, 70_000, seed=seed, method="tilted", workers=workers)
     got = [est_max.p_hat, est_max.stderr, est_sum.p_hat, est_sum.stderr]
     assert [v.hex() for v in got] == pins
@@ -161,9 +161,9 @@ def test_merge_rejects_mismatches_and_duplicates():
 def test_merge_refuses_estimates_of_another_stream_version():
     seq = SequenceSpec(Rademacher(1.0), 16)
     est = simulate(seq, 1.0, 2000, seed=1)[0]
-    assert est.quantity[-1] == STREAM_VERSION == 5
-    # the same law, n, x and schedule drawn by the version-1 to -4 streams
-    for version in (1, 2, 3, 4):
+    assert est.quantity[-1] == STREAM_VERSION == 6
+    # the same law, n, x and schedule drawn by the version-1 to -5 streams
+    for version in (1, 2, 3, 4, 5):
         older = dataclasses.replace(est, quantity=est.quantity[:-1] + (version,),
                                     records=tuple((2,) + r[1:] for r in est.records))
         with pytest.raises(ConfigError, match="quantity"):
@@ -193,23 +193,20 @@ def test_merge_refuses_estimates_on_different_scale_schedules():
 
 
 # ---------------------------------------------------------------------------
-# tilt plans
+# the tilt solve
 # ---------------------------------------------------------------------------
 
 def test_choose_tilt_zero_drift():
-    plan = choose_tilt(SequenceSpec(Rademacher(1.0), 16), 0.0)
-    assert plan.theta == 0.0
+    assert choose_tilt(SequenceSpec(Rademacher(1.0), 16), 0.0) == 0.0
 
 
 def test_choose_tilt_rademacher_closed_form():
-    plan = choose_tilt(SequenceSpec(Rademacher(1.0), 64), 2.0)
-    assert plan.theta == math.atanh(2.0 / 8.0)
-    plan_scaled = choose_tilt(SequenceSpec(Rademacher(0.5), 64), 2.0)
-    assert plan_scaled.theta == math.atanh(2.0 / 8.0) / 0.5
+    assert choose_tilt(SequenceSpec(Rademacher(1.0), 64), 2.0) == math.atanh(2.0 / 8.0)
+    assert choose_tilt(SequenceSpec(Rademacher(0.5), 64), 2.0) == math.atanh(2.0 / 8.0) / 0.5
     # the two-point closed form at a = b = c is atanh(x / sqrt(n)) / c to the bit
     for c in (0.3, 2.0, 1e-100, 1e100):
         for n, x in ((16, 1.5), (1000, 3.3), (3, 1.0)):
-            theta = choose_tilt(SequenceSpec(Rademacher(c), n), x).theta
+            theta = choose_tilt(SequenceSpec(Rademacher(c), n), x)
             assert theta == math.atanh(x / math.sqrt(n)) / c
 
 
@@ -223,16 +220,17 @@ def _exact_two_point_tilt(a, b, n, x):
 
 
 @pytest.mark.parametrize("a, b", [(2.0, 1.0), (1.0, 2.0), (1.5, 0.8), (0.8, 1.5), (3.0, 1.0),
-                                  (1.0, 3.0)])
+                                  (1.0, 3.0), (1e3, 1.0), (1e6, 1.0)])
 def test_two_point_tilt_matches_the_exact_root(a, b):
     # targets up to 0.9 of the hull a, past which the root's own condition
-    # number grows; Brent's method was up to 1e-12 off on this grid
+    # number grows; Brent's method was up to 1e-12 off on this grid, and the
+    # atanh form 2e-14 off at a / b = 1e6, where the log form takes over
     checked = 0
     for n in (1, 4, 16, 64, 256, 1024, 10**6):
         for x in (0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0):
             if x * math.sqrt(a * b / n) >= 0.9 * a:
                 continue
-            theta = choose_tilt(SequenceSpec(TwoPoint(a, b), n), x).theta
+            theta = choose_tilt(SequenceSpec(TwoPoint(a, b), n), x)
             exact = _exact_two_point_tilt(a, b, n, x)
             assert abs(theta - exact) <= 1e-15 * exact, (n, x, theta, exact)
             checked += 1
@@ -242,13 +240,12 @@ def test_two_point_tilt_matches_the_exact_root(a, b):
 @pytest.mark.parametrize("x", [1e-79, 0.5, 1.0, 1e10, 2e80])
 def test_two_point_tilt_with_a_step_below_the_rounding_of_the_other(x):
     # with m = x sqrt(ab / n), 1 - z ~ 2b / m is below the rounding of 1
-    # from x ~ 1e-63 on, where the log form takes over; x = 1e-79 is still
-    # on the atanh side
-    theta = choose_tilt(SequenceSpec(TwoPoint(1.0, 1e-160), 5), x).theta
+    # from x ~ 1e-63 on; the log form serves every x here, as a > 3b
+    theta = choose_tilt(SequenceSpec(TwoPoint(1.0, 1e-160), 5), x)
     assert math.isfinite(theta)
     assert abs(theta - _exact_two_point_tilt(1.0, 1e-160, 5, x)) <= 1e-15 * theta
     # P(X = a) rounds to 1 here: the untilted drift is already the hull a
-    assert choose_tilt(SequenceSpec(TwoPoint(1e-160, 1.0), 5), min(x, 1.0)).theta == 0.0
+    assert choose_tilt(SequenceSpec(TwoPoint(1e-160, 1.0), 5), min(x, 1.0)) == 0.0
 
 
 @pytest.mark.parametrize("dist, n, x", [
@@ -266,9 +263,99 @@ def test_choose_tilt_uniform_by_root_finding():
     dist = Uniform(math.sqrt(3.0))
     seq = SequenceSpec(dist, 100)
     x = 0.3 * math.sqrt(100)  # per-step drift target 0.3
-    plan = choose_tilt(seq, x)
-    assert dist.tilted_mean(plan.theta) == pytest.approx(0.3, abs=1e-10)
-    assert plan.theta > 0.0
+    theta = choose_tilt(seq, x)
+    assert dist.tilted_mean(theta) == pytest.approx(0.3, abs=1e-10)
+    assert theta > 0.0
+
+
+def _newton_steps(monkeypatch, seq, x):
+    """``(theta, Newton steps)`` of one tilt solve: each step reads the
+    slope, one ``tilted_variance`` per distinct scale."""
+    calls = []
+    law = type(seq.dist)
+    variance = law.tilted_variance
+    monkeypatch.setattr(law, "tilted_variance",
+                        lambda self, t: calls.append(t) or variance(self, t))
+    theta = choose_tilt(seq, x)
+    monkeypatch.setattr(law, "tilted_variance", variance)
+    return theta, len(calls) // (1 if seq.is_iid else seq.n)
+
+
+def _exact_tilt(seq, x, start):
+    """The root of ``sum_j s_j tilted_mean(theta s_j) = x B_n`` to 50 digits,
+    for Uniform and two-point laws, polished from ``start``."""
+    dist = seq.dist
+    with mp.workdps(50):
+        scales = [mp.mpf(1)] if seq.is_iid else [mp.mpf(s) for s in seq.scales.tolist()]
+        copies = seq.n if seq.is_iid else 1
+        if isinstance(dist, Uniform):
+            a = mp.mpf(dist.half_width)
+            var, mean = a * a / 3, lambda t: a * (mp.coth(t * a) - 1 / (t * a))
+        else:
+            a, b = mp.mpf(dist.a), mp.mpf(dist.b)
+            var = a * b
+            mean = lambda t: a * b * -mp.expm1(-t * (a + b)) / (b + a * mp.exp(-t * (a + b)))
+        target = mp.mpf(x) * mp.sqrt(copies * var * mp.fsum(s * s for s in scales))
+        return mp.findroot(lambda t: copies * mp.fsum(s * mean(t * s) for s in scales) - target,
+                           mp.mpf(start))
+
+
+_SCHEDULES = [np.exp(np.random.default_rng(1).normal(0.0, 0.5, 50)),
+              np.random.default_rng(123).uniform(0.8, 1.25, 50), np.linspace(0.1, 3.0, 20)]
+
+
+def test_newton_tilt_of_iid_uniform_matches_the_exact_root(monkeypatch):
+    # from Cohen's Pade start; Brent's method was up to 1e-10 off here, and
+    # refused n = 1e9, where the closed form of the Langevin function cancels
+    for dist in (Uniform(1.0), Uniform(2.5)):
+        for n in (4, 16, 100, 10**4, 10**6, 10**9, 10**12):
+            for x in (0.5, 1.0, 1.5, 2.0, 3.0):
+                seq = SequenceSpec(dist, n)
+                theta, steps = _newton_steps(monkeypatch, seq, x)
+                exact = _exact_tilt(seq, x, theta)
+                assert abs(theta - exact) <= 1e-15 * exact, (dist, n, x, theta, exact)
+                assert steps <= 8, (dist, n, x, steps)
+
+
+@pytest.mark.parametrize("dist", [Uniform(1.0), TwoPoint(2.0, 1.0), TwoPoint(1.0, 3.0),
+                                  TwoPoint(100.0, 1.0)],
+                         ids=["uniform", "twopoint", "skewed_down", "skewed_up"])
+@pytest.mark.parametrize("schedule", range(len(_SCHEDULES)))
+def test_newton_tilt_on_a_schedule_matches_the_exact_root(monkeypatch, dist, schedule):
+    # from theta = 0, at targets up to 0.9 of the hull. The two-point tilted
+    # mean (a wa - b wb) / (wa + wb) cancels near theta = 0 on TwoPoint(2, 1),
+    # so that its drift at x = 0.5 is a few ulps off and the root with it, by
+    # up to 1.3e-15 (Brent's method: 2.6e-15); every other root is within 1e-15
+    scales = _SCHEDULES[schedule]
+    seq = SequenceSpec(dist, len(scales), scales=scales)
+    hull_x = dist.support_max() * float(np.sum(scales)) / math.sqrt(seq.variance_sum())
+    for x in (x for x in (0.5, 1.5, 3.0) if x < 0.9 * hull_x):
+        theta, steps = _newton_steps(monkeypatch, seq, x)
+        exact = _exact_tilt(seq, x, theta)
+        tol = 1.5e-15 if dist == TwoPoint(2.0, 1.0) and x == 0.5 else 1e-15
+        assert abs(theta - exact) <= tol * exact, (x, theta, exact)
+        assert steps <= 10, (x, steps)
+
+
+@pytest.mark.parametrize("dist, schedule", [(Uniform(1.0), False), (Uniform(1.0), True),
+                                            (TwoPoint(2.0, 1.0), True), (TwoPoint(1.0, 2.0), True)],
+                         ids=["uniform_iid", "uniform", "twopoint", "skewed_down"])
+def test_newton_tilt_answers_next_to_the_hull(monkeypatch, dist, schedule):
+    # Brent's method refused Uniform from 1e-9 below the hull on ("failed to
+    # bracket"); every target below it now has a tilt that passes the 1e-10
+    # residual check. Cohen's start puts iid Uniform within 3 steps of it
+    scales = np.exp(np.random.default_rng(3).normal(0.0, 0.5, 30)) if schedule else None
+    seq = SequenceSpec(dist, 30, scales=scales)
+    hull_x = dist.support_max() * float(np.sum(seq.scale_array())) / math.sqrt(seq.variance_sum())
+    thetas = []
+    for gap in (1e-3, 1e-6, 1e-9, 1e-12, 1e-15, 0.0):
+        x = math.nextafter(hull_x, 0.0) if gap == 0.0 else hull_x * (1.0 - gap)
+        theta, steps = _newton_steps(monkeypatch, seq, x)
+        assert steps <= (60 if schedule else 3), (gap, steps)
+        thetas.append(theta)
+        for est in simulate(seq, x, 1000, method="tilted"):
+            assert math.isfinite(est.p_hat) and math.isfinite(est.stderr)
+    assert all(0.0 < a < b < math.inf for a, b in zip(thetas, thetas[1:]))
 
 
 def test_choose_tilt_scaled_schedule_total_drift():
@@ -276,8 +363,8 @@ def test_choose_tilt_scaled_schedule_total_drift():
     scales = rng.uniform(0.5, 2.0, 50)
     seq = SequenceSpec(Uniform(1.0), 50, scales=scales)
     x = 1.2
-    plan = choose_tilt(seq, x)
-    total = math.fsum(s * seq.dist.tilted_mean(plan.theta * s) for s in scales)
+    theta = choose_tilt(seq, x)
+    total = math.fsum(s * seq.dist.tilted_mean(theta * s) for s in scales)
     assert total == pytest.approx(x * math.sqrt(seq.variance_sum()), abs=1e-9)
 
 
@@ -319,7 +406,7 @@ def test_tilt_target_below_rounding_is_no_tilt_or_infeasible():
     for x in (0.0, 1e-300):
         with pytest.raises(InfeasibleError, match="residual"):
             choose_tilt(SequenceSpec(dist, 5), x)
-    assert choose_tilt(SequenceSpec(TwoPoint(1e-160, 1.0), 5), 1e-300).theta == 0.0
+    assert choose_tilt(SequenceSpec(TwoPoint(1e-160, 1.0), 5), 1e-300) == 0.0
 
 
 def test_simulate_validation():
@@ -360,10 +447,9 @@ def test_an_iid_chunk_builds_nothing_of_length_n(dist, method):
     # its paths, not by n
     seq = SequenceSpec(dist, 1 << 15)
     tilt = _switched_tilt(seq, 2.0) if method == "tilted" else None
-    unit = _tie_unit(seq)
     tracemalloc.start()
     try:
-        _run_chunk(seq, 2.0, 1, 0, 8, tilt, unit)
+        _run_chunk(seq, 2.0, 1, 0, 8, tilt, _tie_unit(seq))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
