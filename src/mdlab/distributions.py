@@ -360,22 +360,23 @@ class Uniform(Distribution):
 # from it on; both sides are within 6e-16 relative of 50-digit values, which a
 # switch at z = 1 or z = 3 misses (see the tests)
 _SERIES_MAX = 2.0
-# 1/(2k+1)! for k = 1..12: sinh(z)/z - 1 = sum_k z^(2k) / (2k+1)!, whose
-# terms past k = 12 are below 2^-55 of the sum for z < _SERIES_MAX
-_SINHC = tuple(1.0 / math.factorial(2 * k + 1) for k in range(1, 13))
+# (1/(2k+1)!, 2k/(2k+1)!) for k = 12 down to 1: sinh(z)/z - 1 = sum_k z^(2k) /
+# (2k+1)!, whose terms past k = 12 are below 2^-55 of the sum for z < _SERIES_MAX
+_SINHC = tuple((1.0 / math.factorial(2 * k + 1), 2 * k / math.factorial(2 * k + 1))
+               for k in range(12, 0, -1))
 
 
 def _sinhc_sums(z: float) -> tuple[float, float]:
     """``(sigma, tau)`` with ``sinh(z)/z - 1 = z^2 sigma`` and ``cosh(z) -
     sinh(z)/z = z^2 tau``: ``sigma = sum_k z^(2k-2) / (2k+1)!`` and ``tau =
-    sum_k 2k z^(2k-2) / (2k+1)!``. Every term is positive, so neither
-    cancels, and the small-z forms of Uniform's tilt arithmetic are their
-    quotients."""
+    sum_k 2k z^(2k-2) / (2k+1)!``, by Horner's rule. Every term is positive,
+    so neither cancels, and the small-z forms of Uniform's tilt arithmetic
+    are their quotients."""
     w = z * z
     sigma = tau = 0.0
-    for k in range(len(_SINHC), 0, -1):
-        sigma = sigma * w + _SINHC[k - 1]
-        tau = tau * w + 2 * k * _SINHC[k - 1]
+    for c_sigma, c_tau in _SINHC:
+        sigma = sigma * w + c_sigma
+        tau = tau * w + c_tau
     return sigma, tau
 
 
