@@ -31,7 +31,6 @@ from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .distributions import STREAM_VERSION, Distribution, from_literal
@@ -336,6 +335,8 @@ def _library_versions() -> dict:
     """The versions a sweep's bytes depend on besides ``STREAM_VERSION``:
     numpy's bit generators and samplers, scipy's special functions, and
     the Python that runs them."""
+    import scipy
+
     return {"python": ".".join(map(str, sys.version_info[:3])), "numpy": np.__version__,
             "scipy": scipy.__version__}
 

@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .distributions import Rademacher, TwoPoint
 from .errors import BudgetExceededError, ConfigError, check_finite
@@ -123,6 +122,8 @@ def enumerate_exact(seq: SequenceSpec, x: float) -> ExactResult:
 def _walk_tail(n: int, t: int) -> float:
     """P(S_n >= t) for the +-1 walk: S_n = 2U - n with U ~ Bin(n, 1/2), and
     P(U >= k) = I_{1/2}(k, n - k + 1)."""
+    from scipy import special
+
     k = -(-(n + t) // 2)
     if k > n:
         return 0.0
@@ -189,6 +190,8 @@ def twopoint_dp(n: int, x: float, a: float, b: float) -> ExactResult:
         raise BudgetExceededError(
             f"n={n} needs {n * (n + 1) ** 2} DP cells, over the {ENUMERATION_BUDGET} budget"
         )
+    from scipy import special
+
     top = max(a, b)
     a, b = a / top, b / top
     m = np.arange(n + 1)

@@ -31,7 +31,6 @@ from dataclasses import astuple, dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import special
 
 from .distributions import Distribution
 from .errors import ConfigError, InfeasibleError, check_finite
@@ -112,7 +111,11 @@ class SequenceSpec:
         return base * float(np.sum(self.scales**p))
 
     def variance_sum(self) -> float:
-        return self.abs_moment_sum(2.0)
+        """sum_j E X_j^2, from ``dist.variance()``."""
+        v = self.dist.variance()
+        if self.is_iid:
+            return self.n * v
+        return v * float(np.sum(self.scales**2.0))
 
     def max_variance(self) -> float:
         v = self.dist.variance()
@@ -404,6 +407,8 @@ def normal_tail(x: float) -> float:
         raise ConfigError(f"normal_tail supports |x| <= {_TAIL_RANGE}, got {x}")
     if x <= 8.0:
         return 0.5 * math.erfc(x / math.sqrt(2.0))
+    from scipy import special
+
     return math.exp(special.log_ndtr(-x))
 
 

@@ -143,6 +143,16 @@ def test_theory_at_the_ends_of_the_float_range(capsys, flag, code):
     assert run_cli(capsys, *argv)[:2] == (code, "")
 
 
+@pytest.mark.parametrize("command", [["theory"], ["simulate", "--samples", "1000"]],
+                         ids=["theory", "simulate"])
+@pytest.mark.parametrize("rate, code", [(1e-160, 3), (1e300, 2)], ids=["overflows", "underflows"])
+def test_exponential_variance_past_the_double_range(capsys, command, rate, code):
+    # 1 / rate^2 overflows (exit 3) or rounds to 0, a degenerate law (exit 2)
+    lit = json.dumps({"family": "centered_exponential", "rate": rate})
+    argv = [*command, "--dist", lit, "--n", "8", "--x", "1"]
+    assert run_cli(capsys, *argv)[:2] == (code, "")
+
+
 def _refuse_constant(name):
     raise ValueError(f"stdout holds the non-JSON constant {name}")
 
@@ -513,12 +523,11 @@ def test_module_invocation_subprocess():
 
 
 def test_cli_import_loads_neither_quadrature_nor_stats():
-    src = os.path.dirname(os.path.dirname(mdlab.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    probe = "import sys, mdlab.cli; print([m for m in ('scipy.integrate', 'scipy.stats') if m in sys.modules])"
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    # nor any other scipy module: scipy.special is loaded by the functions
+    # that evaluate it, and scipy by the manifest's version record
+    probe = ("import json, sys, mdlab.cli; "
+             "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'scipy']))")
+    assert _fresh_interpreter(probe) == []
 
 
 # scipy.optimize and the packages that importing it pulls in
@@ -542,7 +551,7 @@ def test_cli_import_leaves_out_the_root_finder():
 
 
 # runs each (name, argv) of argv[1] through cli.main in one interpreter and
-# reports {name: [exit code, whether scipy.optimize is loaded after it]}
+# reports {name: [exit code, the watched modules loaded after it]}
 _COMMANDS_PROBE = """
 import contextlib, io, json, sys
 from mdlab.cli import main
@@ -550,9 +559,14 @@ seen = {}
 for name, argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
-    seen[name] = [code, "scipy.optimize" in sys.modules]
+    seen[name] = [code, [m for m in ("scipy.optimize", "scipy.special") if m in sys.modules]]
 print(json.dumps(seen))
 """
+
+
+def _loads(seen, module):
+    """{name: [exit code, whether ``module`` was loaded]} of a probe's report."""
+    return {name: [code, module in loaded] for name, (code, loaded) in seen.items()}
 
 
 def _sweep_config(path, **cfg):
@@ -589,7 +603,7 @@ def test_commands_that_never_root_find_leave_scipy_optimize_unloaded(tmp_path):
             mc_method="tilted", mc_samples=1000)),
     ]
     seen = _fresh_interpreter(_COMMANDS_PROBE, json.dumps(commands), cwd=tmp_path)
-    assert seen == {name: [0, False] for name, _ in commands}
+    assert _loads(seen, "scipy.optimize") == {name: [0, False] for name, _ in commands}
     # the CLI tilts no scale schedule: solve one through the library
     probe = ("import json, sys, numpy as np; from mdlab import SequenceSpec, TwoPoint; "
              "from mdlab.mc import choose_tilt; "
@@ -612,4 +626,43 @@ def test_tilted_uniform_runs_next_to_the_hull():
                                             "--x", repr(x), "--samples", "1000",
                                             "--method", "tilted"]))
     seen = _fresh_interpreter(_COMMANDS_PROBE, json.dumps(commands))
-    assert seen == {name: [0, False] for name, _ in commands}
+    assert seen == {name: [0, []] for name, _ in commands}
+
+
+def _simulate(dist, method, x, n=16, samples=1 << 12):
+    return ["simulate", "--dist", json.dumps(dist), "--n", str(n), "--x", str(x),
+            "--samples", str(samples), "--method", method, "--workers", "2"]
+
+
+def test_which_commands_load_scipy_special(tmp_path):
+    # moving a command from one list to the other is a change of its start-up
+    # cost: loading scipy.special is about half of a cold start
+    never = [
+        # the benchmark's simulate_mc commands, at its tiny size
+        ("simulate_rademacher_tilted", _simulate({"family": "rademacher", "scale": 1.0}, "tilted", 2.5)),
+        ("simulate_twopoint_tilted", _simulate(_TWOPOINT, "tilted", 2.5)),
+        ("simulate_uniform_naive", _simulate({"family": "uniform", "half_width": 1.0}, "naive", 1.5)),
+        ("simulate_exponential_naive", _simulate(
+            {"family": "centered_exponential", "rate": 1.0}, "naive", 1.5)),
+        ("simulate_student_t_naive", _simulate({"family": "student_t", "nu": 5.0}, "naive", 1.5)),
+        ("simulate_uniform_tilted", _simulate({"family": "uniform"}, "tilted", 1.0, n=8, samples=1000)),
+        ("simulate_twopoint_naive", _simulate(_TWOPOINT, "naive", 1.0, n=8, samples=1000)),
+        *((f"theory_{family}", ["theory", "--dist", json.dumps(dist), "--n", "50", "--x", "1.5"])
+          for family, dist in (("uniform", {"family": "uniform"}), ("twopoint", _TWOPOINT),
+                               ("rademacher", {"family": "rademacher"}))),
+        ("sweep_uniform_mc", _sweep_config(tmp_path / "uniform.json", dist={"family": "uniform"},
+                                           output="u.csv", engine="mc", mc_samples=1000)),
+    ]
+    seen = _fresh_interpreter(_COMMANDS_PROBE, json.dumps(never), cwd=tmp_path)
+    assert _loads(seen, "scipy.special") == {name: [0, False] for name, _ in never}
+    # each in a fresh interpreter, so that none rides on another's import
+    loads = [
+        ("theory_student_t", ["theory", "--dist", "student_t", "--n", "50", "--x", "1.5"]),
+        ("theory_exponential", ["theory", "--dist", "centered_exponential", "--n", "50", "--x", "1.5"]),
+        ("enumerate_rademacher", ["enumerate", "--dist", "rademacher", "--n", "30", "--x", "1"]),
+        ("enumerate_twopoint", ["enumerate", "--dist", json.dumps(_TWOPOINT), "--n", "8", "--x", "1"]),
+        ("sweep_oracle", _sweep_config(tmp_path / "oracle.json", dist=_TWOPOINT, output="o.csv")),
+    ]
+    for name, argv in loads:
+        seen = _fresh_interpreter(_COMMANDS_PROBE, json.dumps([(name, argv)]), cwd=tmp_path)
+        assert _loads(seen, "scipy.special") == {name: [0, True]}

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -223,6 +224,19 @@ def test_student_t_redraws_only_the_pairs_off_the_disk():
 def test_moment_examples_trivial():
     assert Rademacher(1.0).abs_moment(3.0) == 1.0
     assert Uniform(math.sqrt(3.0)).abs_moment(2.0) == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("rate", [0.3, 1.0, 2.5])
+def test_centered_exponential_variance_keeps_the_bits_of_the_second_moment(rate):
+    dist = CenteredExponential(rate)
+    assert dist.variance() == dist.abs_moment(2.0)
+
+
+def test_centered_exponential_variance_is_the_inverse_square_to_half_an_ulp():
+    # E X^2 through the incomplete gamma functions is up to 2.4 ulps off here
+    for rate in np.logspace(-100, 100, 2001).tolist():
+        got = CenteredExponential(rate).variance()
+        assert abs(Fraction(got) - 1 / Fraction(rate) ** 2) <= Fraction(0.51) * Fraction(math.ulp(got))
 
 
 def test_uniform_third_moment_closed_form():
