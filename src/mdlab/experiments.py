@@ -34,7 +34,8 @@ import numpy as np
 
 from . import __version__
 from .distributions import STREAM_VERSION, Distribution, from_literal
-from .errors import BudgetExceededError, ConfigError, InfeasibleError, check_finite, read_json
+from .errors import (BudgetExceededError, ConfigError, InfeasibleError, MdlabError, check_finite,
+                     read_json)
 from .mc import DEFAULT_SEED, _check_path_steps, _check_seed, choose_tilt, simulate
 from .oracle import exact_method
 from .oracle import lattice_dp_max  # noqa: F401  (the benchmark tracer asserts this alias)
@@ -89,7 +90,9 @@ class SweepConfig:
     ``r / (4 + 2r)``) must be given. ``engine="oracle"`` prefers the exact
     methods and falls back to Monte Carlo when ``mc_fallback`` is set;
     ``engine="mc"`` always simulates. ``workers`` and ``output`` are
-    execution details and excluded from the config hash.
+    execution details and excluded from :meth:`canonical`. ``dist`` is
+    stored as its normalized literal, defaults filled in and numbers as
+    floats, so each sweep has one canonical form however it was spelled.
     """
 
     dist: dict
@@ -100,7 +103,6 @@ class SweepConfig:
     x_power: Optional[float] = None
     r: float = 1.0
     delta: float = 1.0
-    tau: float = 1.0
     engine: str = "oracle"
     mc_method: str = "naive"
     mc_samples: int = 100_000
@@ -129,8 +131,8 @@ class SweepConfig:
         # every value a row uses is checked, and the parts of every row that
         # can fail are evaluated, here: before any file is written
         check_parameters(self.r, self.delta, self.a0_constant)
-        check_finite("tau", self.tau)
         dist = self.distribution()
+        object.__setattr__(self, "dist", dist.literal())
         SequenceSpec(dist, 1)
         try:
             jobs = self.jobs()
@@ -150,6 +152,7 @@ class SweepConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SweepConfig":
+        raw = {k: v for k, v in raw.items() if k != "tau"}  # a legacy key that nothing read
         unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -162,7 +165,11 @@ class SweepConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "SweepConfig":
-        return cls.from_dict(read_json(path, "config", dict))
+        raw = read_json(path, "config", dict)
+        if "tau" in raw:
+            print(f"mdlab: {path}: ignoring the config key 'tau', which mdlab no longer reads",
+                  file=sys.stderr)
+        return cls.from_dict(raw)
 
     def distribution(self) -> Distribution:
         return from_literal(self.dist)
@@ -362,9 +369,26 @@ def _write_manifest(cfg: SweepConfig):
         "columns": CSV_COLUMNS,
         **_library_versions(),
     }
-    with open(cfg.manifest_path(), "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    try:
+        with open(cfg.manifest_path(), "w") as fh:
+            json.dump(manifest, fh, sort_keys=True, indent=2)
+            fh.write("\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {cfg.manifest_path()}: {exc}") from exc
+
+
+def _same_config(manifest: dict, cfg: SweepConfig) -> bool:
+    """Whether the config a manifest recorded means ``cfg``: it is rebuilt
+    and normalized like ``cfg``, so spellings of one sweep match, and a
+    recorded config that no longer parses matches nothing."""
+    recorded = manifest.get("config")
+    if not isinstance(recorded, dict):
+        return False
+    try:
+        recorded = SweepConfig.from_dict({**recorded, "output": cfg.output})
+    except MdlabError:
+        return False
+    return recorded.canonical() == cfg.canonical()
 
 
 def run_sweep(
@@ -379,7 +403,8 @@ def run_sweep(
     worker count and any prefix of it is a valid partial result.
     ``stop_after_rows`` stops after that many newly written rows, which is
     how tests exercise interruption and resume. A CSV without a manifest,
-    whose rows do not match the config's jobs, or whose Monte Carlo rows
+    whose manifest recorded another config (after normalizing both), whose
+    rows do not match the config's jobs, or whose Monte Carlo rows
     come from another stream version than this one, is refused untouched.
     A resume whose manifest recorded other Python, numpy or scipy
     versions than the running ones says so in one stderr line.
@@ -391,7 +416,7 @@ def run_sweep(
 
     if os.path.exists(cfg.manifest_path()):
         manifest = read_json(cfg.manifest_path(), "sweep manifest", dict)
-        if manifest.get("config_hash") != cfg.config_hash():
+        if not _same_config(manifest, cfg):
             raise ConfigError(
                 f"{cfg.output} was produced by a different config; refusing "
                 "to mix results (delete the output or change the path)"
@@ -402,7 +427,7 @@ def run_sweep(
         mc_rows = 0
         for line, (idx, n, x) in zip(done_lines, jobs):
             row = RatioRow.from_csv_line(line)
-            if (row.n, row.x) != (n, x):
+            if (row.n, _fmt(row.x)) != (n, _fmt(x)):  # -0.0 == 0.0, but not in the CSV
                 raise ConfigError(
                     f"{cfg.output} row {idx} is for (n={row.n}, x={row.x}), "
                     f"expected (n={n}, x={x}); refusing to resume"
@@ -437,7 +462,11 @@ def run_sweep(
 
     # rewrite the header and the kept rows (dropping a partial trailing
     # line), then append new rows as map yields them: in row-index order
-    with open(cfg.output, "w", newline="") as fh, ThreadPoolExecutor(max_workers=workers) as pool:
+    try:
+        fh = open(cfg.output, "w", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {cfg.output}: {exc}") from exc
+    with fh, ThreadPoolExecutor(max_workers=workers) as pool:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         fh.writelines(line + "\n" for line in done_lines)
         fh.flush()

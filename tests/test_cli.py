@@ -489,6 +489,7 @@ def _output_under_a_file():
     pytest.param(_manifest_holds(b"\xff"), id="manifest_not_utf8"),
     pytest.param(_manifest_holds(b"garbage"), id="manifest_not_json"),
     pytest.param(_manifest_holds(b"[1, 2]"), id="manifest_a_list"),
+    pytest.param(_manifest_holds(b'{"config": [1, 2]}'), id="manifest_config_a_list"),
     pytest.param(_csv_not_utf8, id="csv_not_utf8"),
     pytest.param(_output_is_a_directory, id="output_a_directory"),
     pytest.param(_output_under_a_file, id="output_under_a_file"),
@@ -501,6 +502,44 @@ def test_unreadable_sweep_files_exit_2_and_touch_nothing(tmp_path, monkeypatch, 
     before = _files(tmp_path)
     assert run_cli(capsys, "sweep", "--config", "cfg.json")[:2] == (2, "")
     assert _files(tmp_path) == before
+
+
+def test_an_output_name_too_long_to_write_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _config("a" * 250 + ".csv")  # the CSV's name fits, its manifest's does not
+    code, out, err = run_cli(capsys, "sweep", "--config", "cfg.json")
+    assert (code, out) == (2, "")
+    assert err.startswith("mdlab: cannot write a") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+# pairs of spellings of one sweep: the first writes part of it, the second
+# resumes it
+_SPELLINGS = [
+    pytest.param({"dist": {"family": "twopoint", "a": 2, "b": 1}}, {"dist": _TWOPOINT},
+                 id="twopoint_integral_parameters"),
+    pytest.param({"dist": {"family": "rademacher"}}, {"dist": {"family": "rademacher", "scale": 1.0}},
+                 id="rademacher_default_scale"),
+    pytest.param({"dist": {"family": "uniform", "half_width": 1}, "engine": "mc"},
+                 {"dist": {"family": "uniform"}, "engine": "mc"}, id="uniform_mc_default_half_width"),
+    pytest.param({"dist": {"scale": 1.0, "family": "rademacher"}},
+                 {"dist": {"family": "rademacher", "scale": 1.0}}, id="key_order"),
+    pytest.param({"x_values": [1]}, {"x_values": [1.0]}, id="integral_levels"),
+]
+
+
+@pytest.mark.parametrize("first, then", _SPELLINGS)
+def test_spellings_of_one_sweep_resume_each_other(tmp_path, capsys, first, then):
+    base = {"dist": {"family": "rademacher"}, "n_grid": [4, 8, 16], "x_values": [1.0, 1.5],
+            "mc_samples": 2000, "seed": 5}
+    run_sweep(SweepConfig.from_dict({**base, **first, "output": str(tmp_path / "part.csv")}),
+              stop_after_rows=2)
+    for name in ("part", "full"):
+        # top-level keys in reverse order as well
+        config = dict(reversed({**base, **then, "output": str(tmp_path / f"{name}.csv")}.items()))
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        assert run_cli(capsys, "sweep", "--config", str(tmp_path / "cfg.json"))[0] == 0
+    assert (tmp_path / "part.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
 
 
 @pytest.mark.parametrize("data", [b"\xff", b"garbage", b'{"a": 1}', b"[" * 100_000, b"1" * 5000],

@@ -1,5 +1,6 @@
 """Sweep runner: CSV schema, resumability, reproducibility, reporting."""
 
+import hashlib
 import json
 import math
 import os
@@ -98,8 +99,8 @@ def test_config_hash_pinned():
         "mc_fallback": False, "seed": 99, "a0_constant": 3.0, "workers": 2,
         "output": "x.csv",
     })
-    # resume compares this digest with existing manifests: it must not drift
-    assert cfg.config_hash() == "d5ac707b1fedfb816161af4c976ccab4eaf31fd919a352504e91e32c969a67d4"
+    # manifests record this digest as provenance: it must not drift
+    assert cfg.config_hash() == "bd37c9e0be2d2adf4f57d6ac1aa6ea072e3b4848794ca02f82e3399cf26e7b33"
 
 
 def test_csv_line_pinned():
@@ -232,6 +233,40 @@ def test_workers_and_output_not_in_hash(tmp_path):
     a = oracle_cfg(tmp_path, name="p.csv", workers=1)
     b = oracle_cfg(tmp_path, name="q.csv", workers=8)
     assert a.config_hash() == b.config_hash()
+
+
+def test_dist_is_stored_as_its_normalized_literal(tmp_path):
+    cfg = oracle_cfg(tmp_path, dist={"b": 1, "family": "twopoint", "a": 2})
+    assert cfg.dist == {"family": "twopoint", "a": 2.0, "b": 1.0}
+    assert [type(cfg.dist[key]) for key in ("a", "b")] == [float, float]
+    assert oracle_cfg(tmp_path, dist={"family": "rademacher"}).dist == {
+        "family": "rademacher", "scale": 1.0}
+
+
+def test_an_unwritable_csv_is_refused(tmp_path, monkeypatch):
+    cfg = oracle_cfg(tmp_path, name="w.csv")
+
+    def no_csv(path, mode="r", *args, **kwargs):
+        if path == cfg.output:
+            raise PermissionError(13, "Permission denied", path)
+        return open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "open", no_csv, raising=False)
+    with pytest.raises(ConfigError, match=r"cannot write .*w\.csv: .*Permission denied"):
+        run_sweep(cfg)
+    assert not os.path.exists(cfg.output)
+
+
+def test_negative_zero_rows_are_not_resumed_as_zero(tmp_path):
+    # -0.0 == 0.0, so both configs mean one sweep, but the CSV spells the
+    # level as -0 or 0: the kept rows must be the bytes this config writes
+    run_sweep(oracle_cfg(tmp_path, name="z.csv", n_grid=[16, 64], x_values=[-0.0]),
+              stop_after_rows=1)
+    path = tmp_path / "z.csv"
+    before = path.read_bytes()
+    with pytest.raises(ConfigError, match=r"row 0 is for \(n=16, x=-0.0\), expected \(n=16, x=0.0\)"):
+        run_sweep(oracle_cfg(tmp_path, name="z.csv", n_grid=[16, 64], x_values=[0.0]))
+    assert path.read_bytes() == before
 
 
 def test_x_zero_row(tmp_path):
@@ -429,6 +464,70 @@ def test_resume_names_library_versions_that_differ(tmp_path, capsys, edit, warni
     assert open(cfg.manifest_path(), "rb").read() == manifest
 
 
+# A manifest as mdlab wrote it before ``tau`` left the config and the dist
+# literal was normalized: the config holds ``tau`` and the literal as
+# spelled, and the digest covers both.
+_PRE_CHANGE_CONFIG = {
+    "a0_constant": 1.0, "delta": 1.0, "dist": {"a": 2, "b": 1, "family": "twopoint"},
+    "engine": "oracle", "mc_fallback": True, "mc_method": "naive", "mc_samples": 100000,
+    "n_grid": [8, 12, 16], "r": 1.0, "seed": 5, "tau": 1.5, "x_c": None, "x_power": None,
+    "x_values": [1.0, 1.5],
+}
+_PRE_CHANGE_HASH = "f73c96a8696a8dc66102030a62b9440fee3e8f42044695fc18ba90377d58cb27"
+
+
+def test_a_manifest_written_before_tau_left_resumes(tmp_path, capsys):
+    blob = json.dumps(_PRE_CHANGE_CONFIG, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == _PRE_CHANGE_HASH
+
+    def make_cfg(name):
+        return oracle_cfg(tmp_path, name=name, dist={"family": "twopoint", "a": 2.0, "b": 1.0},
+                          n_grid=[8, 12, 16], x_values=[1.0, 1.5], seed=5)
+
+    full = make_cfg("full.csv")
+    run_sweep(full)
+    cfg = make_cfg("old.csv")
+    run_sweep(cfg, stop_after_rows=2)
+    _edit_manifest(cfg, lambda m: m.update(config=_PRE_CHANGE_CONFIG, config_hash=_PRE_CHANGE_HASH))
+    capsys.readouterr()
+    assert run_sweep(cfg) == run_sweep(full)
+    assert capsys.readouterr().err == ""  # the manifest's tau goes without a word
+    assert open(cfg.output, "rb").read() == open(full.output, "rb").read()
+
+
+@pytest.mark.parametrize("edit", [
+    lambda m: m.update(config=[1, 2]),
+    lambda m: m.update(config="oracle"),
+    lambda m: m.update(config=None),
+    lambda m: m.pop("config"),
+    lambda m: m["config"].update(foo=1),
+    lambda m: m["config"].update(n_grid=[0]),
+    lambda m: m["config"].update(delta=1e300),  # parses, but its rows overflow (exit 3)
+], ids=["a_list", "a_string", "null", "missing", "unknown_key", "invalid", "infeasible"])
+def test_a_manifest_config_that_does_not_parse_is_a_different_config(tmp_path, edit):
+    cfg = oracle_cfg(tmp_path, name="m.csv")
+    run_sweep(cfg, stop_after_rows=1)
+    _edit_manifest(cfg, edit)
+    files = [cfg.output, cfg.manifest_path()]
+    before = [open(f, "rb").read() for f in files]
+    with pytest.raises(ConfigError, match="different config"):
+        run_sweep(cfg)
+    assert [open(f, "rb").read() for f in files] == before
+
+
+@pytest.mark.parametrize("tau", ["NaN", "Infinity", "1.5", "-1", '"abc"', "null", "[1]"])
+def test_a_legacy_tau_loads_with_one_stderr_line(tmp_path, capsys, tau):
+    raw = {"dist": {"family": "rademacher"}, "n_grid": [4], "x_values": [1.0], "output": "o.csv"}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw)[:-1] + ', "tau": %s}' % tau)
+    cfg = SweepConfig.from_file(str(path))
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "'tau'" in err
+    assert cfg == SweepConfig.from_dict(raw)
+    assert SweepConfig.from_dict({**raw, "tau": math.nan}) == cfg
+    assert capsys.readouterr().err == ""  # from_dict drops it without a word
+
+
 def test_scaling_rule_default_power(tmp_path):
     cfg = oracle_cfg(tmp_path, name="sr.csv", x_values=None, x_c=[0.5, 1.0], r=1.0)
     jobs = cfg.jobs()
@@ -478,7 +577,6 @@ def test_config_validation():
         {"delta": 0.0},
         {"a0_constant": 0.0},
         {"a0_constant": float("inf")},
-        {"tau": float("nan")},
         {"n_grid": [0, 4]},
         {"x_values": None, "x_c": [0.0]},
         {"x_values": None, "x_c": [0.5, -1.0]},
