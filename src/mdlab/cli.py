@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 
@@ -50,7 +51,9 @@ def _parse_dist(text: str):
 def _load_scales(path):
     if path is None:
         return None
-    return [check_finite("scales entry", v) for v in read_json(path, "scales file", list)]
+    # one pass; an entry that is not a finite float gets check_finite's message
+    return [v if type(v) is float and math.isfinite(v) else check_finite("scales entry", v)
+            for v in read_json(path, "scales file", list)]
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -424,14 +424,19 @@ class CenteredExponential(Distribution):
         # E X^p 1{X > 0} = e^-1 rate^-p Gamma(p+1), cut at c by the
         # regularized incomplete gamma function
         positive = math.exp(-1.0) * lam**-p * math.gamma(p + 1.0)
-        cut = np.minimum(c, mu)
+        # E|X|^p 1{X < 0} once, on a one-element array so that it runs the
+        # numpy loops of the per-level values; E|X|^p 1{-c <= X < 0} is that
+        # constant from c = 1/rate on and is evaluated only at the other
+        # levels (NaN ones among them)
+        whole = self._negative_part(p, np.full(1, mu))[0]
+        part = np.full_like(c, whole)
+        inside = ~(c >= mu)
+        part[inside] = self._negative_part(p, c[inside])
         if side == "below":
-            return self._negative_part(p, cut) + positive * special.gammainc(p + 1.0, lam * c)
-        # the negative difference first: the positive tail may be tiny; both
-        # ends run through the same array loops so the difference is exactly
-        # 0 once c >= 1/rate
-        negative = self._negative_part(p, np.full_like(cut, mu)) - self._negative_part(p, cut)
-        return negative + positive * special.gammaincc(p + 1.0, lam * c)
+            return part + positive * special.gammainc(p + 1.0, lam * c)
+        # the negative difference first: the positive tail may be tiny; it is
+        # exactly 0 once c >= 1/rate
+        return (whole - part) + positive * special.gammaincc(p + 1.0, lam * c)
 
     def _tail(self, t):
         lam, mu = self.rate, self.shift
@@ -511,10 +516,14 @@ class StudentT(Distribution):
                 nu ** (p / 2.0) / special.beta(0.5, nu / 2.0)
                 * u**a * v**b / a * special.hyp2f1(a + b, 1.0, a + 1.0, u)
             )
-        if side == "below":
-            frac = np.where(u <= v, special.betainc(a, b, u), special.betaincc(b, a, v))
-        else:
-            frac = np.where(u <= v, special.betaincc(a, b, u), special.betainc(b, a, v))
+        # each level evaluates only the branch it reads: the other one's
+        # incomplete beta, at the larger of u and v, is the slow one
+        near, far = ((special.betainc, special.betaincc) if side == "below"
+                     else (special.betaincc, special.betainc))
+        small = u <= v
+        frac = np.empty_like(u)
+        frac[small] = near(a, b, u[small])
+        frac[~small] = far(b, a, v[~small])
         return self.abs_moment(p) * frac
 
     def _tail(self, t):

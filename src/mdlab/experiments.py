@@ -338,6 +338,18 @@ def _read_completed(csv_path: str) -> list[str]:
     return text.split("\n")[1:-1]  # drop the header and the partial tail
 
 
+def _complete_length(csv_path: str) -> int:
+    """Bytes of the CSV up to the end of its last complete line; 0 when it
+    is missing or holds no complete line."""
+    try:
+        with open(csv_path, "rb") as fh:
+            return fh.read().rfind(b"\n") + 1
+    except FileNotFoundError:
+        return 0
+    except OSError as exc:
+        raise ConfigError(f"cannot read {csv_path}: {exc}") from exc
+
+
 def _library_versions() -> dict:
     """The versions a sweep's bytes depend on besides ``STREAM_VERSION``:
     numpy's bit generators and samplers, scipy's special functions, and
@@ -444,6 +456,7 @@ def run_sweep(
                 )
             _write_manifest(cfg)  # only exact rows so far: the rows to come set the version
         _warn_on_other_versions(manifest, cfg.manifest_path())
+        kept = _complete_length(cfg.output)
     elif os.path.exists(cfg.output):
         raise ConfigError(
             f"{cfg.output} exists without its manifest; refusing to overwrite it"
@@ -454,25 +467,29 @@ def run_sweep(
         except OSError as exc:
             raise ConfigError(f"cannot make the directory of {cfg.output}: {exc}") from exc
         _write_manifest(cfg)
-        done_lines = []
+        done_lines, kept = [], 0
 
     pending = jobs[len(done_lines):]
     if stop_after_rows is not None:
         pending = pending[:stop_after_rows]
 
-    # rewrite the header and the kept rows (dropping a partial trailing
-    # line), then append new rows as map yields them: in row-index order
+    # a resume cuts a partial trailing line off in place and appends to the
+    # header and rows on disk, which no failed write can then lose; a file
+    # without a complete line gets the header first. New rows follow as map
+    # yields them: in row-index order
     try:
-        fh = open(cfg.output, "w", newline="")
+        if kept:
+            os.truncate(cfg.output, kept)
+        fh = open(cfg.output, "a" if kept else "w", newline="")
+        with fh, ThreadPoolExecutor(max_workers=workers) as pool:
+            if not kept:
+                fh.write(",".join(CSV_COLUMNS) + "\n")
+                fh.flush()
+            for row in pool.map(lambda job: compute_row(cfg, *job), pending):
+                fh.write(row.to_csv_line() + "\n")
+                fh.flush()
     except OSError as exc:
         raise ConfigError(f"cannot write {cfg.output}: {exc}") from exc
-    with fh, ThreadPoolExecutor(max_workers=workers) as pool:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        fh.writelines(line + "\n" for line in done_lines)
-        fh.flush()
-        for row in pool.map(lambda job: compute_row(cfg, *job), pending):
-            fh.write(row.to_csv_line() + "\n")
-            fh.flush()
 
     return [RatioRow.from_csv_line(line) for line in _read_completed(cfg.output)]
 

@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import errno
 import io
 import json
 import math
@@ -70,6 +71,27 @@ def test_theory_with_scales_file(tmp_path, capsys):
             "--scales", str(scales_path),
         )
         assert (code, out) == (2, ""), bad
+    # an entry that is not a finite float is named in one stderr line
+    for text, shown in (("NaN", "nan"), ("-Infinity", "-inf"), ("[1.0]", "[1.0]"),
+                        ('"1.5"', "'1.5'")):
+        scales_path.write_text(f"[1.0, {text}, 2.0]")
+        code, out, err = run_cli(
+            capsys, "theory", "--dist", "student_t", "--n", "3", "--x", "1.0",
+            "--scales", str(scales_path),
+        )
+        assert (code, out, err) == (
+            2, "", f"mdlab: scales entry must be a finite number, got {shown}\n"), text
+    # integers are the floats they equal, to the byte
+    outs = []
+    for scales in ([1, 2, 3], [1.0, 2.0, 3.0]):
+        scales_path.write_text(json.dumps(scales))
+        code, out, _ = run_cli(
+            capsys, "theory", "--dist", "student_t", "--n", "3", "--x", "1.0",
+            "--scales", str(scales_path),
+        )
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
 
 
 def test_enumerate_payload(capsys):
@@ -511,6 +533,43 @@ def test_an_output_name_too_long_to_write_exits_2(tmp_path, monkeypatch, capsys)
     assert (code, out) == (2, "")
     assert err.startswith("mdlab: cannot write a") and err.count("\n") == 1
     assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+class _FullDisk:
+    """A file opened for writing on a full disk: every write fails."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+
+def test_a_resume_that_cannot_write_keeps_the_rows_on_disk(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("cfg.json").write_text(json.dumps({"dist": {"family": "rademacher"}, "n_grid": [4, 8, 16],
+                                            "x_values": [1.0], "output": "s.csv"}))
+    run_sweep(SweepConfig.from_file("cfg.json"), stop_after_rows=2)
+    kept = Path("s.csv").read_bytes()
+
+    def open_on_a_full_disk(file, mode="r", *args, **kwargs):
+        fh = open(file, mode, *args, **kwargs)
+        return _FullDisk(fh) if file == "s.csv" and mode != "r" else fh
+
+    monkeypatch.setattr(mdlab.experiments, "open", open_on_a_full_disk, raising=False)
+    code, out, err = run_cli(capsys, "sweep", "--config", "cfg.json")
+    assert (code, out) == (2, "")
+    assert err == "mdlab: cannot write s.csv: [Errno 28] No space left on device\n"
+    assert Path("s.csv").read_bytes() == kept
 
 
 # pairs of spellings of one sweep: the first writes part of it, the second

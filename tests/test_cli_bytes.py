@@ -25,6 +25,8 @@ _EXPONENTIAL = '{"family": "centered_exponential", "rate": 1.0}'
 _UNIFORM = '{"family": "uniform", "half_width": 1.7320508075688772}'
 _SCALES = [0.5, 1.0, 2.0, 1.5, 0.75, 3.0, 1.25, 0.9]
 _RADEMACHER_03 = '{"family": "rademacher", "scale": 0.3}'
+# 0.01 to 100: the levels level / scale fall on both sides of sqrt(nu) and of 1 / rate
+_WIDE_SCALES = [10.0 ** (k / 10.0) for k in range(-20, 21)]
 
 
 def _sim(dist, n, x, method, *extra):
@@ -49,6 +51,11 @@ PROBES = {
                       "--scales", "scales.json"],
     "theory_rademacher_scales": ["theory", "--dist", _RADEMACHER_03, "--n", str(len(_SCALES)),
                                  "--x", "1.2", "--scales", "scales.json"],
+    "theory_student_t_scales": ["theory", "--dist", _STUDENT, "--n", str(len(_WIDE_SCALES)),
+                                "--x", "3", "--scales", "wide_scales.json"],
+    "theory_exponential_scales": ["theory", "--dist", _EXPONENTIAL, "--n",
+                                  str(len(_WIDE_SCALES)), "--x", "2.5", "--scales",
+                                  "wide_scales.json"],
     "enumerate_rademacher": ["enumerate", "--dist", "rademacher", "--n", "4", "--x", "1"],
     "enumerate_twopoint": ["enumerate", "--dist", _TWOPOINT, "--n", "12", "--x", "1.3"],
     "enumerate_skewed": ["enumerate", "--dist", _SKEWED, "--n", "10", "--x", "0.7"],
@@ -79,6 +86,8 @@ DIGESTS = {
     "theory_student_t": "7e313a39f624bdf60489458c48c71d99c5b7fd523a255ca399a17f87dd6e9f6c",
     "theory_scales": "e9adad34e88102a2cd23c2b036616267c972af02ff442056df1ca235c6153175",
     "theory_rademacher_scales": "b37f0b55283b062ab1e9f63680fa05512e7b39ecc956a0620e8c35e374f43ce8",
+    "theory_student_t_scales": "79b6fd94eca311cc01d0d28de61729e16e49c7b91e2f950c81eb03b50e5f47c5",
+    "theory_exponential_scales": "e919dba197b44ea0452fc1f4cfbed91717f2c60b2d275a68a7dddf950afc16b4",
     "enumerate_rademacher": "b42207a8581ca283be3476ce481f4cd733707b46943455c2e5e3231fe307175d",
     "enumerate_twopoint": "ec712e6b7f070cd7c853e8d11588d78cad187bc4bb21e0cf154d9906664d9f47",
     "enumerate_skewed": "eb81992f3788520b63ffd26f4986ed596b472d38562fd0690ba4243d09f30349",
@@ -117,6 +126,8 @@ def run_probe(name: str, workdir: str) -> dict:
     try:
         with open("scales.json", "w") as fh:
             json.dump(_SCALES, fh)
+        with open("wide_scales.json", "w") as fh:
+            json.dump(_WIDE_SCALES, fh)
         if isinstance(probe, dict):
             with open("cfg.json", "w") as fh:
                 json.dump(probe, fh)

@@ -313,6 +313,54 @@ def test_array_levels_equal_scalar_calls(dist, side):
     np.testing.assert_array_equal(tails, scalar_tails)
 
 
+def _every_branch_truncated(dist, p, c, side):
+    """StudentT and CenteredExponential truncated moments with every special
+    function evaluated at every level, both branches kept and picked per
+    level afterwards."""
+    from scipy import special
+
+    if isinstance(dist, StudentT):
+        nu = dist.nu
+        a, b = (p + 1.0) / 2.0, (nu - p) / 2.0
+        c = np.minimum(c, np.finfo(float).max)
+        h = np.hypot(c, math.sqrt(nu))
+        u, v = (c / h) ** 2, (math.sqrt(nu) / h) ** 2
+        if side == "below":
+            frac = np.where(u <= v, special.betainc(a, b, u), special.betaincc(b, a, v))
+        else:
+            frac = np.where(u <= v, special.betaincc(a, b, u), special.betainc(b, a, v))
+        return dist.abs_moment(p) * frac
+    lam, mu = dist.rate, dist.shift
+
+    def negative_part(a):
+        return (math.exp(-1.0) * (lam * a) ** (p + 1.0) * mu**p / (p + 1.0)
+                * special.hyp1f1(p + 1.0, p + 2.0, lam * a))
+
+    positive = math.exp(-1.0) * lam**-p * math.gamma(p + 1.0)
+    cut = np.minimum(c, mu)
+    if side == "below":
+        return negative_part(cut) + positive * special.gammainc(p + 1.0, lam * c)
+    negative = negative_part(np.full_like(cut, mu)) - negative_part(cut)
+    return negative + positive * special.gammaincc(p + 1.0, lam * c)
+
+
+@pytest.mark.parametrize(
+    "dist, threshold",
+    [(StudentT(nu), math.sqrt(nu)) for nu in (3.5, 5.0, 30.0)]
+    + [(CenteredExponential(rate), 1.0 / rate) for rate in (0.3, 1.0, 2.5)],
+    ids=repr,
+)
+@pytest.mark.parametrize("side", ["below", "above"])
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_truncated_moments_keep_the_bits_of_every_branch(dist, threshold, side, p):
+    # each level evaluates only the branch it reads, on both sides of the
+    # threshold where the branch switches, and loses no bit to that
+    levels = np.concatenate([np.logspace(-6.0, 6.0, 1001), [0.0, threshold, math.inf]])
+    values = dist.truncated_abs_moment(p, levels, side)
+    assert np.array_equal(values, _every_branch_truncated(dist, p, levels, side))
+    assert np.array_equal(values, [dist.truncated_abs_moment(p, c, side) for c in levels])
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     dist=st.sampled_from(ALL),
