@@ -18,14 +18,17 @@ tilted two-point step is one raw 64-bit word of the generator's bit
 stream, which draws ``+a`` when it is below
 :meth:`~_TwoPointLaw.up_threshold` (see :meth:`~_TwoPointLaw.up_draws`).
 ``STREAM_VERSION`` names the layout of the Monte Carlo stream these draws
-and :mod:`mdlab.mc` define together; version 6 is this raw-word draw and
+and :mod:`mdlab.mc` define together; version 7 is this raw-word draw and
 the switched tilt of :mod:`mdlab.mc`, drawn from SFC64 bit generators,
 with the tilt of iid two-point laws solved in closed form, every other
 tilt by Newton's method on Uniform's series-accurate arithmetic, and
-Student t drawn by Bailey's polar method (version 5 found those other
-tilts by Brent's method; version 4 drew Student t by numpy's
-``standard_t``; version 3 root-found the tilt of ``TwoPoint``; version 2
-drew from counter-based generators).
+Student t drawn by Bailey's polar method with one oversampled refill of
+the pairs off the disk (version 6 redrew those pairs round by round;
+version 5 found the other tilts by Brent's method; version 4 drew Student
+t by numpy's ``standard_t``; version 3 root-found the tilt of
+``TwoPoint``; version 2 drew from counter-based generators). Uniform and
+exponential draws are numpy's own ``uniform`` and ``exponential``, to the
+bit, formed from the generator's doubles and standard exponentials.
 
 Families and their config literals (all keys optional except ``family``):
 
@@ -66,10 +69,9 @@ __all__ = [
 ]
 
 # the Monte Carlo stream layout; bump it whenever a fixed seed can give other bytes.
-# Version 6: the tilt of Uniform and of scale schedules is solved by Newton's
-# method, with Uniform's tilt arithmetic in series at small tilts, and the tilt
-# of iid two-point laws with a > 3b by the log form of the closed form
-STREAM_VERSION = 6
+# Version 7: Student t fills the slots its first block draws off the disk from
+# one oversampled refill, in place of one redraw round after another
+STREAM_VERSION = 7
 _WORDS = 1 << 64  # the raw words of a 64-bit bit generator are uniform on [0, 2^64)
 _LOG_MAX = math.log(sys.float_info.max)  # the largest z for which exp(z) is finite
 
@@ -300,7 +302,14 @@ class Uniform(Distribution):
         return np.clip(1.0 - t / self.half_width, 0.0, 1.0)
 
     def sample(self, rng, size=None):
-        return rng.uniform(-self.half_width, self.half_width, size=size)
+        return self._spread(rng.random(size))
+
+    def _spread(self, u):
+        """``-a + 2a u`` for the generator's doubles ``u``, in place on an
+        array: numpy's own ``uniform(-a, a)``, and its bits."""
+        u *= 2.0 * self.half_width
+        u -= self.half_width
+        return u
 
     def support_max(self) -> float:
         return self.half_width
@@ -334,7 +343,7 @@ class Uniform(Distribution):
     def tilted_sample(self, theta, rng, size=None, where=None):
         a = self.half_width
         if theta == 0.0:
-            return rng.uniform(-a, a, size=size)
+            return self.sample(rng, size)
         u = rng.random(1 if size is None else size)
         # inverse CDF of the tilted density, of either sign of theta, stable for small
         # theta*a; worked in place, as a fresh array per pass costs as much as the pass
@@ -350,11 +359,12 @@ class Uniform(Distribution):
             shifted /= theta
             shifted += 2.0 * a
             np.maximum(shifted, 0.0, out=shifted)  # u = 0 draws -a
-        if where is not None:
-            u *= 2.0 * a  # the untilted draw, -a + 2a u
-            np.copyto(u, shifted, where=where)
-            shifted = u
         shifted -= a
+        if where is not None:
+            # the untilted draws, from the same doubles, where the tilt is off
+            untilted = self._spread(u)
+            np.copyto(untilted, shifted, where=where)
+            shifted = untilted
         return shifted[0] if size is None else shifted
 
 
@@ -445,9 +455,9 @@ class CenteredExponential(Distribution):
         return np.where(t > 0.0, upper + lower, 1.0)
 
     def sample(self, rng, size=None):
-        draws = rng.exponential(self.shift, size=size)
-        draws -= self.shift  # in place: no second column per step
-        return draws
+        # numpy's exponential(scale) is scale * standard_exponential, and its
+        # bits; numpy works a column's temporaries in place
+        return rng.standard_exponential(size) * self.shift - self.shift
 
 
 @dataclass(frozen=True)
@@ -468,10 +478,14 @@ class StudentT(Distribution):
     Draws use Bailey's polar method (Bailey 1994, *Math. Comp.* 62,
     779-781), exact for every nu: for ``(U, V)`` uniform on the unit disk
     and ``W = U^2 + V^2``, ``U sqrt(nu (W^(-2/nu) - 1) / W)`` is Student t
-    with nu degrees of freedom. Pairs off the disk are redrawn slot by
-    slot, so a draw costs 8/pi, about 2.55, uniform doubles and a log, an
-    expm1 and two square roots, against a normal and a gamma draw for
-    numpy's ``standard_t``.
+    with nu degrees of freedom. The ``r`` slots of a column whose pair
+    falls off the disk (or at its centre) take, in index order, the pairs
+    on it among ``m(r) = 4r/pi + 3 sqrt(r) + 8`` fresh ones, in draw order,
+    and only the rare slots still left take another refill. Pairs on the
+    disk are iid uniform on it whichever draw they come from, so the
+    method stays exact. A draw costs about 8/pi, 2.55, uniform doubles and
+    a log, an expm1 and one square root, against a normal and a gamma draw
+    for numpy's ``standard_t``.
     """
 
     family = "student_t"
@@ -533,53 +547,55 @@ class StudentT(Distribution):
         return np.where(t > 0.0, 2.0 * special.stdtr(self.nu, -t), 1.0)
 
     def sample(self, rng, size=None):
-        # the polar method of the class docstring; only the slots off the disk
-        # are redrawn, and the column is worked in place
-        count = 1 if size is None else int(np.prod(size))
-        half_u, quarter_w = _disk_candidates(rng, count)
-        redo = _off_disk(quarter_w)
-        while redo.size:
-            redo_u, redo_w = _disk_candidates(rng, redo.size)
-            half_u[redo], quarter_w[redo] = redo_u, redo_w
-            redo = redo[_off_disk(redo_w)]
-        # U / sqrt(W) times sqrt(nu (W^(-2/nu) - 1)), on the row of W / 4: no
-        # column beyond the block, and expm1 with log sqrt(W) = log(W) / 2
-        # leaves no cancellation near W = 1 or at large nu
-        nu, col = self.nu, quarter_w
-        np.sqrt(col, out=col)  # sqrt(W) / 2
-        half_u /= col  # U / sqrt(W)
-        col *= 2.0
+        # the polar method of the class docstring, worked in place on one block
+        half_u, quarter_w = _disk_pairs(rng, 1 if size is None else int(np.prod(size)))
+        # (U / 2) sqrt(nu expm1(-(2/nu) log W) / (W / 4)): one square root,
+        # and expm1 of the log leaves no cancellation near W = 1 or at large nu
+        col = np.multiply(quarter_w, 4.0)  # W, exactly
         np.log(col, out=col)
-        col *= -4.0 / nu
+        col *= -2.0 / self.nu
         np.expm1(col, out=col)
-        col *= nu
-        np.sqrt(col, out=col)
-        half_u *= col
+        col /= quarter_w
+        col *= self.nu
+        half_u *= np.sqrt(col, out=col)
         return float(half_u[0]) if size is None else half_u.reshape(size)
 
 
-def _disk_candidates(rng, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(U / 2, W / 4)`` for ``count`` pairs ``U, V = 2 r - 1`` of the
-    generator's doubles ``r``, a column of ``U`` and then one of ``V``,
-    uniform on ``[-1, 1)``, and ``W = U^2 + V^2``. The halves are ``r -
-    1/2``, a pass fewer than ``2 r - 1``; scaling by 2 is exact, so each is
-    its whole to the bit. Both are rows of one block, which the allocator
-    reuses from one Monte Carlo step to the next; separate columns were
-    handed back to the system and faulted in again at every step."""
+def _disk_pairs(rng, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(U / 2, W / 4)`` for ``count`` pairs uniform on the unit disk: the
+    first block of :func:`_disk_candidates`, whose ``r`` slots off the disk
+    take, in index order, the pairs on it among ``m(r)`` fresh ones, in
+    draw order, until none is left. The fresh blocks are freed on return,
+    before the caller's transform allocates its column."""
+    half_u, quarter_w, on_disk = _disk_candidates(rng, count)
+    redo = np.flatnonzero(~on_disk)
+    while redo.size:
+        # m(r) = 4r/pi + 3 sqrt(r) + 8 pairs: at least 5 standard deviations
+        # of the on-disk count above r, and 12 for one slot
+        more_u, more_w, more_on_disk = _disk_candidates(
+            rng, int(redo.size * (4.0 / math.pi) + 3.0 * math.sqrt(redo.size) + 8.0))
+        kept = np.flatnonzero(more_on_disk)[:redo.size]
+        slots, redo = redo[:kept.size], redo[kept.size:]
+        half_u[slots], quarter_w[slots] = more_u[kept], more_w[kept]
+    return half_u, quarter_w
+
+
+def _disk_candidates(rng, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(U / 2, W / 4, on_disk)`` for ``count`` pairs ``U, V = 2 r - 1`` of
+    the generator's doubles ``r``, a column of ``U`` and then one of ``V``,
+    uniform on ``[-1, 1)``, and ``W = U^2 + V^2``; ``on_disk`` marks the
+    pairs kept, ``0 < W <= 1`` (at the centre ``log W`` is ``-inf``). The
+    halves are ``r - 1/2``, a pass fewer than ``2 r - 1``; scaling by 2 is
+    exact, so each is its whole to the bit. Both are rows of one block,
+    which the allocator reuses from one Monte Carlo step to the next;
+    separate columns were handed back to the system and faulted in again
+    at every step."""
     block = rng.random((2, count))
     block -= 0.5
     half_u, quarter_w = block
     quarter_w *= quarter_w
     quarter_w += half_u * half_u
-    return half_u, quarter_w
-
-
-def _off_disk(quarter_w: np.ndarray) -> np.ndarray:
-    """The indices of the pairs to redraw: off the unit disk, ``W > 1``, or
-    at its centre, where ``log W`` is ``-inf``."""
-    redo = quarter_w > 0.25
-    redo |= quarter_w == 0.0
-    return np.flatnonzero(redo)
+    return half_u, quarter_w, (quarter_w <= 0.25) & (quarter_w > 0.0)
 
 
 _FAMILIES = {

@@ -32,11 +32,12 @@ only to the paths still under it. On iid steps neither kernel builds
 anything of length ``n``: every step has scale 1 and one tilted threshold,
 so a chunk's memory is set by its paths alone. ``STREAM_VERSION`` is part
 of every estimate's ``quantity``, so estimates from different stream
-layouts do not merge; version 6 solves the tilts that have no closed form
-by Newton's method on the drift (see :func:`choose_tilt`), version 5 draws
-Student t steps by Bailey's polar method (see
-:class:`~mdlab.distributions.StudentT`), and version 4 solved the tilt of
-iid two-point laws in closed form.
+layouts do not merge; version 7 refills the Student t pairs that fall off
+the disk in one oversampled draw (see
+:class:`~mdlab.distributions.StudentT`), version 6 solves the tilts that
+have no closed form by Newton's method on the drift (see
+:func:`choose_tilt`), version 5 draws Student t steps by Bailey's polar
+method, and version 4 solved the tilt of iid two-point laws in closed form.
 """
 
 from __future__ import annotations

@@ -99,7 +99,7 @@ DIGESTS = {
     "simulate_twopoint_tilted": "ba7603cf37f88ce5f680dbd55610b4c59ddf984c4ea90ac77f6bbe82c0e38042",
     "simulate_uniform_tilted": "217a84b5dfea12d67b5d195df803fc1349d4465c3c1c42a984cd67bb69042119",
     "simulate_exponential_naive": "d94a968e958554b0358d1db08ecec9538a4c64744f1eac7f2e8db8ba61b95592",
-    "simulate_student_t_naive": "58fc3faaf9616724e04a3e05df844ad4958b694a54089e5b5f30ddb63fc48490",
+    "simulate_student_t_naive": "e5e9accb3b67c5ab39a98cbc8cb36a648913ee97fc78bf1a0ea54feadb825085",
     "sweep_rademacher_lattice": "5c6ae1c102fb689cada1e687dd0cd55d1a30ac01bf9ef82194da73b153615265",
     "sweep_rademacher_lattice.csv": "37c4339b9fea8bfc04041f34c40ce748b44eb34a3009dedb6bc7ad4cd990e516",
     "sweep_twopoint_dp": "8b699aedea93f7bfab5bebe99260d3d59ec961dbda20abd0259114a774ed4d5e",

@@ -185,36 +185,103 @@ def test_student_t_scalar_sample_advances_stream():
     assert d.sample(rng, (3, 4)).shape == (3, 4)
 
 
-class _FirstBlockGiven:
-    """A generator whose first ``random`` call returns ``first``, and whose
-    later ones draw from a real generator; it records every size asked."""
+@pytest.mark.parametrize("size", [0, 1, 7, 1000, 4096, (3, 4)])
+def test_student_t_draws_follow_the_t_law_at_every_size(size):
+    # a column of each size, drawn again and again from one generator and
+    # pooled: the refill serves a few slots as well as thousands
+    count = int(np.prod(size))
+    calls = 0 if count == 0 else -(-20_000 // count)
+    for nu in (3.01, 5.0, 1e8):
+        rng = np.random.default_rng(606)
+        columns = [StudentT(nu).sample(rng, size) for _ in range(max(calls, 1))]
+        assert all(np.shape(c) == np.shape(np.empty(size)) for c in columns)
+        draws = np.concatenate([np.ravel(c) for c in columns])
+        assert np.all(np.isfinite(draws))
+        if count:
+            assert sps.kstest(draws, sps.t(nu).cdf).pvalue > 1e-3, nu
 
-    def __init__(self, first):
-        self.first, self.sizes = np.array(first), []
+
+class _BlocksGiven:
+    """A generator whose first ``random`` calls return the given blocks of
+    doubles, in order, and whose later ones draw from a real generator;
+    it records every size asked."""
+
+    def __init__(self, *blocks):
+        self.blocks, self.sizes = [np.array(b) for b in blocks], []
         self.rng = np.random.default_rng(5)
 
     def random(self, size):
         self.sizes.append(size)
-        if self.first is None:
+        if not self.blocks:
             return self.rng.random(size)
-        first, self.first = self.first, None
-        return first
+        assert self.blocks[0].shape == size
+        return self.blocks.pop(0)
 
 
-def test_student_t_redraws_only_the_pairs_off_the_disk():
+def _refill_size(r):
+    return int(r * (4.0 / math.pi) + 3.0 * math.sqrt(r) + 8.0)
+
+
+def _polar(r_u, r_v, nu):
+    """The Student t step of the doubles ``r_u, r_v``, with ``U, V = 2r - 1``."""
+    u, v = 2.0 * r_u - 1.0, 2.0 * r_v - 1.0
+    w = u * u + v * v
+    return u * math.sqrt(nu * math.expm1(-2.0 / nu * math.log(w)) / w)
+
+
+def _on_disk_pairs(block):
+    """The pairs of a (2, m) block of doubles on the open-at-the-centre disk, in draw order."""
+    u, v = 2.0 * block - 1.0
+    w = u * u + v * v
+    return [tuple(pair) for pair in block.T[(w > 0.0) & (w <= 1.0)]]
+
+
+def test_student_t_refills_the_pairs_off_the_disk_in_order():
     # doubles r give U, V = 2 r - 1: slot 0 is the centre W = 0, slots 1 and
     # 4 lie off the disk, slots 2 and 3 are on it at W = 0.5625 and 0.5
-    rng = _FirstBlockGiven([[0.5, 0.0, 0.875, 0.25, _BELOW_ONE],
-                            [0.5, 0.0, 0.5, 0.75, 0.0]])
+    first = [[0.5, 0.0, 0.875, 0.25, _BELOW_ONE], [0.5, 0.0, 0.5, 0.75, 0.0]]
+    rng = _BlocksGiven(first)
     nu = 5.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        draws = StudentT(nu).sample(rng, 5)
-    assert rng.sizes[:2] == [(2, 5), (2, 3)]
+    draws = StudentT(nu).sample(rng, 5)
+    m = _refill_size(3)
+    assert rng.sizes == [(2, 5), (2, m)]
     assert np.all(np.isfinite(draws))
-    for u, w, got in ((0.75, 0.5625, draws[2]), (-0.5, 0.5, draws[3])):
-        assert got == pytest.approx(u * math.sqrt(nu * math.expm1(-2.0 / nu * math.log(w)) / w),
-                                    rel=1e-14)
+    # the refill's pairs on the disk, in draw order, fill slots 0, 1 and 4
+    refill = _on_disk_pairs(np.random.default_rng(5).random((2, m)))
+    for slot, pair in zip((0, 1, 4, 2, 3), refill[:3] + [(0.875, 0.5), (0.25, 0.75)]):
+        assert draws[slot] == pytest.approx(_polar(*pair, nu), rel=1e-14)
+
+
+def test_student_t_refills_again_when_the_first_refill_comes_up_short():
+    # slot 0 off the disk and slot 2 at its centre; the refill of m(2) pairs
+    # holds one pair on the disk, at index 5, so slot 2 waits for a second
+    # refill of m(1) pairs
+    first = [[0.0, 0.875, 0.5], [0.0, 0.5, 0.5]]
+    refill = np.zeros((2, _refill_size(2)))
+    refill[:, 5] = (0.75, 0.5)
+    rng = _BlocksGiven(first, refill)
+    nu = 5.0
+    draws = StudentT(nu).sample(rng, 3)
+    assert rng.sizes == [(2, 3), (2, _refill_size(2)), (2, _refill_size(1))]
+    assert np.all(np.isfinite(draws))
+    second = _on_disk_pairs(np.random.default_rng(5).random((2, _refill_size(1))))
+    for slot, pair in zip((0, 1, 2), [(0.75, 0.5), (0.875, 0.5), second[0]]):
+        assert draws[slot] == pytest.approx(_polar(*pair, nu), rel=1e-14)
+
+
+@pytest.mark.parametrize("size", [None, 0, 1, 7, 4096, (3, 5)])
+def test_uniform_and_exponential_draws_are_numpys_to_the_bit(size):
+    # formed from the generator's doubles and standard exponentials, they
+    # must stay numpy's uniform(-a, a) and exponential(1/rate) - 1/rate
+    cases = [(Uniform(a), lambda rng, a=a: rng.uniform(-a, a, size))
+             for a in (1.0, 0.37, math.sqrt(3.0), 3e5, 1e-300)]
+    cases += [(CenteredExponential(rate), lambda rng, s=1.0 / rate: rng.exponential(s, size) - s)
+              for rate in (1.0, 0.3, 2.5, 1e-5, 7e4)]
+    for dist, numpys in cases:
+        got = dist.sample(np.random.Generator(np.random.SFC64(17)), size)
+        want = numpys(np.random.Generator(np.random.SFC64(17)))
+        assert type(got) is type(want)
+        assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64)), dist
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import platform
+import re
 import time
 
 import numpy as np
@@ -89,6 +90,16 @@ def test_oracle_sweep_rows_and_schema(tmp_path):
 def test_readme_documents_the_csv_header():
     with open(README) as fh:
         assert HEADER in fh.read().splitlines()
+
+
+def test_readme_documents_the_stream_version():
+    # the declared version and one bullet per version, the last of them the
+    # code's own
+    with open(README) as fh:
+        text = fh.read()
+    assert re.findall(r"`STREAM_VERSION = (\d+)`", text) == [str(STREAM_VERSION)]
+    bullets = [int(v) for v in re.findall(r"^- Version (\d+) ", text, flags=re.M)]
+    assert bullets == list(range(1, STREAM_VERSION + 1))
 
 
 def test_config_hash_pinned():

@@ -161,7 +161,7 @@ def test_merge_rejects_mismatches_and_duplicates():
 def test_merge_refuses_estimates_of_another_stream_version():
     seq = SequenceSpec(Rademacher(1.0), 16)
     est = simulate(seq, 1.0, 2000, seed=1)[0]
-    assert est.quantity[-1] == STREAM_VERSION == 6
+    assert est.quantity[-1] == STREAM_VERSION == 7
     # the same law, n, x and schedule drawn by the version-1 to -5 streams
     for version in (1, 2, 3, 4, 5):
         older = dataclasses.replace(est, quantity=est.quantity[:-1] + (version,),
