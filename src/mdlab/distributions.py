@@ -547,7 +547,7 @@ class StudentT(Distribution):
         return np.where(t > 0.0, 2.0 * special.stdtr(self.nu, -t), 1.0)
 
     def sample(self, rng, size=None):
-        # the polar method of the class docstring, worked in place on one block
+        # the polar method of the class docstring
         half_u, quarter_w = _disk_pairs(rng, 1 if size is None else int(np.prod(size)))
         # (U / 2) sqrt(nu expm1(-(2/nu) log W) / (W / 4)): one square root,
         # and expm1 of the log leaves no cancellation near W = 1 or at large nu

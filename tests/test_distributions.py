@@ -230,7 +230,8 @@ def _polar(r_u, r_v, nu):
 
 
 def _on_disk_pairs(block):
-    """The pairs of a (2, m) block of doubles on the open-at-the-centre disk, in draw order."""
+    """The pairs of a (2, m) block of doubles that fall on the unit disk off its
+    centre, in draw order."""
     u, v = 2.0 * block - 1.0
     w = u * u + v * v
     return [tuple(pair) for pair in block.T[(w > 0.0) & (w <= 1.0)]]
