@@ -39,8 +39,6 @@ from .theory import (  # noqa: F401
     SequenceSpec,
     TheoryQuantities,
     build_blocks,
-    check_suffix_moment_ratios,
-    check_tail_segment_ratio,
     compute_quantities,
     error_envelope,
     normal_tail,

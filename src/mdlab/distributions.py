@@ -52,7 +52,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, InfiniteMomentError, TiltUnsupportedError, check_finite
+from .errors import (ConfigError, InfeasibleError, InfiniteMomentError, TiltUnsupportedError,
+                     check_finite)
 
 # scipy.special is imported inside the methods that call it: loading it is
 # about half of a cold start, and sampling and tilting never need it
@@ -279,7 +280,7 @@ class TwoPoint(_TwoPointLaw):
 
 @dataclass(frozen=True)
 class Uniform(Distribution):
-    """Uniform on [-a, a]."""
+    """Uniform on [-a, a], for an ``a`` whose width ``2a`` is a double."""
 
     family = "uniform"
     half_width: float = 1.0
@@ -287,6 +288,8 @@ class Uniform(Distribution):
     def __post_init__(self):
         if not self.half_width > 0.0:
             raise ConfigError(f"uniform half_width must be > 0, got {self.half_width}")
+        if not math.isfinite(2.0 * self.half_width):  # the width of the support, which sample forms
+            raise InfeasibleError(f"uniform half_width {self.half_width} leaves the double range")
 
     def abs_moment(self, p: float) -> float:
         return self.half_width**p / (p + 1.0)
@@ -468,12 +471,8 @@ class StudentT(Distribution):
     identity. With u = c^2/(nu+c^2), a = (p+1)/2 and b = (nu-p)/2,
     E|X|^p 1{|X| <= c} = E|X|^p * I_u(a, b), the regularized incomplete
     beta function, evaluated on the smaller of u and 1-u so that neither
-    side loses digits to cancellation. Below the level, orders p >= nu
-    use the Gauss hypergeometric form of the incomplete beta integral,
-    whose argument u tends to 1 as c grows: its relative error is a few
-    1e-12 up to c = 1e3 and about 1e-6 at c = 1e6, and at p = nu it
-    overflows to inf from c near 1e7. No caller in this package asks for
-    such orders.
+    side loses digits to cancellation. Truncated moments, like the raw
+    one, refuse orders p >= nu on either side.
 
     Draws use Bailey's polar method (Bailey 1994, *Math. Comp.* 62,
     779-781), exact for every nu: for ``(U, V)`` uniform on the unit disk
@@ -513,23 +512,13 @@ class StudentT(Distribution):
         from scipy import special
 
         nu = self.nu
-        if p >= nu and (side == "above" or np.any(np.isinf(c))):
-            raise InfiniteMomentError(
-                f"E|X|^{p} 1{{|X| {'>' if side == 'above' else '<='} c}} is "
-                f"infinite for student_t(nu={nu})"
-            )
+        total = self.abs_moment(p)  # raises for p >= nu, where I_u(a, b) has b <= 0
         a, b = (p + 1.0) / 2.0, (nu - p) / 2.0
         # u and v = 1 - u without overflow; an infinite level acts as the
         # largest finite one, where v underflows to 0
         c = np.minimum(c, np.finfo(float).max)
         h = np.hypot(c, math.sqrt(nu))
         u, v = (c / h) ** 2, (math.sqrt(nu) / h) ** 2
-        if p >= nu:
-            # B(a, b) diverges for b <= 0, the integral up to u does not
-            return (
-                nu ** (p / 2.0) / special.beta(0.5, nu / 2.0)
-                * u**a * v**b / a * special.hyp2f1(a + b, 1.0, a + 1.0, u)
-            )
         # each level evaluates only the branch it reads: the other one's
         # incomplete beta, at the larger of u and v, is the slow one
         near, far = ((special.betainc, special.betaincc) if side == "below"
@@ -538,7 +527,7 @@ class StudentT(Distribution):
         frac = np.empty_like(u)
         frac[small] = near(a, b, u[small])
         frac[~small] = far(b, a, v[~small])
-        return self.abs_moment(p) * frac
+        return total * frac
 
     def _tail(self, t):
         from scipy import special

@@ -325,29 +325,19 @@ def compute_row(cfg: SweepConfig, row_index: int, n: int, x: float) -> RatioRow:
     )
 
 
-def _read_completed(csv_path: str) -> list[str]:
-    """Complete data lines already on disk; a trailing partial line (from a
-    kill mid-write) is discarded."""
-    if not os.path.exists(csv_path):
-        return []
-    try:
-        with open(csv_path, "r", encoding="utf-8", newline="") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read {csv_path}: {exc}") from exc
-    return text.split("\n")[1:-1]  # drop the header and the partial tail
-
-
-def _complete_length(csv_path: str) -> int:
-    """Bytes of the CSV up to the end of its last complete line; 0 when it
-    is missing or holds no complete line."""
+def _read_completed(csv_path: str) -> tuple[list[str], int]:
+    """The complete data lines already on disk, and the bytes of the CSV up
+    to the end of its last complete line; a trailing partial line (from a
+    kill mid-write) is discarded. A missing file gives ``([], 0)``."""
     try:
         with open(csv_path, "rb") as fh:
-            return fh.read().rfind(b"\n") + 1
+            data = fh.read()
+        text = data.decode("utf-8")
     except FileNotFoundError:
-        return 0
-    except OSError as exc:
+        return [], 0
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {csv_path}: {exc}") from exc
+    return text.split("\n")[1:-1], data.rfind(b"\n") + 1  # drop the header and the partial tail
 
 
 def _library_versions() -> dict:
@@ -433,7 +423,7 @@ def run_sweep(
                 f"{cfg.output} was produced by a different config; refusing "
                 "to mix results (delete the output or change the path)"
             )
-        done_lines = _read_completed(cfg.output)
+        done_lines, kept = _read_completed(cfg.output)
         if len(done_lines) > len(jobs):
             raise ConfigError(f"{cfg.output} holds more rows than the config defines")
         mc_rows = 0
@@ -456,7 +446,6 @@ def run_sweep(
                 )
             _write_manifest(cfg)  # only exact rows so far: the rows to come set the version
         _warn_on_other_versions(manifest, cfg.manifest_path())
-        kept = _complete_length(cfg.output)
     elif os.path.exists(cfg.output):
         raise ConfigError(
             f"{cfg.output} exists without its manifest; refusing to overwrite it"
@@ -491,7 +480,7 @@ def run_sweep(
     except OSError as exc:
         raise ConfigError(f"cannot write {cfg.output}: {exc}") from exc
 
-    return [RatioRow.from_csv_line(line) for line in _read_completed(cfg.output)]
+    return [RatioRow.from_csv_line(line) for line in _read_completed(cfg.output)[0]]
 
 
 def convergence_report(rows: list[RatioRow], delta: float = 1.0) -> dict:

@@ -38,13 +38,9 @@ from .errors import ConfigError, InfeasibleError, check_finite
 __all__ = [
     "SequenceSpec",
     "TheoryQuantities",
-    "SuffixMomentCheck",
-    "TailSegmentCheck",
     "BlockPartition",
     "compute_quantities",
     "check_parameters",
-    "check_suffix_moment_ratios",
-    "check_tail_segment_ratio",
     "split_index",
     "truncation_width",
     "normal_tail",
@@ -303,89 +299,6 @@ def check_parameters(r: float, delta: float, a0_constant: float) -> None:
     _check_r(r)
     _check_positive("delta", delta)
     _check_positive("a0_constant", a0_constant)
-
-
-@dataclass(frozen=True)
-class SuffixMomentCheck:
-    """Outcome of the suffix moment-ratio condition.
-
-    ``satisfied`` is True iff
-    max_k sum_{j=k..n} E|X_j|^(2+r) / sum_{j=k..n} E X_j^2
-    <= tau * lnr^(r/(2+r)) / dnr^delta (ties qualify).
-    ``worst_k`` maximizes the left side; ``margin`` is LHS/RHS there.
-    """
-
-    satisfied: bool
-    worst_k: int
-    margin: float
-    lhs: float
-    rhs: float
-
-
-def check_suffix_moment_ratios(
-    seq: SequenceSpec, r: float, delta: float, tau: float
-) -> SuffixMomentCheck:
-    """Check that no suffix of the schedule is dominated by heavy terms."""
-    _check_r(r)
-    _check_positive("delta", delta)
-    _check_positive("tau", tau)
-
-    if seq.is_iid:
-        # every suffix has the same ratio
-        lhs = seq.dist.abs_moment(2.0 + r) / seq.dist.variance()
-        worst_k = 1
-    else:
-        num = seq.scales ** (2.0 + r) * seq.dist.abs_moment(2.0 + r)
-        den = seq.scales**2 * seq.dist.variance()
-        ratios = np.cumsum(num[::-1])[::-1] / np.cumsum(den[::-1])[::-1]
-        worst = int(np.argmax(ratios))
-        lhs = float(ratios[worst])
-        worst_k = worst + 1
-    lnr = seq.abs_moment_sum(2.0 + r)
-    dnr = _dnr(seq.variance_sum(), lnr, r)
-    rhs = tau * lnr ** (r / (2.0 + r)) / dnr**delta
-    return SuffixMomentCheck(
-        satisfied=lhs <= rhs,
-        worst_k=worst_k,
-        margin=lhs / rhs,
-        lhs=lhs,
-        rhs=rhs,
-    )
-
-
-@dataclass(frozen=True)
-class TailSegmentCheck:
-    """Outcome of the past-the-split-index truncated-moment check.
-
-    The inequality compares
-    sum_{j>n0} E|X_j|^3 1{|X_j| <= B_n/x} / sum_{j>n0} E X_j^2
-    against ``B_n / x^(1+delta)``. ``holds`` is None (status
-    ``"inapplicable"``) when n0 is 0 or n; ``lhs``/``rhs`` are still
-    reported whenever the segment j > n0 is nonempty.
-    """
-
-    status: str  # "ok" | "inapplicable"
-    holds: Optional[bool]
-    n0: int
-    lhs: float
-    rhs: float
-
-
-def check_tail_segment_ratio(
-    seq: SequenceSpec, x: float, delta: float
-) -> TailSegmentCheck:
-    _check_positive("delta", delta)
-    n0 = split_index(seq, x)
-    bn2 = seq.variance_sum()
-    bn = math.sqrt(bn2)
-    rhs = bn / x ** (1.0 + delta)
-    if n0 >= seq.n:
-        return TailSegmentCheck("inapplicable", None, n0, math.nan, rhs)
-    segment = SequenceSpec(seq.dist, seq.n - n0, None if seq.is_iid else seq.scales[n0:])
-    lhs = segment.truncated_sum(3.0, bn / x, "below") / segment.variance_sum()
-    status = "ok" if 0 < n0 < seq.n else "inapplicable"
-    holds = (lhs <= rhs) if status == "ok" else None
-    return TailSegmentCheck(status, holds, n0, lhs, rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -169,6 +169,16 @@ def test_resume_discards_partial_trailing_line(tmp_path):
     assert path.read_bytes() == ref
 
 
+def test_resume_rewrites_a_missing_csv(tmp_path):
+    cfg = oracle_cfg(tmp_path, name="gone.csv")
+    run_sweep(cfg)
+    path = tmp_path / "gone.csv"
+    ref = path.read_bytes()
+    path.unlink()  # the manifest stays
+    assert len(run_sweep(cfg)) == 3
+    assert path.read_bytes() == ref
+
+
 def test_orphan_csv_without_manifest_is_refused(tmp_path):
     path = tmp_path / "orphan.csv"
     path.write_text("precious,data\n1,2\n")
@@ -244,6 +254,13 @@ def test_workers_and_output_not_in_hash(tmp_path):
     a = oracle_cfg(tmp_path, name="p.csv", workers=1)
     b = oracle_cfg(tmp_path, name="q.csv", workers=8)
     assert a.config_hash() == b.config_hash()
+
+
+def test_a_single_scaling_constant_is_a_list_of_one(tmp_path):
+    one = oracle_cfg(tmp_path, x_values=None, x_c=0.5)
+    listed = oracle_cfg(tmp_path, x_values=None, x_c=[0.5])
+    assert one.canonical() == listed.canonical()
+    assert one.config_hash() == listed.config_hash()
 
 
 def test_dist_is_stored_as_its_normalized_literal(tmp_path):

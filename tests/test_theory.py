@@ -15,8 +15,6 @@ from mdlab import (
     TwoPoint,
     Uniform,
     build_blocks,
-    check_suffix_moment_ratios,
-    check_tail_segment_ratio,
     compute_quantities,
     error_envelope,
     normal_tail,
@@ -241,82 +239,6 @@ def test_scaled_sums_match_per_index_loop(dist):
             assert seq.truncated_sum(p, level, side) == pytest.approx(want, rel=1e-12)
         want = math.fsum(dist.abs_tail_prob(level / s) for s in scales)
         assert seq.tail_prob_sum(level) == pytest.approx(want, rel=1e-12)
-    x = 30.0
-    res = check_tail_segment_ratio(seq, x, 1.0)
-    assert 0 < res.n0 < 400
-    level = math.sqrt(seq.variance_sum()) / x
-    tail = scales[res.n0 :]
-    num = math.fsum(s**3 * dist.truncated_abs_moment(3.0, level / s, "below") for s in tail)
-    den = math.fsum(s**2 for s in tail) * dist.variance()
-    assert res.lhs == pytest.approx(num / den, rel=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# suffix moment-ratio condition
-# ---------------------------------------------------------------------------
-
-def test_suffix_ratios_unit_moments():
-    # LHS = 1 for every suffix; RHS = 64^{1/3} / 64^{1/6} = 2
-    res = check_suffix_moment_ratios(SequenceSpec(Rademacher(1.0), 64), 1.0, 1.0, 1.0)
-    assert res.satisfied
-    assert res.lhs == pytest.approx(1.0, abs=1e-14)
-    assert res.rhs == pytest.approx(2.0, rel=1e-13)
-    assert res.margin == pytest.approx(0.5, rel=1e-13)
-
-
-def test_suffix_ratios_boundary_tie():
-    # n = 1 makes LHS = RHS = 1; ties qualify
-    res = check_suffix_moment_ratios(SequenceSpec(Rademacher(1.0), 1), 1.0, 1.0, 1.0)
-    assert res.satisfied
-    assert res.lhs == pytest.approx(res.rhs, rel=1e-14)
-
-
-def test_suffix_ratios_growing_schedule_fails():
-    n = 64
-    scales = np.arange(1.0, n + 1.0)
-    seq = SequenceSpec(Rademacher(1.0), n, scales=scales)
-    res = check_suffix_moment_ratios(seq, 1.0, 1.0, 1e-6)
-    assert not res.satisfied
-    # brute-force the maximizing suffix
-    num = [sum(s**3 for s in scales[k:]) for k in range(n)]
-    den = [sum(s**2 for s in scales[k:]) for k in range(n)]
-    ratios = [a / b for a, b in zip(num, den)]
-    assert res.worst_k == int(np.argmax(ratios)) + 1 == n
-    assert res.margin > 1.0
-
-
-# ---------------------------------------------------------------------------
-# tail segment condition
-# ---------------------------------------------------------------------------
-
-def test_tail_segment_false_case():
-    # n0 = 275, LHS = 1, RHS = sqrt(1000)/900 << 1
-    res = check_tail_segment_ratio(SequenceSpec(Rademacher(1.0), 1000), 30.0, 1.0)
-    assert res.status == "ok"
-    assert res.n0 == 275
-    assert res.holds is False
-    assert res.lhs == pytest.approx(1.0, abs=1e-13)
-    assert res.rhs == pytest.approx(math.sqrt(1000.0) / 900.0, rel=1e-13)
-
-
-def test_tail_segment_true_case():
-    # n0 in (0, n) and RHS = 1000/900 > 1 = LHS
-    res = check_tail_segment_ratio(SequenceSpec(Rademacher(1.0), 10**6), 30.0, 1.0)
-    assert res.status == "ok"
-    assert 0 < res.n0 < 10**6
-    assert res.holds is True
-
-
-def test_tail_segment_inapplicable_but_reported():
-    # the split-index set is empty at x = 4, n = 1e6; the raw inequality
-    # (1 <= 1000/16) is still reported on the full range
-    res = check_tail_segment_ratio(SequenceSpec(Rademacher(1.0), 10**6), 4.0, 1.0)
-    assert res.status == "inapplicable"
-    assert res.holds is None
-    assert res.n0 == 0
-    assert res.lhs == pytest.approx(1.0, abs=1e-13)
-    assert res.rhs == pytest.approx(1000.0 / 16.0, rel=1e-13)
-    assert res.lhs <= res.rhs
 
 
 # ---------------------------------------------------------------------------
@@ -497,12 +419,6 @@ _BAD_PARAMETER_CALLS = {
     "compute_quantities x": lambda seq, v: compute_quantities(seq, v, 1.0, 1.0),
     "compute_quantities delta": lambda seq, v: compute_quantities(seq, 2.0, 1.0, v),
     "compute_quantities a0_constant": lambda seq, v: compute_quantities(seq, 2.0, 1.0, 1.0, v),
-    "check_suffix_moment_ratios delta": lambda seq, v: check_suffix_moment_ratios(
-        seq, 1.0, v, 1.0),
-    "check_suffix_moment_ratios tau": lambda seq, v: check_suffix_moment_ratios(
-        seq, 1.0, 1.0, v),
-    "check_tail_segment_ratio x": lambda seq, v: check_tail_segment_ratio(seq, v, 1.0),
-    "check_tail_segment_ratio delta": lambda seq, v: check_tail_segment_ratio(seq, 2.0, v),
     "build_blocks x": lambda seq, v: build_blocks(seq, v, 0.5),
     "build_blocks epsilon": lambda seq, v: build_blocks(seq, 2.0, v),
     "error_envelope x": lambda seq, v: error_envelope(v, 0.1, 1.0),
