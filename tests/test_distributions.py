@@ -1,6 +1,7 @@
 """Distribution families: moments, sampling, tilting."""
 
 import math
+import re
 import sys
 import warnings
 from fractions import Fraction
@@ -469,6 +470,14 @@ def test_student_t_infinite_moment_errors():
     with pytest.raises(InfiniteMomentError, match=r"^E\|X\|\^4\.0 is infinite"):
         d.truncated_abs_moment(4.0, 1.0, "below")
     assert d.abs_moment(3.4) < math.inf
+
+
+@pytest.mark.parametrize("side", ["below", "above"])
+@pytest.mark.parametrize("p", [3.5, 4.0])
+@pytest.mark.parametrize("c", [0.3, 1.0, 20.0])
+def test_student_t_refuses_orders_past_nu(c, p, side):
+    with pytest.raises(InfiniteMomentError, match=rf"^E\|X\|\^{re.escape(str(p))} is infinite"):
+        StudentT(3.5).truncated_abs_moment(p, c, side)
 
 
 @pytest.mark.parametrize("dist", ALL, ids=IDS)

@@ -179,6 +179,29 @@ def test_resume_rewrites_a_missing_csv(tmp_path):
     assert path.read_bytes() == ref
 
 
+@pytest.mark.parametrize("data, lines, kept", [
+    (b"", [], 0),
+    (b"h", [], 0),
+    (b"h\n", [], 2),
+    (b"h\n1,2", [], 2),
+    (b"h\n1,2\n", ["1,2"], 6),
+    (b"h\n1,2\n3,", ["1,2"], 6),
+    (b"h\n\xc3\xa9\n", ["\u00e9"], 5),  # the length counts bytes, not characters
+], ids=["empty", "partial-header", "header", "partial-row", "row", "row-and-partial", "utf8"])
+def test_read_completed_keeps_complete_lines(tmp_path, data, lines, kept):
+    path = tmp_path / "r.csv"
+    path.write_bytes(data)
+    assert experiments._read_completed(str(path)) == (lines, kept)
+
+
+def test_read_completed_of_a_missing_or_undecodable_file(tmp_path):
+    assert experiments._read_completed(str(tmp_path / "none.csv")) == ([], 0)
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"h\n\xff\n")
+    with pytest.raises(ConfigError, match="cannot read"):
+        experiments._read_completed(str(bad))
+
+
 def test_orphan_csv_without_manifest_is_refused(tmp_path):
     path = tmp_path / "orphan.csv"
     path.write_text("precious,data\n1,2\n")

@@ -417,6 +417,7 @@ _BAD_PARAMETER_CALLS = {
     "truncation_width x": lambda seq, v: truncation_width(0.1, v, 1.0),
     "truncation_width delta": lambda seq, v: truncation_width(0.1, 2.0, v),
     "compute_quantities x": lambda seq, v: compute_quantities(seq, v, 1.0, 1.0),
+    "compute_quantities r": lambda seq, v: compute_quantities(seq, 2.0, v, 1.0),
     "compute_quantities delta": lambda seq, v: compute_quantities(seq, 2.0, 1.0, v),
     "compute_quantities a0_constant": lambda seq, v: compute_quantities(seq, 2.0, 1.0, 1.0, v),
     "build_blocks x": lambda seq, v: build_blocks(seq, v, 0.5),
