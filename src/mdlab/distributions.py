@@ -20,13 +20,10 @@ stream, which draws ``+a`` when it is below
 ``STREAM_VERSION`` names the layout of the Monte Carlo stream these draws
 and :mod:`mdlab.mc` define together; version 7 is this raw-word draw and
 the switched tilt of :mod:`mdlab.mc`, drawn from SFC64 bit generators,
-with the tilt of iid two-point laws solved in closed form, every other
-tilt by Newton's method on Uniform's series-accurate arithmetic, and
-Student t drawn by Bailey's polar method with one oversampled refill of
-the pairs off the disk (version 6 redrew those pairs round by round;
-version 5 found the other tilts by Brent's method; version 4 drew Student
-t by numpy's ``standard_t``; version 3 root-found the tilt of
-``TwoPoint``; version 2 drew from counter-based generators). Uniform and
+with the tilt of two-point laws solved in closed form, Uniform's by
+Newton's method on its series-accurate arithmetic, and Student t drawn by
+Bailey's polar method with one oversampled refill of the pairs off the
+disk. The README lists the earlier versions. Uniform and
 exponential draws are numpy's own ``uniform`` and ``exponential``, to the
 bit, formed from the generator's doubles and standard exponentials.
 
@@ -69,9 +66,7 @@ __all__ = [
     "from_literal",
 ]
 
-# the Monte Carlo stream layout; bump it whenever a fixed seed can give other bytes.
-# Version 7: Student t fills the slots its first block draws off the disk from
-# one oversampled refill, in place of one redraw round after another
+# the Monte Carlo stream layout; bump it whenever a fixed seed can give other bytes
 STREAM_VERSION = 7
 _WORDS = 1 << 64  # the raw words of a 64-bit bit generator are uniform on [0, 2^64)
 _LOG_MAX = math.log(sys.float_info.max)  # the largest z for which exp(z) is finite
@@ -251,8 +246,8 @@ class Rademacher(_TwoPointLaw):
 
     a = b = property(lambda self: self.scale)  # read-only, not config fields
 
-    # these three fix the bytes of the naive stream and of the tilt solve; the
-    # rest is the two-point arithmetic, exact at a = b while c^p is normal
+    # these two fix the bytes of the naive stream and of the tilted weights;
+    # the rest is the two-point arithmetic, exact at a = b while c^p is normal
     def sample(self, rng, size=None):
         return self.scale * (2.0 * rng.integers(0, 2, size=size) - 1.0)
 
@@ -260,9 +255,6 @@ class Rademacher(_TwoPointLaw):
         # log cosh, overflow-safe
         z = abs(theta * self.scale)
         return z + math.log1p(math.exp(-2.0 * z)) - math.log(2.0)
-
-    def tilted_mean(self, theta: float) -> float:
-        return self.scale * math.tanh(theta * self.scale)
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,15 @@ Estimates carry their per-chunk sufficient statistics, so
 moments re-reduced with ``math.fsum``, making merging associative,
 commutative, and reproducible to the bit.
 
+Monte Carlo runs iid steps only: :func:`simulate` and :func:`choose_tilt`
+refuse a scale schedule with :class:`ConfigError`. Schedules are read by
+the ``theory`` command and by :func:`mdlab.oracle.enumerate_exact`.
+
 Importance sampling switches the tilt off at the first passage
 (Siegmund's conjugate-until-passage estimator). Each path draws the
-increments tilted by ``theta * s_j``, with ``theta`` from
-:func:`choose_tilt`, until ``tau = min{k : S_k >= x B_n}``, and untilted
-steps after it; its weight is ``exp(-theta S_{tau^n} + Psi_{tau^n})``,
-where ``Psi_k = sum_{j<=k} log E exp(theta s_j X)``. Both event
+increments tilted by ``theta``, from :func:`choose_tilt`, until ``tau =
+min{k : S_k >= x B_n}``, and untilted steps after it; its weight is
+``exp(-theta S_{tau^n} + tau^n log E exp(theta X))``. Both event
 estimators stay unbiased, since ``tau`` is a stopping time, and a path
 that crosses the barrier and ends below it no longer carries the large
 weight that a tilt kept on to the end would give it.
@@ -28,21 +31,14 @@ Two kernels draw the paths. Tilted Rademacher and TwoPoint steps are raw
 tilted one before ``tau``, the untilted one after it), with ``S_k`` and
 ``V_n^2`` formed from up-counts. Every other run draws float columns
 through ``sample``, or through ``tilted_sample`` with the tilt applied
-only to the paths still under it. On iid steps neither kernel builds
-anything of length ``n``: every step has scale 1 and one tilted threshold,
-so a chunk's memory is set by its paths alone. ``STREAM_VERSION`` is part
-of every estimate's ``quantity``, so estimates from different stream
-layouts do not merge; version 7 refills the Student t pairs that fall off
-the disk in one oversampled draw (see
-:class:`~mdlab.distributions.StudentT`), version 6 solves the tilts that
-have no closed form by Newton's method on the drift (see
-:func:`choose_tilt`), version 5 draws Student t steps by Bailey's polar
-method, and version 4 solved the tilt of iid two-point laws in closed form.
+only to the paths still under it. Neither kernel builds anything of
+length ``n``, so a chunk's memory is set by its paths alone.
+``STREAM_VERSION`` is part of every estimate's ``quantity``, so estimates
+from different stream layouts do not merge; the README lists the versions.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -51,7 +47,7 @@ from typing import Optional
 
 import numpy as np
 
-from .distributions import STREAM_VERSION, Uniform, _TwoPointLaw
+from .distributions import STREAM_VERSION, _TwoPointLaw
 from .errors import BudgetExceededError, ConfigError, InfeasibleError, check_finite
 from .theory import SequenceSpec, _tie_cut, _tie_unit
 
@@ -76,7 +72,6 @@ _DRIFT_TOL = 1e-10
 _STEP_TOL = 1e-12  # a Newton step this small, relative to theta, is near the drift's rounding
 _MAX_NEWTON_STEPS = 200
 _BELOW_ONE = math.nextafter(1.0, 0.0)
-_HASH_BLOCK = 1 << 12  # unit scales hashed per update for an iid schedule
 
 # one chunk's sufficient statistics: (seed, chunk_index, n_paths, sum_w, sum_w2)
 ChunkRecord = tuple[int, int, int, float, float]
@@ -87,6 +82,13 @@ def _check_seed(seed: int, name: str = "seed") -> None:
     64-bit integer, which enters its chunk's ``SeedSequence`` exactly."""
     if not 0 <= seed <= _MAX_UINT64:
         raise ConfigError(f"{name} must be an unsigned 64-bit integer, got {seed}")
+
+
+def _check_iid(seq: SequenceSpec) -> None:
+    """Refuse a scale schedule: Monte Carlo draws iid steps only."""
+    if not seq.is_iid:
+        raise ConfigError("Monte Carlo runs iid steps only; a scale schedule is read by "
+                          "theory --scales and oracle.enumerate_exact")
 
 
 def _check_path_steps(n: int, n_samples: int) -> None:
@@ -102,16 +104,15 @@ class TailEstimate:
     """Tail probability estimate with exact merge support.
 
     ``quantity`` names what is estimated, and by which stream: the law
-    literal, ``n``, ``x``, the sha256 of the scale schedule and the
-    ``STREAM_VERSION``. ``records`` holds per-chunk sums
-    of ``w * indicator`` and its square, sorted by (seed, chunk); every
-    reported number is computed from them, so equal record sets give
-    bit-equal estimates.
+    literal, ``n``, ``x`` and the ``STREAM_VERSION``. ``records`` holds
+    per-chunk sums of ``w * indicator`` and its square, sorted by (seed,
+    chunk); every reported number is computed from them, so equal record
+    sets give bit-equal estimates.
     """
 
     method: str  # "naive" | "tilted"
     event: str  # "max" | "sum"
-    quantity: tuple[str, int, float, str, int]
+    quantity: tuple[str, int, float, int]
     records: tuple[ChunkRecord, ...]
 
     def __post_init__(self):
@@ -143,16 +144,6 @@ class TailEstimate:
         return {key: getattr(self, key) for key in keys}
 
 
-def _step_sum(seq: SequenceSpec, f) -> float:
-    """``sum_j f(s_j)`` over the scale schedule; ``n * f(1.0)`` when iid,
-    which keeps the tilt solve O(1) per evaluation at any n. The scales are
-    passed as Python floats, whose scalar arithmetic is several times
-    cheaper than numpy's and gives the same doubles."""
-    if seq.is_iid:
-        return seq.n * f(1.0)
-    return math.fsum(f(s) for s in seq.scales.tolist())
-
-
 def _two_point_tilt(dist: _TwoPointLaw, u: float) -> float:
     """The root of ``tilted_mean(theta) = u * sqrt(a b)`` for the law on
     ``{a, -b}``: ``theta = 2 atanh(z) / (a + b)`` with ``z = m (a + b) /
@@ -178,15 +169,15 @@ def _two_point_tilt(dist: _TwoPointLaw, u: float) -> float:
 
 def _newton_tilt(seq: SequenceSpec, total_drift, target: float, theta: float) -> float:
     """The root of the increasing ``total_drift(theta) = target`` by Newton's
-    method from ``theta``, on the slope ``sum_j s_j^2 tilted_variance(theta
-    s_j)``. Each drift value narrows the bracket ``[lo, hi]`` that holds the
-    root, and a step that would leave it bisects it instead. A step within
+    method from ``theta``, on the slope ``n tilted_variance(theta)``. Each
+    drift value narrows the bracket ``[lo, hi]`` that holds the root, and a
+    step that would leave it bisects it instead. A step within
     ``_STEP_TOL`` of theta that no longer shrinks, or that would leave the
     bracket, stops the iteration: the drift's rounding is reached. It stops
     too where the slope is too flat for a finite step, and after
     ``_MAX_NEWTON_STEPS``; the caller's residual check judges what it
     returns."""
-    dist = seq.dist
+    dist, n = seq.dist, seq.n
     lo, hi, last = 0.0, math.inf, math.inf
     for _ in range(_MAX_NEWTON_STEPS):
         gap = total_drift(theta) - target
@@ -196,8 +187,7 @@ def _newton_tilt(seq: SequenceSpec, total_drift, target: float, theta: float) ->
             lo = theta
         else:
             hi = theta
-        slope = _step_sum(seq, lambda s: s * s * dist.tilted_variance(theta * s))
-        step = -gap / slope
+        step = -gap / (n * dist.tilted_variance(theta))
         inside = lo < theta + step < hi
         if abs(step) <= _STEP_TOL * theta and (abs(step) >= last or not inside):
             break
@@ -211,24 +201,24 @@ def _newton_tilt(seq: SequenceSpec, total_drift, target: float, theta: float) ->
 
 
 def choose_tilt(seq: SequenceSpec, x: float) -> float:
-    """The tilt ``theta >= 0`` that solves ``sum_j s_j tilted_mean(theta
-    s_j) = x * B_n``.
+    """The tilt ``theta >= 0`` that solves ``n tilted_mean(theta) = x *
+    B_n`` on iid steps; a scale schedule raises :class:`ConfigError`.
 
-    Iid two-point steps (Rademacher and TwoPoint) have a closed form, see
+    Two-point steps (Rademacher and TwoPoint) have a closed form, see
     :func:`_two_point_tilt`; on Rademacher it is ``atanh(x / sqrt(n)) /
-    c``. Every other law and schedule is solved by :func:`_newton_tilt`,
-    iid Uniform from Cohen's Pade inverse of the Langevin function and the
-    rest from ``theta = 0``. Either way the drift equation must hold to
-    1e-10. A target outside the support hull raises
+    c``. Uniform is solved by :func:`_newton_tilt` from Cohen's Pade
+    inverse of the Langevin function. Either way the drift equation must
+    hold to 1e-10. A target outside the support hull raises
     :class:`InfeasibleError`; a law that does not implement the tilt
     methods raises :class:`TiltUnsupportedError` from them.
     """
+    _check_iid(seq)
     check_finite("x", x, 0.0)
     dist = seq.dist
     total_target = x * math.sqrt(seq.variance_sum())
 
     # supremum of the total achievable drift
-    hull = _step_sum(seq, lambda s: s) * dist.support_max()
+    hull = seq.n * dist.support_max()
     if total_target >= hull:
         raise InfeasibleError(
             f"target drift {total_target:.6g} is outside the open support "
@@ -236,19 +226,17 @@ def choose_tilt(seq: SequenceSpec, x: float) -> float:
         )
 
     def total_drift(t: float) -> float:
-        return _step_sum(seq, lambda s: s * dist.tilted_mean(t * s))
+        return seq.n * dist.tilted_mean(t)
 
     if x == 0.0 or total_drift(0.0) >= total_target:  # a target within the rounding of no tilt
         theta = 0.0
-    elif seq.is_iid and isinstance(dist, _TwoPointLaw):
+    elif isinstance(dist, _TwoPointLaw):
         theta = _two_point_tilt(dist, x / math.sqrt(seq.n))
     else:
-        start = 0.0
-        if seq.is_iid and isinstance(dist, Uniform):
-            # Cohen's Pade inverse y (3 - y^2) / (1 - y^2) of the Langevin
-            # function coth z - 1/z (Cohen 1991, Rheol. Acta 30, 270-273)
-            y = total_target / hull
-            start = y * (3.0 - y * y) / ((1.0 - y) * (1.0 + y)) / dist.half_width
+        # Uniform: Cohen's Pade inverse y (3 - y^2) / (1 - y^2) of the Langevin
+        # function coth z - 1/z (Cohen 1991, Rheol. Acta 30, 270-273)
+        y = total_target / hull
+        start = y * (3.0 - y * y) / ((1.0 - y) * (1.0 + y)) / dist.support_max()
         theta = _newton_tilt(seq, total_drift, total_target, start)
 
     achieved = total_drift(theta)
@@ -270,52 +258,30 @@ def _chunk_layout(n_samples: int, first_chunk: int) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class _SwitchedTilt:
-    """What a tilted run needs besides the law: the per-step tilts
-    ``theta * s_j``, the prefix sums ``Psi_k`` for ``k = 0..n`` and the
-    barrier ``x * B_n`` whose first passage switches a path's tilt off.
-    On iid steps the tilt is ``theta`` at every step and ``Psi_k = k
-    log_mgf``, so ``steps`` and ``log_mgf_prefix`` are None.
+    """What a tilted run needs besides the law: the tilt ``theta``, its
+    ``log_mgf`` (so that ``Psi_k = k log_mgf``) and the barrier ``x * B_n``
+    whose first passage switches a path's tilt off.
 
-    A two-point law also carries what its kernel reads at every step, built
-    once per run rather than once per chunk: the raw-word thresholds of
-    :meth:`~mdlab.distributions._TwoPointLaw.up_draws`, ``untilted_word``
-    and ``tilted_words`` (one per step, a single one on iid steps), and on
-    a schedule ``scale_prefix``, the lists of the scales ``s_j`` and of
-    their prefix sums ``P_j``."""
+    A two-point law also carries the raw-word thresholds of
+    :meth:`~mdlab.distributions._TwoPointLaw.up_draws` that its kernel
+    reads at every step, built once per run rather than once per chunk:
+    ``untilted_word`` and ``tilted_word``."""
 
     theta: float
     n: int
     barrier: float
     log_mgf: float
-    steps: Optional[np.ndarray]
-    log_mgf_prefix: Optional[np.ndarray]
     untilted_word: Optional[np.uint64]
-    tilted_words: tuple[np.uint64, ...]
-    scale_prefix: Optional[tuple[list[float], list[float]]]
-
-    def step(self, k: int) -> float:
-        return self.theta if self.steps is None else self.steps[k]
-
-    def psi(self, k: int) -> float:
-        return k * self.log_mgf if self.log_mgf_prefix is None else self.log_mgf_prefix[k]
+    tilted_word: Optional[np.uint64]
 
 
 def _switched_tilt(seq: SequenceSpec, x: float) -> _SwitchedTilt:
     dist, theta = seq.dist, choose_tilt(seq, x)
-    steps = log_mgf_prefix = None
-    step_tilts = [theta]
-    if not seq.is_iid:
-        steps = theta * seq.scales
-        step_tilts = steps.tolist()
-        log_mgf_prefix = np.concatenate(([0.0], np.cumsum([dist.log_mgf(t) for t in step_tilts])))
-    untilted_word, tilted_words, scale_prefix = None, (), None
+    untilted_word = tilted_word = None
     if isinstance(dist, _TwoPointLaw):
-        untilted_word = np.uint64(dist.up_threshold(0.0))
-        tilted_words = tuple(np.uint64(dist.up_threshold(t)) for t in step_tilts)
-        if not seq.is_iid:
-            scale_prefix = (seq.scales.tolist(), np.cumsum(seq.scales).tolist())
+        untilted_word, tilted_word = (np.uint64(dist.up_threshold(t)) for t in (0.0, theta))
     return _SwitchedTilt(theta, seq.n, x * math.sqrt(seq.variance_sum()), dist.log_mgf(theta),
-                         steps, log_mgf_prefix, untilted_word, tilted_words, scale_prefix)
+                         untilted_word, tilted_word)
 
 
 class _Passage:
@@ -332,7 +298,7 @@ class _Passage:
 
     def _settle(self, paths, level, k):
         self.log_weight[paths] = (-self.tilt.theta * (self.span * level[paths])
-                                  + self.tilt.psi(k))
+                                  + k * self.tilt.log_mgf)
 
     def update(self, k: int, level: np.ndarray) -> np.ndarray:
         """Switch off the paths whose level reached the barrier at step
@@ -353,69 +319,50 @@ class _Passage:
 def _two_point_paths(seq: SequenceSpec, rng, n_paths: int, tilt: _SwitchedTilt):
     """(max_k S_k, S_n, V_n^2, log-weights) of tilted two-point paths.
 
-    Step ``j`` is ``+a s_j`` when :meth:`~mdlab.distributions._TwoPointLaw.up_draws`
+    Step ``j`` is ``+a`` when :meth:`~mdlab.distributions._TwoPointLaw.up_draws`
     says so for the path's threshold: the tilted one before ``tau``, the
-    untilted one after it. With ``W_k = sum_{j<=k} s_j 1{up}`` and
-    ``P_k = sum_{j<=k} s_j``, the level ``W_k - b P_k / (a + b)`` is
-    ``S_k / (a + b)``, and ``V_n^2 = a^2 Q + b^2 (sum_j s_j^2 - Q)`` with
-    ``Q`` the up-count weighted by ``s_j^2``. On iid steps ``W`` and ``Q``
-    are the up-count itself and ``P_k = k``, so no float column is formed
-    per step, and the tilted threshold is one word for every step.
+    untilted one after it. With ``W_k`` the up-count after ``k`` steps,
+    the level ``W_k - b k / (a + b)`` is ``S_k / (a + b)``, and ``V_n^2 =
+    a^2 W_n + b^2 (n - W_n)``, so no float column is formed per step.
     """
-    dist, iid = seq.dist, seq.is_iid
+    dist = seq.dist
     a, b, span = dist.a, dist.b, dist.a + dist.b
     count = np.zeros(n_paths)
-    sq_count = count if iid else np.zeros(n_paths)
     level = np.empty(n_paths)
     peak = np.full(n_paths, -np.inf)
     passage = _Passage(tilt, n_paths, span)
-    untilted, tilted = tilt.untilted_word, tilt.tilted_words
-    threshold = np.full(n_paths, tilted[0])
-    if iid:
-        steps = ((1.0, float(k)) for k in range(1, seq.n + 1))
-    else:
-        steps = zip(*tilt.scale_prefix)
-    for k, (s, prefix) in enumerate(steps):
-        if k and not iid and tilted[k] != tilted[k - 1]:
-            np.copyto(threshold, tilted[k], where=passage.active)
-        up = dist.up_draws(rng, threshold, n_paths)
-        if iid:
-            count += up
-        else:
-            count += s * up
-            sq_count += (s * s) * up
+    threshold = np.full(n_paths, tilt.tilted_word)
+    for k in range(seq.n):
+        count += dist.up_draws(rng, threshold, n_paths)
+        taken = float(k + 1)
         # the level keeps the smaller step even when it is below the rounding
-        # of a + b: W - (b / span) P when a >= b, else (W - P) + (a / span) P
+        # of a + b: W - (b / span) t after t steps when a >= b, else
+        # (W - t) + (a / span) t
         if a >= b:
-            np.add(count, -(b / span) * prefix, out=level)
+            np.add(count, -(b / span) * taken, out=level)
         else:
-            np.subtract(count, prefix, out=level)
-            level += (a / span) * prefix
+            np.subtract(count, taken, out=level)
+            level += (a / span) * taken
         np.maximum(peak, level, out=peak)
-        threshold[passage.update(k, level)] = untilted
-    sq_sum = float(seq.n) if iid else float(np.sum(seq.scales * seq.scales))
-    sq_norm = a * a * sq_count + b * b * (sq_sum - sq_count)
+        threshold[passage.update(k, level)] = tilt.untilted_word
+    sq_norm = a * a * count + b * b * (float(seq.n) - count)
     return span * peak, span * level, sq_norm, passage.finish(level)
 
 
 def _float_paths(seq: SequenceSpec, rng, n_paths: int, tilt: Optional[_SwitchedTilt]):
     """(max_k S_k, S_n, V_n^2, log-weights) of paths drawn as float columns;
-    a tilted column takes the tilt ``theta s_j`` on the paths still under it."""
+    a tilted column takes the tilt ``theta`` on the paths still under it."""
     dist = seq.dist
     running = np.zeros(n_paths)
     sq_norm = np.zeros(n_paths)
     peak = np.full(n_paths, -np.inf)
     passage = None if tilt is None else _Passage(tilt, n_paths, 1.0)
-    scales = None if seq.is_iid else seq.scales.tolist()
     for k in range(seq.n):
         if passage is None:
             col = dist.sample(rng, n_paths)
         else:
-            col = dist.tilted_sample(tilt.step(k), rng, n_paths, passage.active)
-        # every sampler returns a fresh float column, so it is worked in
-        # place; iid steps have scale 1 and skip the product
-        if scales is not None:
-            col *= scales[k]
+            col = dist.tilted_sample(tilt.theta, rng, n_paths, passage.active)
+        # every sampler returns a fresh float column, so it is worked in place
         running += col
         col *= col
         sq_norm += col
@@ -447,20 +394,6 @@ def _run_chunk(
                  for w in (w_max, w_sum))
 
 
-def _schedule_digest(seq: SequenceSpec) -> str:
-    """The sha256 of the scale schedule's float64 bytes; an iid schedule's
-    ``n`` unit scales are hashed block by block, never built whole."""
-    if not seq.is_iid:
-        return hashlib.sha256(seq.scales.tobytes()).hexdigest()
-    digest = hashlib.sha256()
-    block = np.ones(min(seq.n, _HASH_BLOCK)).tobytes()
-    full, rest = divmod(seq.n, _HASH_BLOCK)
-    for _ in range(full):
-        digest.update(block)
-    digest.update(block[: rest * 8])
-    return digest.hexdigest()
-
-
 def simulate(
     seq: SequenceSpec,
     x: float,
@@ -470,19 +403,21 @@ def simulate(
     workers: int = 1,
     first_chunk: int = 0,
 ) -> tuple[TailEstimate, TailEstimate]:
-    """Estimate P(max_k S_k >= x V_n) and P(S_n >= x V_n) on shared paths.
+    """Estimate P(max_k S_k >= x V_n) and P(S_n >= x V_n) on shared paths
+    of iid steps; a scale schedule raises :class:`ConfigError`.
 
     One pass per path tracks the running maximum, the terminal sum, and
     ``V_n^2``, so the per-path sum indicator never exceeds the max
     indicator. ``method="tilted"`` draws each path under the tilt of
     :func:`choose_tilt` until it first reaches ``x * B_n`` and untilted
-    after it, weighing it by ``exp(-theta S_{tau^n} + Psi_{tau^n})``; both
-    events share these weights. Output is bit-identical for fixed
+    after it, weighing it by ``exp(-theta S_{tau^n} + tau^n log E
+    exp(theta X))``; both events share these weights. Output is bit-identical for fixed
     ``(seed, n_samples, first_chunk)`` regardless of ``workers``; every
     chunk index must be an unsigned 64-bit integer, as the seed must. A
     run of more than ``PATH_STEP_BUDGET`` path-steps (``seq.n *
     n_samples``) raises :class:`BudgetExceededError`.
     """
+    _check_iid(seq)
     if n_samples < 1000:
         raise ConfigError(f"n_samples must be >= 1000, got {n_samples}")
     check_finite("x", x, 0.0)
@@ -504,15 +439,14 @@ def simulate(
         results = list(pool.map(lambda chunk: _run_chunk(seq, x, seed, *chunk, tilt, unit),
                                 layout))
 
-    quantity = (json.dumps(seq.dist.literal(), sort_keys=True), seq.n, x,
-                _schedule_digest(seq), STREAM_VERSION)
+    quantity = (json.dumps(seq.dist.literal(), sort_keys=True), seq.n, x, STREAM_VERSION)
     return tuple(TailEstimate(method, event, quantity, tuple(r[i] for r in results))
                  for i, event in enumerate(("max", "sum")))
 
 
 def merge(a: TailEstimate, b: TailEstimate) -> TailEstimate:
     """Pool two estimates of the same method, event and quantity (law,
-    ``n``, ``x``, scale schedule and stream version).
+    ``n``, ``x`` and stream version).
 
     Associative and commutative: the union of chunk records is re-sorted
     and re-reduced exactly. Seeds may differ (pooling independent runs);

@@ -693,7 +693,7 @@ def test_commands_that_never_root_find_leave_scipy_optimize_unloaded(tmp_path):
             tmp_path / "twopoint.json", dist=_TWOPOINT, output="t.csv", engine="mc",
             mc_method="tilted", mc_samples=1000)),
         ("sweep_oracle", _sweep_config(tmp_path / "oracle.json", dist=_TWOPOINT, output="o.csv")),
-        # Newton's method: Uniform, and a scale schedule
+        # Newton's method: Uniform
         ("simulate_uniform_tilted", ["simulate", "--dist", "uniform", "--n", "8", "--x", "1",
                                      "--samples", "1000", "--method", "tilted"]),
         ("sweep_uniform_mc_tilted", _sweep_config(
@@ -702,12 +702,6 @@ def test_commands_that_never_root_find_leave_scipy_optimize_unloaded(tmp_path):
     ]
     seen = _fresh_interpreter(_COMMANDS_PROBE, json.dumps(commands), cwd=tmp_path)
     assert _loads(seen, "scipy.optimize") == {name: [0, False] for name, _ in commands}
-    # the CLI tilts no scale schedule: solve one through the library
-    probe = ("import json, sys, numpy as np; from mdlab import SequenceSpec, TwoPoint; "
-             "from mdlab.mc import choose_tilt; "
-             f"seq = SequenceSpec(TwoPoint(2.0, 1.0), {len(_SCALES)}, scales=np.array({_SCALES})); "
-             "print(json.dumps([choose_tilt(seq, 1.2) > 0.0, 'scipy.optimize' in sys.modules]))")
-    assert _fresh_interpreter(probe) == [True, False]
 
 
 def test_tilted_uniform_runs_next_to_the_hull():

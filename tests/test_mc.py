@@ -1,7 +1,6 @@
 """Monte Carlo engine: determinism, merging, importance sampling."""
 
 import dataclasses
-import hashlib
 import math
 import tracemalloc
 
@@ -9,11 +8,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from mdlab import CenteredExponential, Rademacher, SequenceSpec, StudentT, TwoPoint, Uniform, oracle
-from mdlab.distributions import _TwoPointLaw
+from mdlab import CenteredExponential, Rademacher, SequenceSpec, StudentT, TwoPoint, Uniform, mc, oracle
 from mdlab.errors import BudgetExceededError, ConfigError, InfeasibleError, TiltUnsupportedError
 from mdlab.mc import (CHUNK_SIZE, PATH_STEP_BUDGET, STREAM_VERSION, _check_path_steps, _run_chunk,
-                      _schedule_digest, _switched_tilt, choose_tilt, merge, simulate)
+                      _switched_tilt, choose_tilt, merge, simulate)
 from mdlab.theory import _tie_unit
 from mdlab.oracle import enumerate_exact, lattice_dp_max, twopoint_dp
 
@@ -96,12 +94,11 @@ def test_worker_count_does_not_change_bits():
         (SequenceSpec(TwoPoint(2.0, 1.0), 64), 2.0, 5, "0x1.5376ab421717bp-3",
          ["0x1.edd53c70f2edbp-6", "0x1.319c14d1c6c50p-13",
           "0x1.130b610cd5694p-6", "0x1.0552ebfe15a91p-13"]),
-        (SequenceSpec(Uniform(1.0), 50, scales=np.random.default_rng(123).uniform(0.8, 1.25, 50)),
-         1.5, 31, "0x1.70c5510128c09p-2",
-         ["0x1.deea29610392ap-4", "0x1.fc13909e174e6p-12",
-          "0x1.13deedd2c3d68p-4", "0x1.8a60a790b092cp-12"]),
+        (SequenceSpec(Uniform(1.0), 50), 1.5, 31, "0x1.7bad2b8e1c756p-2",
+         ["0x1.dc9c557dccc2dp-4", "0x1.e2f54b036c5a5p-12",
+          "0x1.124c8d4676aa3p-4", "0x1.88ca285c197b2p-12"]),
     ],
-    ids=["twopoint_iid", "uniform_schedule"],
+    ids=["twopoint_iid", "uniform_iid"],
 )
 @pytest.mark.parametrize("workers", [1, 2])
 def test_tilted_estimates_pinned_to_the_bit(seq, x, seed, theta, pins, workers):
@@ -162,34 +159,12 @@ def test_merge_refuses_estimates_of_another_stream_version():
     seq = SequenceSpec(Rademacher(1.0), 16)
     est = simulate(seq, 1.0, 2000, seed=1)[0]
     assert est.quantity[-1] == STREAM_VERSION == 7
-    # the same law, n, x and schedule drawn by the version-1 to -5 streams
+    # the same law, n and x drawn by the version-1 to -5 streams
     for version in (1, 2, 3, 4, 5):
         older = dataclasses.replace(est, quantity=est.quantity[:-1] + (version,),
                                     records=tuple((2,) + r[1:] for r in est.records))
         with pytest.raises(ConfigError, match="quantity"):
             merge(est, older)
-
-
-@pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 3 * 4096 + 5])
-def test_an_iid_schedule_hashes_as_its_unit_scales(n):
-    # hashed block by block, the digest is still that of n float64 ones
-    want = hashlib.sha256(np.ones(n).tobytes()).hexdigest()
-    assert _schedule_digest(SequenceSpec(Uniform(1.0), n)) == want
-    assert _schedule_digest(SequenceSpec(Uniform(1.0), n, scales=np.ones(n))) == want
-
-
-def test_merge_refuses_estimates_on_different_scale_schedules():
-    # one law, n and x on two schedules: p_hat 0.2595 on unit scales and
-    # 0.246 on scales 1..8 are not one quantity, and do not pool
-    dist = Uniform(1.0)
-    ones = simulate(SequenceSpec(dist, 8, scales=np.ones(8)), 1.0, 2000, seed=1)
-    ramp = simulate(SequenceSpec(dist, 8, scales=np.arange(1.0, 9.0)), 1.0, 2000, seed=2)
-    for a, b in zip(ones, ramp):
-        with pytest.raises(ConfigError, match="quantity"):
-            merge(a, b)
-    # unit scales are the iid schedule
-    iid = simulate(SequenceSpec(dist, 8), 1.0, 2000, seed=2)
-    assert merge(ones[0], iid[0]).n_samples == 4000
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +245,7 @@ def test_choose_tilt_uniform_by_root_finding():
 
 def _newton_steps(monkeypatch, seq, x):
     """``(theta, Newton steps)`` of one tilt solve: each step reads the
-    slope, one ``tilted_variance`` per distinct scale."""
+    slope, one ``tilted_variance``."""
     calls = []
     law = type(seq.dist)
     variance = law.tilted_variance
@@ -278,30 +253,16 @@ def _newton_steps(monkeypatch, seq, x):
                         lambda self, t: calls.append(t) or variance(self, t))
     theta = choose_tilt(seq, x)
     monkeypatch.setattr(law, "tilted_variance", variance)
-    return theta, len(calls) // (1 if seq.is_iid else seq.n)
+    return theta, len(calls)
 
 
-def _exact_tilt(seq, x, start):
-    """The root of ``sum_j s_j tilted_mean(theta s_j) = x B_n`` to 50 digits,
-    for Uniform and two-point laws, polished from ``start``."""
-    dist = seq.dist
+def _exact_uniform_tilt(seq, x, start):
+    """The root of ``n tilted_mean(theta) = x B_n`` for iid Uniform steps to
+    50 digits, polished from ``start``."""
     with mp.workdps(50):
-        scales = [mp.mpf(1)] if seq.is_iid else [mp.mpf(s) for s in seq.scales.tolist()]
-        copies = seq.n if seq.is_iid else 1
-        if isinstance(dist, Uniform):
-            a = mp.mpf(dist.half_width)
-            var, mean = a * a / 3, lambda t: a * (mp.coth(t * a) - 1 / (t * a))
-        else:
-            a, b = mp.mpf(dist.a), mp.mpf(dist.b)
-            var = a * b
-            mean = lambda t: a * b * -mp.expm1(-t * (a + b)) / (b + a * mp.exp(-t * (a + b)))
-        target = mp.mpf(x) * mp.sqrt(copies * var * mp.fsum(s * s for s in scales))
-        return mp.findroot(lambda t: copies * mp.fsum(s * mean(t * s) for s in scales) - target,
-                           mp.mpf(start))
-
-
-_SCHEDULES = [np.exp(np.random.default_rng(1).normal(0.0, 0.5, 50)),
-              np.random.default_rng(123).uniform(0.8, 1.25, 50), np.linspace(0.1, 3.0, 20)]
+        a, n = mp.mpf(seq.dist.half_width), mp.mpf(seq.n)
+        target = mp.mpf(x) * mp.sqrt(n * a * a / 3)
+        return mp.findroot(lambda t: n * a * (mp.coth(t * a) - 1 / (t * a)) - target, mp.mpf(start))
 
 
 def test_newton_tilt_of_iid_uniform_matches_the_exact_root(monkeypatch):
@@ -312,60 +273,26 @@ def test_newton_tilt_of_iid_uniform_matches_the_exact_root(monkeypatch):
             for x in (0.5, 1.0, 1.5, 2.0, 3.0):
                 seq = SequenceSpec(dist, n)
                 theta, steps = _newton_steps(monkeypatch, seq, x)
-                exact = _exact_tilt(seq, x, theta)
+                exact = _exact_uniform_tilt(seq, x, theta)
                 assert abs(theta - exact) <= 1e-15 * exact, (dist, n, x, theta, exact)
                 assert steps <= 8, (dist, n, x, steps)
 
 
-@pytest.mark.parametrize("dist", [Uniform(1.0), TwoPoint(2.0, 1.0), TwoPoint(1.0, 3.0),
-                                  TwoPoint(100.0, 1.0)],
-                         ids=["uniform", "twopoint", "skewed_down", "skewed_up"])
-@pytest.mark.parametrize("schedule", range(len(_SCHEDULES)))
-def test_newton_tilt_on_a_schedule_matches_the_exact_root(monkeypatch, dist, schedule):
-    # from theta = 0, at targets up to 0.9 of the hull. The two-point tilted
-    # mean (a wa - b wb) / (wa + wb) cancels near theta = 0 on TwoPoint(2, 1),
-    # so that its drift at x = 0.5 is a few ulps off and the root with it, by
-    # up to 1.3e-15 (Brent's method: 2.6e-15); every other root is within 1e-15
-    scales = _SCHEDULES[schedule]
-    seq = SequenceSpec(dist, len(scales), scales=scales)
-    hull_x = dist.support_max() * float(np.sum(scales)) / math.sqrt(seq.variance_sum())
-    for x in (x for x in (0.5, 1.5, 3.0) if x < 0.9 * hull_x):
-        theta, steps = _newton_steps(monkeypatch, seq, x)
-        exact = _exact_tilt(seq, x, theta)
-        tol = 1.5e-15 if dist == TwoPoint(2.0, 1.0) and x == 0.5 else 1e-15
-        assert abs(theta - exact) <= tol * exact, (x, theta, exact)
-        assert steps <= 10, (x, steps)
-
-
-@pytest.mark.parametrize("dist, schedule", [(Uniform(1.0), False), (Uniform(1.0), True),
-                                            (TwoPoint(2.0, 1.0), True), (TwoPoint(1.0, 2.0), True)],
-                         ids=["uniform_iid", "uniform", "twopoint", "skewed_down"])
-def test_newton_tilt_answers_next_to_the_hull(monkeypatch, dist, schedule):
+def test_newton_tilt_answers_next_to_the_hull(monkeypatch):
     # Brent's method refused Uniform from 1e-9 below the hull on ("failed to
     # bracket"); every target below it now has a tilt that passes the 1e-10
     # residual check. Cohen's start puts iid Uniform within 3 steps of it
-    scales = np.exp(np.random.default_rng(3).normal(0.0, 0.5, 30)) if schedule else None
-    seq = SequenceSpec(dist, 30, scales=scales)
-    hull_x = dist.support_max() * float(np.sum(seq.scale_array())) / math.sqrt(seq.variance_sum())
+    seq = SequenceSpec(Uniform(1.0), 30)
+    hull_x = seq.dist.support_max() * 30 / math.sqrt(seq.variance_sum())
     thetas = []
     for gap in (1e-3, 1e-6, 1e-9, 1e-12, 1e-15, 0.0):
         x = math.nextafter(hull_x, 0.0) if gap == 0.0 else hull_x * (1.0 - gap)
         theta, steps = _newton_steps(monkeypatch, seq, x)
-        assert steps <= (60 if schedule else 3), (gap, steps)
+        assert steps <= 3, (gap, steps)
         thetas.append(theta)
         for est in simulate(seq, x, 1000, method="tilted"):
             assert math.isfinite(est.p_hat) and math.isfinite(est.stderr)
     assert all(0.0 < a < b < math.inf for a, b in zip(thetas, thetas[1:]))
-
-
-def test_choose_tilt_scaled_schedule_total_drift():
-    rng = np.random.default_rng(0)
-    scales = rng.uniform(0.5, 2.0, 50)
-    seq = SequenceSpec(Uniform(1.0), 50, scales=scales)
-    x = 1.2
-    theta = choose_tilt(seq, x)
-    total = math.fsum(s * seq.dist.tilted_mean(theta * s) for s in scales)
-    assert total == pytest.approx(x * math.sqrt(seq.variance_sum()), abs=1e-9)
 
 
 def test_choose_tilt_hull_error():
@@ -427,11 +354,30 @@ def test_simulate_validation():
         simulate(seq, 1.0, 2000, seed=2**64)
 
 
+@pytest.mark.parametrize("dist", [TwoPoint(2.0, 1.0), Uniform(1.0)], ids=["two_point", "uniform"])
+@pytest.mark.parametrize("scales", [np.random.default_rng(5).uniform(0.5, 2.0, 8), np.ones(8)],
+                         ids=["random", "unit"])
+def test_monte_carlo_refuses_a_scale_schedule_before_drawing(monkeypatch, dist, scales):
+    # Monte Carlo runs iid steps: a schedule, unit scales included, is refused
+    # before any chunk is drawn and before any tilt is solved
+    def no_chunk(*args):
+        raise AssertionError("a chunk was drawn")
+
+    monkeypatch.setattr(mc, "_run_chunk", no_chunk)
+    seq = SequenceSpec(dist, 8, scales=scales)
+    for method in ("naive", "tilted"):
+        with pytest.raises(ConfigError, match="iid steps only"):
+            simulate(seq, 1.0, 2000, method=method)
+    with pytest.raises(ConfigError, match="iid steps only"):
+        choose_tilt(seq, 1.0)
+    assert choose_tilt(SequenceSpec(dist, 8), 1.0) > 0.0
+
+
 def test_path_step_budget():
     _check_path_steps(2**24, 1024)  # 2^34 path-steps: within the budget
     with pytest.raises(BudgetExceededError, match="budget"):
         _check_path_steps(2**24, 1025)
-    # refused before an n-sized array of scales or log-MGF sums is built
+    # refused before anything of length n is built
     for n, method in ((1075830521, "naive"), (10**400, "tilted")):
         with pytest.raises(BudgetExceededError, match="budget"):
             simulate(SequenceSpec(Rademacher(1.0), n), 1.0, 1000, method=method)
@@ -456,24 +402,19 @@ def test_an_iid_chunk_builds_nothing_of_length_n(dist, method):
     assert peak < 32 * 1024
 
 
-def test_a_schedule_builds_its_thresholds_once_per_run(monkeypatch):
-    # the tilted word of every step and the untilted one are built with the
-    # switched tilt, not again by every chunk
+def test_a_tilted_run_builds_its_thresholds_once(monkeypatch):
+    # the tilted word and the untilted one are built with the switched tilt,
+    # not again by every chunk
     calls = []
-    up_threshold = _TwoPointLaw.up_threshold
-
-    def spy(self, theta):
-        calls.append(theta)
-        return up_threshold(self, theta)
-
-    monkeypatch.setattr(_TwoPointLaw, "up_threshold", spy)
-    seq = SequenceSpec(TwoPoint(2.0, 1.0), 8, scales=np.linspace(0.5, 2.0, 8))
+    up_threshold = TwoPoint.up_threshold
+    monkeypatch.setattr(TwoPoint, "up_threshold",
+                        lambda self, theta: calls.append(theta) or up_threshold(self, theta))
     counts = []
     for n_samples in (2000, 3 * CHUNK_SIZE):
         calls.clear()
-        simulate(seq, 1.5, n_samples, seed=3, method="tilted")
+        simulate(SequenceSpec(TwoPoint(2.0, 1.0), 8), 1.5, n_samples, seed=3, method="tilted")
         counts.append(len(calls))
-    assert counts == [9, 9]
+    assert counts == [2, 2]
 
 
 def test_chunk_indices_past_64_bits_are_config_errors():
@@ -563,16 +504,6 @@ def test_tilted_variance_reduction_deep_tail():
     assert tilted.stderr < naive.stderr
 
 
-def test_tilted_weights_on_scaled_schedule():
-    # unbiasedness sanity on a non-iid schedule vs enumeration
-    rng = np.random.default_rng(123)
-    scales = rng.uniform(0.8, 1.25, 10)
-    seq = SequenceSpec(Rademacher(1.0), 10, scales=scales)
-    exact = enumerate_exact(seq, 1.5)
-    est_max, _ = simulate(seq, 1.5, 200_000, seed=31, method="tilted")
-    assert abs(est_max.p_hat - exact.p_max) <= 4.0 * est_max.stderr
-
-
 # ---------------------------------------------------------------------------
 # the switched tilt (stream version 2)
 # ---------------------------------------------------------------------------
@@ -593,18 +524,6 @@ def test_switched_tilt_matches_the_twopoint_dp(n, x):
     exact = twopoint_dp(n, x, 2.0, 1.0)
     est_max, est_sum = simulate(SequenceSpec(TwoPoint(2.0, 1.0), n), x, 1 << 16, seed=52,
                                 method="tilted")
-    assert abs(est_max.p_hat - exact.p_max) <= 4.0 * est_max.stderr
-    assert abs(est_sum.p_hat - exact.p_sum) <= 4.0 * est_sum.stderr
-
-
-@pytest.mark.parametrize("x", [1.5, 2.5])
-def test_switched_tilt_on_a_twopoint_schedule_matches_enumeration(x):
-    # per-step tilts theta * s_j, thresholds that change every step, and the
-    # prefix sums of log E exp(theta s_j X) in the weights
-    scales = np.random.default_rng(7).uniform(0.5, 2.0, 14)
-    seq = SequenceSpec(TwoPoint(2.0, 1.0), 14, scales=scales)
-    exact = enumerate_exact(seq, x)
-    est_max, est_sum = simulate(seq, x, 200_000, seed=53, method="tilted")
     assert abs(est_max.p_hat - exact.p_max) <= 4.0 * est_max.stderr
     assert abs(est_sum.p_hat - exact.p_sum) <= 4.0 * est_sum.stderr
 
