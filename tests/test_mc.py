@@ -1,6 +1,7 @@
 """Monte Carlo engine: determinism, merging, importance sampling."""
 
 import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -167,6 +168,23 @@ def test_merge_refuses_estimates_of_another_stream_version():
             merge(est, older)
 
 
+@pytest.mark.parametrize("dist, other", [
+    (Rademacher(1.0), Rademacher(0.5)), (TwoPoint(2.0, 1.0), TwoPoint(1.0, 2.0)),
+    (Uniform(1.0), Uniform(2.0)), (CenteredExponential(1.0), CenteredExponential(2.0)),
+    (StudentT(5.0), StudentT(6.0))],
+    ids=["rademacher", "two_point", "uniform", "exponential", "student_t"])
+def test_an_estimate_is_keyed_by_its_law_n_and_x(dist, other):
+    # on iid steps the law literal, n and x name the quantity: runs that
+    # differ in any one of them do not pool, and runs of the same one do
+    est = simulate(SequenceSpec(dist, 8), 1.0, 2000, seed=1)[0]
+    assert est.quantity == (json.dumps(dist.literal(), sort_keys=True), 8, 1.0, STREAM_VERSION)
+    for seq, x in ((SequenceSpec(other, 8), 1.0), (SequenceSpec(dist, 9), 1.0),
+                   (SequenceSpec(dist, 8), 1.25)):
+        with pytest.raises(ConfigError, match="quantity"):
+            merge(est, simulate(seq, x, 2000, seed=2)[0])
+    assert merge(est, simulate(SequenceSpec(dist, 8), 1.0, 2000, seed=2)[0]).n_samples == 4000
+
+
 # ---------------------------------------------------------------------------
 # the tilt solve
 # ---------------------------------------------------------------------------
@@ -278,12 +296,14 @@ def test_newton_tilt_of_iid_uniform_matches_the_exact_root(monkeypatch):
                 assert steps <= 8, (dist, n, x, steps)
 
 
-def test_newton_tilt_answers_next_to_the_hull(monkeypatch):
+@pytest.mark.parametrize("seq", [SequenceSpec(Uniform(1.0), 30), SequenceSpec(Uniform(1.0), 1),
+                                 SequenceSpec(Uniform(1e3), 30), SequenceSpec(Uniform(1.0), 1000)],
+                         ids=["uniform_iid", "one_step", "wide", "long"])
+def test_newton_tilt_answers_next_to_the_hull(monkeypatch, seq):
     # Brent's method refused Uniform from 1e-9 below the hull on ("failed to
     # bracket"); every target below it now has a tilt that passes the 1e-10
     # residual check. Cohen's start puts iid Uniform within 3 steps of it
-    seq = SequenceSpec(Uniform(1.0), 30)
-    hull_x = seq.dist.support_max() * 30 / math.sqrt(seq.variance_sum())
+    hull_x = seq.dist.support_max() * seq.n / math.sqrt(seq.variance_sum())
     thetas = []
     for gap in (1e-3, 1e-6, 1e-9, 1e-12, 1e-15, 0.0):
         x = math.nextafter(hull_x, 0.0) if gap == 0.0 else hull_x * (1.0 - gap)
@@ -293,6 +313,30 @@ def test_newton_tilt_answers_next_to_the_hull(monkeypatch):
         for est in simulate(seq, x, 1000, method="tilted"):
             assert math.isfinite(est.p_hat) and math.isfinite(est.stderr)
     assert all(0.0 < a < b < math.inf for a, b in zip(thetas, thetas[1:]))
+
+
+def _exact_drift(dist, n, theta):
+    """``n E[X e^{theta X}] / E[e^{theta X}]`` to 50 digits, for Uniform and
+    two-point laws, from their closed forms."""
+    with mp.workdps(50):
+        t = mp.mpf(theta)
+        if isinstance(dist, Uniform):
+            a = mp.mpf(dist.half_width)
+            return n * a * (mp.coth(t * a) - 1 / (t * a))
+        a, b = mp.mpf(dist.a), mp.mpf(dist.b)
+        return n * a * b * -mp.expm1(-t * (a + b)) / (b + a * mp.exp(-t * (a + b)))
+
+
+@pytest.mark.parametrize("dist, n, x", [
+    (Rademacher(1.0), 64, 2.0), (Rademacher(0.3), 16, 1.5), (TwoPoint(2.0, 1.0), 64, 2.0),
+    (TwoPoint(1.0, 3.0), 50, 1.5), (Uniform(1.0), 50, 1.5), (Uniform(2.5), 1000, 3.0)],
+    ids=["rademacher", "rademacher_small", "two_point", "skewed_up", "uniform", "uniform_wide"])
+def test_the_tilt_drifts_to_the_target_in_exact_arithmetic(dist, n, x):
+    # the drift of n iid tilted steps at the solved theta, taken from the
+    # closed forms rather than from the law's own tilted_mean, is x B_n
+    theta = choose_tilt(SequenceSpec(dist, n), x)
+    target = x * math.sqrt(n * dist.variance())
+    assert abs(float(_exact_drift(dist, n, theta)) - target) <= 1e-13 * target
 
 
 def test_choose_tilt_hull_error():
@@ -371,6 +415,22 @@ def test_monte_carlo_refuses_a_scale_schedule_before_drawing(monkeypatch, dist, 
     with pytest.raises(ConfigError, match="iid steps only"):
         choose_tilt(seq, 1.0)
     assert choose_tilt(SequenceSpec(dist, 8), 1.0) > 0.0
+
+
+@pytest.mark.parametrize("dist", [Rademacher(1.0), TwoPoint(2.0, 1.0), Uniform(1.0),
+                                  CenteredExponential(1.0), StudentT(5.0)],
+                         ids=["rademacher", "two_point", "uniform", "exponential", "student_t"])
+def test_a_schedule_is_refused_before_every_other_check(dist):
+    # too few paths, a target past the hull, a law with no tilt: a schedule
+    # is named first, as no run of it is drawn whatever else is wrong
+    seq = SequenceSpec(dist, 8, scales=np.linspace(0.5, 2.0, 8))
+    for x, n_samples, method in ((1.0, 999, "naive"), (1.0, 999, "tilted"),
+                                 (1e3, 2000, "tilted"), (1.0, 2000, "antithetic")):
+        with pytest.raises(ConfigError, match="iid steps only"):
+            simulate(seq, x, n_samples, method=method)
+    for x in (1.0, 1e3):
+        with pytest.raises(ConfigError, match="iid steps only"):
+            choose_tilt(seq, x)
 
 
 def test_path_step_budget():
@@ -524,6 +584,19 @@ def test_switched_tilt_matches_the_twopoint_dp(n, x):
     exact = twopoint_dp(n, x, 2.0, 1.0)
     est_max, est_sum = simulate(SequenceSpec(TwoPoint(2.0, 1.0), n), x, 1 << 16, seed=52,
                                 method="tilted")
+    assert abs(est_max.p_hat - exact.p_max) <= 4.0 * est_max.stderr
+    assert abs(est_sum.p_hat - exact.p_sum) <= 4.0 * est_sum.stderr
+
+
+@pytest.mark.parametrize("dist", [TwoPoint(1.0, 3.0), TwoPoint(3.0, 1.0), Rademacher(0.5)],
+                         ids=["skewed_up", "skewed_down", "rademacher"])
+@pytest.mark.parametrize("x", [1.0, 2.0])
+def test_switched_tilt_on_iid_two_point_steps_matches_enumeration(dist, x):
+    # both level updates of the word kernel (a < b and a >= b), the tilted
+    # and untilted thresholds and Psi_k = k log_mgf in the weights
+    seq = SequenceSpec(dist, 14)
+    exact = enumerate_exact(seq, x)
+    est_max, est_sum = simulate(seq, x, 200_000, seed=53, method="tilted")
     assert abs(est_max.p_hat - exact.p_max) <= 4.0 * est_max.stderr
     assert abs(est_sum.p_hat - exact.p_sum) <= 4.0 * est_sum.stderr
 
