@@ -21,6 +21,7 @@ Config files are flat JSON documents; see :class:`SweepConfig`.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -33,11 +34,11 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .distributions import STREAM_VERSION, Distribution, from_literal
+from .distributions import STREAM_VERSION, Distribution, TwoPoint, from_literal
 from .errors import (BudgetExceededError, ConfigError, InfeasibleError, MdlabError, check_finite,
                      read_json)
 from .mc import DEFAULT_SEED, _check_path_steps, _check_seed, choose_tilt, simulate
-from .oracle import exact_method
+from .oracle import DP_THREAD_MIN_N, exact_method
 from .oracle import lattice_dp_max  # noqa: F401  (the benchmark tracer asserts this alias)
 from .theory import (SequenceSpec, _dnr, check_parameters, compute_quantities, error_envelope,
                      normal_tail)
@@ -89,8 +90,9 @@ class SweepConfig:
     ``x_c`` (scaling rule ``x = c * n^x_power``, default power
     ``r / (4 + 2r)``) must be given. ``engine="oracle"`` prefers the exact
     methods and falls back to Monte Carlo when ``mc_fallback`` is set;
-    ``engine="mc"`` always simulates. ``workers`` and ``output`` are
-    execution details and excluded from :meth:`canonical`. ``dist`` is
+    ``engine="mc"`` always simulates. ``workers`` (the most rows that
+    :func:`run_sweep` runs at once) and ``output`` are execution details
+    and excluded from :meth:`canonical`. ``dist`` is
     stored as its normalized literal, defaults filled in and numbers as
     floats, so each sweep has one canonical form however it was spelled.
     """
@@ -129,7 +131,8 @@ class SweepConfig:
         if not os.path.basename(self.output):
             raise ConfigError(f"output must name a file, got {self.output!r}")
         # every value a row uses is checked, and the parts of every row that
-        # can fail are evaluated, here: before any file is written
+        # can fail are evaluated, here: before any file is written. The
+        # theory fields are kept, by row index, for compute_row
         check_parameters(self.r, self.delta, self.a0_constant)
         dist = self.distribution()
         object.__setattr__(self, "dist", dist.literal())
@@ -138,17 +141,19 @@ class SweepConfig:
             jobs = self.jobs()
         except OverflowError:
             raise ConfigError("x_c * n^x_power overflows a double") from None
+        theory = []
         for idx, n, x in jobs:
             # past the normal doubles the tail loses digits
             if normal_tail(check_finite("x", x, 0.0)) < sys.float_info.min:
                 raise InfeasibleError(f"1 - Phi({x}) is below the normal double range")
-            _theory_fields(dist, n, x, self)
+            theory.append(_theory_fields(dist, n, x, self))
             seq = SequenceSpec(dist, n)
             if _oracle(self, seq) is None:
                 _check_seed(self.seed + idx, f"the seed of Monte Carlo row {idx} (seed + {idx})")
                 _check_path_steps(n, self.mc_samples)
                 if self.mc_method == "tilted":
                     choose_tilt(seq, x)
+        object.__setattr__(self, "_theory", theory)  # not a field: no hash or manifest sees it
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SweepConfig":
@@ -283,8 +288,17 @@ def _oracle(cfg: SweepConfig, seq: SequenceSpec):
     return engine
 
 
+def _gains_from_a_thread(cfg: SweepConfig, n: int) -> bool:
+    """Whether the rows at ``n`` finish sooner beside another row in a second
+    thread: Monte Carlo rows and DP rows from ``DP_THREAD_MIN_N`` on do.
+    Shorter rows hold the GIL for most of their time."""
+    seq = SequenceSpec(cfg.distribution(), n)
+    return _oracle(cfg, seq) is None or (isinstance(seq.dist, TwoPoint) and n >= DP_THREAD_MIN_N)
+
+
 def compute_row(cfg: SweepConfig, row_index: int, n: int, x: float) -> RatioRow:
-    """Evaluate one (n, x) cell; deterministic given the config.
+    """Evaluate job ``(row_index, n, x)`` of ``cfg.jobs()``; deterministic
+    given the config.
 
     Monte Carlo rows use ``seed + row_index`` so every row owns an
     independent, resume-stable stream family.
@@ -316,7 +330,7 @@ def compute_row(cfg: SweepConfig, row_index: int, n: int, x: float) -> RatioRow:
     ex2 = dist.variance()
     ex3 = dist.abs_moment(3.0)
     probe = (ratio_max - 2.0) * ex2**1.5 / ((1.0 + x**3) * ex3)
-    delta_nx, dnr, n0, epsilon = _theory_fields(dist, n, x, cfg)
+    delta_nx, dnr, n0, epsilon = cfg._theory[row_index]
     return RatioRow(
         n=n, x=x, p_max=p_max, p_sum=p_sum, tail=tail, ratio_max=ratio_max,
         ratio_sum=ratio_sum, ci_low=ci_low, ci_high=ci_high, probe=probe,
@@ -371,12 +385,20 @@ def _write_manifest(cfg: SweepConfig):
         "columns": CSV_COLUMNS,
         **_library_versions(),
     }
+    # written aside and renamed over the old one, so a failed write leaves
+    # the manifest that was there, not a torn one that strands the CSV; the
+    # name aside is no longer than the manifest's, so every name that fits
+    # the file system still does
+    path, aside = cfg.manifest_path(), cfg.output + ".manifest.tmp"
     try:
-        with open(cfg.manifest_path(), "w") as fh:
+        with open(aside, "w") as fh:
             json.dump(manifest, fh, sort_keys=True, indent=2)
             fh.write("\n")
+        os.replace(aside, path)
     except OSError as exc:
-        raise ConfigError(f"cannot write {cfg.manifest_path()}: {exc}") from exc
+        with contextlib.suppress(OSError):
+            os.remove(aside)
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _same_config(manifest: dict, cfg: SweepConfig) -> bool:
@@ -400,9 +422,12 @@ def run_sweep(
 ) -> list[RatioRow]:
     """Run (or resume) a sweep, returning all rows in row-index order.
 
-    Rows execute concurrently up to ``workers`` but are flushed to the CSV
-    strictly in row-index order, so the file content never depends on the
-    worker count and any prefix of it is a valid partial result.
+    Rows run one after another in the calling thread unless ``workers > 1``
+    and some row still to run gains from a second thread (a Monte Carlo
+    row, or a DP row at ``n >= DP_THREAD_MIN_N``); then they run up to
+    ``workers`` at a time in a thread pool. Either way they are flushed to
+    the CSV strictly in row-index order, so the file content never depends
+    on the worker count and any prefix of it is a valid partial result.
     ``stop_after_rows`` stops after that many newly written rows, which is
     how tests exercise interruption and resume. A CSV without a manifest,
     whose manifest recorded another config (after normalizing both), whose
@@ -461,11 +486,13 @@ def run_sweep(
     pending = jobs[len(done_lines):]
     if stop_after_rows is not None:
         pending = pending[:stop_after_rows]
+    pooled = workers > 1 and any(_gains_from_a_thread(cfg, n) for _, n, _ in pending)
 
     # a resume cuts a partial trailing line off in place and appends to the
     # header and rows on disk, which no failed write can then lose; a file
     # without a complete line gets the header first. New rows follow as map
-    # yields them: in row-index order
+    # yields them: in row-index order. The pool starts no thread unless a
+    # row is submitted to it
     try:
         if kept:
             os.truncate(cfg.output, kept)
@@ -474,7 +501,7 @@ def run_sweep(
             if not kept:
                 fh.write(",".join(CSV_COLUMNS) + "\n")
                 fh.flush()
-            for row in pool.map(lambda job: compute_row(cfg, *job), pending):
+            for row in (pool.map if pooled else map)(lambda job: compute_row(cfg, *job), pending):
                 fh.write(row.to_csv_line() + "\n")
                 fh.flush()
     except OSError as exc:

@@ -41,6 +41,7 @@ __all__ = [
     "twopoint_dp",
     "twopoint_dp_fits",
     "ENUMERATION_BUDGET",
+    "DP_THREAD_MIN_N",
     "CLOSED_FORM_MAX_N",
 ]
 
@@ -163,6 +164,14 @@ def twopoint_dp_fits(n: int) -> bool:
     """Whether the ``n (n+1)^2`` cells of :func:`twopoint_dp` at ``n`` are
     within ``ENUMERATION_BUDGET`` (``n <= 255``)."""
     return n * (n + 1) ** 2 <= ENUMERATION_BUDGET
+
+
+# the smallest n at which sweep rows of :func:`twopoint_dp` finish sooner two
+# threads at a time than one after another (measured on 2 cores); below it
+# their short numpy calls hold the GIL and the threads mostly wait on each
+# other. Pool time over inline time per row: 1.93 at n = 64, 1.06 at 144,
+# 0.92 at 160, 0.63 at 255
+DP_THREAD_MIN_N = 160
 
 
 def twopoint_dp(n: int, x: float, a: float, b: float) -> ExactResult:

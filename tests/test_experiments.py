@@ -1,11 +1,13 @@
 """Sweep runner: CSV schema, resumability, reproducibility, reporting."""
 
+import errno
 import hashlib
 import json
 import math
 import os
 import platform
 import re
+import threading
 import time
 
 import numpy as np
@@ -22,7 +24,7 @@ from mdlab.experiments import (
     convergence_report,
     run_sweep,
 )
-from mdlab.oracle import enumerate_exact, lattice_dp_max, twopoint_dp
+from mdlab.oracle import DP_THREAD_MIN_N, enumerate_exact, lattice_dp_max, twopoint_dp
 from mdlab.theory import normal_tail
 
 README = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
@@ -237,16 +239,90 @@ def test_resume_refuses_rows_that_do_not_match_the_jobs(tmp_path, edit, match):
     assert path.read_bytes() == before
 
 
-def test_worker_counts_byte_identical(tmp_path):
+# sweeps whose rows all run in the calling thread, and sweeps with a row that
+# gains from a second thread: a DP row at n >= DP_THREAD_MIN_N or a Monte
+# Carlo row (here TwoPoint past the DP's n = 255)
+_LIGHT = [
+    pytest.param(lambda tmp_path, name: oracle_cfg(tmp_path, name=name), id="rademacher"),
+    pytest.param(lambda tmp_path, name: oracle_cfg(tmp_path, name=name, dist={"family": "twopoint"},
+                                                   n_grid=list(range(16, 21))), id="twopoint_dp"),
+    pytest.param(lambda tmp_path, name: oracle_cfg(tmp_path, name=name, dist={"family": "twopoint"},
+                                                   n_grid=[DP_THREAD_MIN_N - 1]), id="below_crossover"),
+]
+_HEAVY_DP = pytest.param(
+    lambda tmp_path, name: oracle_cfg(tmp_path, name=name, dist={"family": "twopoint"},
+                                      n_grid=[16, DP_THREAD_MIN_N]), id="heavy_dp")
+_MIXED = pytest.param(
+    lambda tmp_path, name: oracle_cfg(tmp_path, name=name, dist={"family": "twopoint"},
+                                      n_grid=[16, 300], mc_samples=1000), id="mixed")
+
+
+@pytest.mark.parametrize("make_cfg", [pytest.param(mc_cfg, id="mc"), *_LIGHT, _HEAVY_DP, _MIXED])
+def test_worker_counts_byte_identical(tmp_path, make_cfg):
     outputs = []
     for w in (1, 2, 8):
-        cfg = mc_cfg(tmp_path, name=f"w{w}.csv")
+        cfg = make_cfg(tmp_path, name=f"w{w}.csv")
         run_sweep(cfg, workers=w)
         outputs.append((tmp_path / f"w{w}.csv").read_bytes())
     assert outputs[0] == outputs[1] == outputs[2]
 
 
-def test_failing_row_does_not_compute_the_queued_rows(tmp_path, monkeypatch):
+def _row_threads(monkeypatch):
+    """The thread idents that compute the rows, in the order they start."""
+    threads = []
+    real = experiments.compute_row
+
+    def recorded(*args):
+        threads.append(threading.get_ident())
+        return real(*args)
+
+    monkeypatch.setattr(experiments, "compute_row", recorded)
+    return threads
+
+
+@pytest.mark.parametrize("make_cfg", _LIGHT)
+def test_light_rows_run_in_the_calling_thread(tmp_path, monkeypatch, make_cfg):
+    # two threads would mostly wait on each other for the GIL
+    threads = _row_threads(monkeypatch)
+    cfg = make_cfg(tmp_path, name="l.csv")
+    run_sweep(cfg, workers=2)
+    assert threads == [threading.get_ident()] * len(cfg.jobs())
+
+
+@pytest.mark.parametrize("make_cfg", [_MIXED, _HEAVY_DP])
+def test_a_sweep_with_a_heavy_row_runs_in_the_pool(tmp_path, monkeypatch, make_cfg):
+    # a Monte Carlo row, or a DP row at the crossover, and the light row before it
+    threads = _row_threads(monkeypatch)
+    run_sweep(make_cfg(tmp_path, name="h.csv"), workers=2)
+    assert len(threads) == 2 and threading.get_ident() not in threads
+
+
+def test_each_row_computes_its_theory_once(tmp_path, monkeypatch):
+    calls = []
+    real = experiments.compute_quantities
+
+    def counted(seq, x, *args, **kwargs):
+        calls.append((seq.n, x))
+        return real(seq, x, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "compute_quantities", counted)
+    cfg = oracle_cfg(tmp_path, x_values=[1.0, 1.5])
+    rows = run_sweep(cfg, workers=2)
+    assert sorted(calls) == sorted((n, x) for _, n, x in cfg.jobs())
+    for row in rows:
+        q = real(SequenceSpec(cfg.distribution(), row.n), row.x, cfg.r, cfg.delta, cfg.a0_constant)
+        assert (row.delta_nx, row.dnr, row.n0, row.epsilon) == (q.delta_nx, q.dnr, q.n0, q.epsilon)
+
+
+@pytest.mark.parametrize("make_cfg", [
+    # exact Rademacher rows run in the calling thread: the row after the
+    # failing one is never started
+    pytest.param(lambda tmp_path: oracle_cfg(tmp_path, n_grid=list(range(1, 21))), id="inline"),
+    # Monte Carlo rows run in the pool, where the queued rows are dropped
+    pytest.param(lambda tmp_path: mc_cfg(tmp_path, name="o.csv", n_grid=list(range(1, 21)),
+                                         x_values=[1.0], mc_samples=1000), id="pooled"),
+])
+def test_failing_row_does_not_compute_the_queued_rows(tmp_path, monkeypatch, make_cfg):
     calls = []
     real = experiments.compute_row
 
@@ -259,7 +335,7 @@ def test_failing_row_does_not_compute_the_queued_rows(tmp_path, monkeypatch):
         return real(cfg, idx, n, x)
 
     monkeypatch.setattr(experiments, "compute_row", flaky)
-    cfg = oracle_cfg(tmp_path, n_grid=list(range(1, 21)))
+    cfg = make_cfg(tmp_path)
     with pytest.raises(BudgetExceededError):
         run_sweep(cfg, workers=2)
     assert len(calls) <= 2 + 2  # the rows already running, never the queue
@@ -487,6 +563,37 @@ def test_exact_rows_of_another_stream_version_resume(tmp_path, version):
     with open(cfg.manifest_path()) as fh:
         assert json.load(fh)["stream_version"] == STREAM_VERSION
     assert run_sweep(cfg) == full  # and its Monte Carlo row resumes
+
+
+def test_a_failed_manifest_rewrite_keeps_the_manifest(tmp_path, monkeypatch):
+    # a resume of exact rows rewrites the stream version; a write that fails
+    # part-way must leave the old manifest, whose CSV then still resumes
+    full = run_sweep(oracle_cfg(tmp_path, name="full.csv"))
+    cfg = oracle_cfg(tmp_path, name="t.csv")
+    run_sweep(cfg, stop_after_rows=1)
+    _set_manifest_stream_version(cfg, 5)
+    files = [cfg.output, cfg.manifest_path()]
+    before = [open(f, "rb").read() for f in files]
+
+    def torn(obj, fh, **kwargs):
+        fh.write('{"config": ')
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(json, "dump", torn)
+        with pytest.raises(ConfigError, match="cannot write .*No space left"):
+            run_sweep(cfg)
+    assert [open(f, "rb").read() for f in files] == before
+    assert sorted(os.listdir(tmp_path)) == [
+        "full.csv", "full.csv.manifest.json", "t.csv", "t.csv.manifest.json"]
+    assert run_sweep(cfg) == full
+
+
+def test_a_manifest_name_at_the_length_limit_is_written(tmp_path):
+    # the manifest is written aside under a name no longer than its own
+    name = "a" * (os.pathconf(tmp_path, "PC_NAME_MAX") - len(".csv.manifest.json")) + ".csv"
+    assert len(run_sweep(oracle_cfg(tmp_path, name=name))) == 3
+    assert sorted(os.listdir(tmp_path)) == [name, name + ".manifest.json"]
 
 
 @pytest.mark.parametrize("edit, warning", [
