@@ -38,7 +38,7 @@ from .distributions import STREAM_VERSION, Distribution, TwoPoint, from_literal
 from .errors import (BudgetExceededError, ConfigError, InfeasibleError, MdlabError, check_finite,
                      read_json)
 from .mc import DEFAULT_SEED, _check_path_steps, _check_seed, choose_tilt, simulate
-from .oracle import DP_THREAD_MIN_N, exact_method
+from .oracle import DP_THREAD_MIN_N, _step_ratio, exact_method
 from .oracle import lattice_dp_max  # noqa: F401  (the benchmark tracer asserts this alias)
 from .theory import (SequenceSpec, _dnr, check_parameters, compute_quantities, error_envelope,
                      normal_tail)
@@ -156,7 +156,9 @@ class SweepConfig:
         object.__setattr__(self, "_theory", theory)  # not a field: no hash or manifest sees it
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "SweepConfig":
+    def _field_values(cls, raw: dict) -> dict:
+        """The fields a config document gives, each as its declared type; no
+        row is checked and no default filled in."""
         raw = {k: v for k, v in raw.items() if k != "tau"}  # a legacy key that nothing read
         unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
@@ -165,8 +167,11 @@ class SweepConfig:
             raise ConfigError("config requires 'dist', 'n_grid', and 'output'")
         if raw.get("x_c") is not None and not isinstance(raw["x_c"], list):
             raw = {**raw, "x_c": [raw["x_c"]]}  # a single scaling constant
-        return cls(**{f.name: _config_value(f.name, f.type, raw[f.name])
-                      for f in fields(cls) if f.name in raw})
+        return {f.name: _config_value(f.name, f.type, raw[f.name]) for f in fields(cls) if f.name in raw}
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> "SweepConfig":
+        return cls(**cls._field_values(raw))
 
     @classmethod
     def from_file(cls, path: str) -> "SweepConfig":
@@ -290,10 +295,15 @@ def _oracle(cfg: SweepConfig, seq: SequenceSpec):
 
 def _gains_from_a_thread(cfg: SweepConfig, n: int) -> bool:
     """Whether the rows at ``n`` finish sooner beside another row in a second
-    thread: Monte Carlo rows and DP rows from ``DP_THREAD_MIN_N`` on do.
-    Shorter rows hold the GIL for most of their time."""
+    thread: Monte Carlo rows and :func:`~mdlab.oracle.twopoint_dp` rows from
+    ``DP_THREAD_MIN_N`` on do. Shorter rows, :func:`~mdlab.oracle.hitting_time`
+    ones at every n among them, hold the GIL for most of their time."""
     seq = SequenceSpec(cfg.distribution(), n)
-    return _oracle(cfg, seq) is None or (isinstance(seq.dist, TwoPoint) and n >= DP_THREAD_MIN_N)
+    if _oracle(cfg, seq) is None:
+        return True
+    dist = seq.dist
+    on_the_dp = isinstance(dist, TwoPoint) and _step_ratio(dist.a, dist.b) is None
+    return on_the_dp and n >= DP_THREAD_MIN_N
 
 
 def compute_row(cfg: SweepConfig, row_index: int, n: int, x: float) -> RatioRow:
@@ -402,17 +412,21 @@ def _write_manifest(cfg: SweepConfig):
 
 
 def _same_config(manifest: dict, cfg: SweepConfig) -> bool:
-    """Whether the config a manifest recorded means ``cfg``: it is rebuilt
-    and normalized like ``cfg``, so spellings of one sweep match, and a
-    recorded config that no longer parses matches nothing."""
+    """Whether the config a manifest recorded means ``cfg``: it is parsed and
+    normalized like ``cfg``, so spellings of one sweep match, and a recorded
+    config that no longer parses matches nothing. Its rows are not checked:
+    ``cfg``'s were, and a recorded config equal to it has the same rows."""
     recorded = manifest.get("config")
     if not isinstance(recorded, dict):
         return False
     try:
-        recorded = SweepConfig.from_dict({**recorded, "output": cfg.output})
+        values = SweepConfig._field_values({**recorded, "output": cfg.output})
+        values["dist"] = from_literal(values["dist"]).literal()
     except MdlabError:
         return False
-    return recorded.canonical() == cfg.canonical()
+    canonical = cfg.canonical()
+    return canonical == {f.name: values.get(f.name, f.default)
+                         for f in fields(SweepConfig) if f.name in canonical}
 
 
 def run_sweep(

@@ -89,7 +89,7 @@ DIGESTS = {
     "theory_student_t_scales": "79b6fd94eca311cc01d0d28de61729e16e49c7b91e2f950c81eb03b50e5f47c5",
     "theory_exponential_scales": "e919dba197b44ea0452fc1f4cfbed91717f2c60b2d275a68a7dddf950afc16b4",
     "enumerate_rademacher": "b42207a8581ca283be3476ce481f4cd733707b46943455c2e5e3231fe307175d",
-    "enumerate_twopoint": "ec712e6b7f070cd7c853e8d11588d78cad187bc4bb21e0cf154d9906664d9f47",
+    "enumerate_twopoint": "8957873137dc3b50427d22c1d446e340a38d870fd567707cadc493d3d867aacd",
     "enumerate_skewed": "eb81992f3788520b63ffd26f4986ed596b472d38562fd0690ba4243d09f30349",
     "enumerate_rademacher_x0": "8f59e1dd3f321fe427c85fa394c9934aff4b789b1d9113d0c97b35d136c4df9b",
     "simulate_rademacher_naive": "5d9ec7b3e988abcabc241e359872aaa974d913c5136cd948d673efa35d09e19f",

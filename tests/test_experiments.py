@@ -24,7 +24,8 @@ from mdlab.experiments import (
     convergence_report,
     run_sweep,
 )
-from mdlab.oracle import DP_THREAD_MIN_N, enumerate_exact, lattice_dp_max, twopoint_dp
+from mdlab.oracle import (DP_THREAD_MIN_N, enumerate_exact, hitting_time, lattice_dp_max,
+                          twopoint_dp)
 from mdlab.theory import normal_tail
 
 README = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
@@ -240,17 +241,22 @@ def test_resume_refuses_rows_that_do_not_match_the_jobs(tmp_path, edit, match):
 
 
 # sweeps whose rows all run in the calling thread, and sweeps with a row that
-# gains from a second thread: a DP row at n >= DP_THREAD_MIN_N or a Monte
-# Carlo row (here TwoPoint past the DP's n = 255)
+# gains from a second thread: a ballot DP row (TwoPoint(1.5, 1), whose step
+# ratio is no integer) at n >= DP_THREAD_MIN_N or a Monte Carlo row (here
+# TwoPoint past the DP's n = 255). Integer-ratio TwoPoint rows run the
+# hitting-time sum at every n, in the calling thread
+_DP_LAW = {"family": "twopoint", "a": 1.5, "b": 1.0}
 _LIGHT = [
     pytest.param(lambda tmp_path, name: oracle_cfg(tmp_path, name=name), id="rademacher"),
     pytest.param(lambda tmp_path, name: oracle_cfg(tmp_path, name=name, dist={"family": "twopoint"},
                                                    n_grid=list(range(16, 21))), id="twopoint_dp"),
-    pytest.param(lambda tmp_path, name: oracle_cfg(tmp_path, name=name, dist={"family": "twopoint"},
+    pytest.param(lambda tmp_path, name: oracle_cfg(tmp_path, name=name, dist=_DP_LAW,
                                                    n_grid=[DP_THREAD_MIN_N - 1]), id="below_crossover"),
+    pytest.param(lambda tmp_path, name: oracle_cfg(tmp_path, name=name, dist={"family": "twopoint"},
+                                                   n_grid=[64, 255]), id="hitting_time"),
 ]
 _HEAVY_DP = pytest.param(
-    lambda tmp_path, name: oracle_cfg(tmp_path, name=name, dist={"family": "twopoint"},
+    lambda tmp_path, name: oracle_cfg(tmp_path, name=name, dist=_DP_LAW,
                                       n_grid=[16, DP_THREAD_MIN_N]), id="heavy_dp")
 _MIXED = pytest.param(
     lambda tmp_path, name: oracle_cfg(tmp_path, name=name, dist={"family": "twopoint"},
@@ -297,7 +303,8 @@ def test_a_sweep_with_a_heavy_row_runs_in_the_pool(tmp_path, monkeypatch, make_c
     assert len(threads) == 2 and threading.get_ident() not in threads
 
 
-def test_each_row_computes_its_theory_once(tmp_path, monkeypatch):
+def _theory_calls(monkeypatch):
+    """The (n, x) of every ``compute_quantities`` call the sweep code makes."""
     calls = []
     real = experiments.compute_quantities
 
@@ -306,12 +313,28 @@ def test_each_row_computes_its_theory_once(tmp_path, monkeypatch):
         return real(seq, x, *args, **kwargs)
 
     monkeypatch.setattr(experiments, "compute_quantities", counted)
+    return calls
+
+
+def test_each_row_computes_its_theory_once(tmp_path, monkeypatch):
+    real = experiments.compute_quantities
+    calls = _theory_calls(monkeypatch)
     cfg = oracle_cfg(tmp_path, x_values=[1.0, 1.5])
     rows = run_sweep(cfg, workers=2)
     assert sorted(calls) == sorted((n, x) for _, n, x in cfg.jobs())
     for row in rows:
         q = real(SequenceSpec(cfg.distribution(), row.n), row.x, cfg.r, cfg.delta, cfg.a0_constant)
         assert (row.delta_nx, row.dnr, row.n0, row.epsilon) == (q.delta_nx, q.dnr, q.n0, q.epsilon)
+
+
+def test_a_resume_computes_each_row_theory_once(tmp_path, monkeypatch):
+    # the recorded config is compared, not rebuilt: rebuilding it ran every
+    # row's theory a second time
+    run_sweep(oracle_cfg(tmp_path, name="r.csv"), stop_after_rows=1)
+    calls = _theory_calls(monkeypatch)
+    cfg = oracle_cfg(tmp_path, name="r.csv")
+    assert len(run_sweep(cfg)) == 3
+    assert sorted(calls) == sorted((n, x) for _, n, x in cfg.jobs())
 
 
 @pytest.mark.parametrize("make_cfg", [
@@ -434,7 +457,8 @@ def test_symmetric_oracle_rows_reflection_inequality(tmp_path):
 
 def test_oracle_twopoint_rows_run_the_dp(tmp_path):
     # n = 100 ran Monte Carlo while TwoPoint rows were enumerated; rows past
-    # the DP's budget still fall back to it
+    # the DP's budget still fall back to it. The integer step ratio routes
+    # the exact rows to the hitting-time sum, still labelled lattice_dp
     cfg = oracle_cfg(
         tmp_path, name="tp.csv", dist={"family": "twopoint", "a": 2.0, "b": 1.0},
         n_grid=[10, 100, 256], x_values=[1.0], mc_samples=1000,
@@ -445,8 +469,11 @@ def test_oracle_twopoint_rows_run_the_dp(tmp_path):
     enum = enumerate_exact(SequenceSpec(TwoPoint(2.0, 1.0), 10), 1.0)
     assert small.p_max == pytest.approx(enum.p_max, rel=1e-13)
     assert small.p_sum == pytest.approx(enum.p_sum, rel=1e-13)
-    exact = twopoint_dp(100, 1.0, 2.0, 1.0)
+    exact = hitting_time(100, 1.0, 2.0, 1.0)
     assert (mid.p_max, mid.p_sum) == (exact.p_max, exact.p_sum)
+    dp = twopoint_dp(100, 1.0, 2.0, 1.0)
+    assert mid.p_max == pytest.approx(dp.p_max, rel=1e-12, abs=0.0)
+    assert mid.p_sum == dp.p_sum
     assert mid.ci_low == mid.ci_high == mid.ratio_max
 
 
@@ -653,6 +680,17 @@ def test_a_manifest_written_before_tau_left_resumes(tmp_path, capsys):
     assert open(cfg.output, "rb").read() == open(full.output, "rb").read()
 
 
+def test_a_manifest_with_the_dist_as_spelled_resumes(tmp_path):
+    # manifests written before the dist literal was normalized hold it as
+    # spelled; the recorded literal is normalized before the comparison
+    full = oracle_cfg(tmp_path, name="full.csv")
+    run_sweep(full)
+    cfg = oracle_cfg(tmp_path, name="m.csv")
+    run_sweep(cfg, stop_after_rows=1)
+    _edit_manifest(cfg, lambda m: m["config"].update(dist={"family": "rademacher"}))
+    assert run_sweep(cfg) == run_sweep(full)
+
+
 @pytest.mark.parametrize("edit", [
     lambda m: m.update(config=[1, 2]),
     lambda m: m.update(config="oracle"),
@@ -660,8 +698,11 @@ def test_a_manifest_written_before_tau_left_resumes(tmp_path, capsys):
     lambda m: m.pop("config"),
     lambda m: m["config"].update(foo=1),
     lambda m: m["config"].update(n_grid=[0]),
+    lambda m: m["config"].update(dist={"family": "cauchy"}),
+    lambda m: m["config"].update(dist={"family": "rademacher", "scale": "1"}),
     lambda m: m["config"].update(delta=1e300),  # parses, but its rows overflow (exit 3)
-], ids=["a_list", "a_string", "null", "missing", "unknown_key", "invalid", "infeasible"])
+], ids=["a_list", "a_string", "null", "missing", "unknown_key", "invalid", "unknown_family",
+        "string_scale", "infeasible"])
 def test_a_manifest_config_that_does_not_parse_is_a_different_config(tmp_path, edit):
     cfg = oracle_cfg(tmp_path, name="m.csv")
     run_sweep(cfg, stop_after_rows=1)

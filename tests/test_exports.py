@@ -21,3 +21,9 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(f"mdlab.{name}")
     missing = [export for export in getattr(module, "__all__", ()) if not hasattr(module, export)]
     assert missing == []
+
+
+def test_the_exact_engines_are_exported():
+    from mdlab import oracle
+
+    assert {"enumerate_exact", "hitting_time", "lattice_dp_max", "twopoint_dp"} <= set(oracle.__all__)

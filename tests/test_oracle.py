@@ -1,5 +1,5 @@
 """Exact oracles: enumeration vs the Rademacher closed form vs the TwoPoint
-DP vs independent references (itertools enumeration, the absorbing-barrier
+DP vs the hitting-time sum vs independent references (itertools enumeration, the absorbing-barrier
 DP, exact binomial sums, scipy.stats.binom, a 40-digit mpmath sum, TwoPoint
 path counting)."""
 
@@ -17,7 +17,7 @@ from scipy.stats import binom
 
 from mdlab import Rademacher, SequenceSpec, TwoPoint, Uniform, oracle
 from mdlab.errors import BudgetExceededError, ConfigError
-from mdlab.oracle import enumerate_exact, lattice_dp_max, twopoint_dp
+from mdlab.oracle import enumerate_exact, hitting_time, lattice_dp_max, twopoint_dp
 
 
 def brute_force(dist, n, x, scales=None):
@@ -382,11 +382,12 @@ def test_twopoint_reference_matches_brute(n):
                          + [(n, 1, 3) for n in (4, 13, 40)])
 def test_twopoint_dp_matches_path_counting(n, a, b):
     for x in (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(5, 2)):
-        got = twopoint_dp(n, float(x), a, b)
         want_max, want_sum = twopoint_reference(n, a, b, x)
-        assert got.p_max == pytest.approx(want_max, rel=1e-10, abs=0.0), x
-        assert got.p_sum == pytest.approx(want_sum, rel=1e-10, abs=0.0), x
-        assert (got.method, got.n, got.x) == ("lattice_dp", n, float(x))
+        for engine in (twopoint_dp, hitting_time):
+            got = engine(n, float(x), a, b)
+            assert got.p_max == pytest.approx(want_max, rel=1e-10, abs=0.0), (engine, x)
+            assert got.p_sum == pytest.approx(want_sum, rel=1e-10, abs=0.0), (engine, x)
+            assert (got.method, got.n, got.x) == ("lattice_dp", n, float(x))
 
 
 def test_twopoint_dp_scale_free_exact():
@@ -428,6 +429,107 @@ def test_twopoint_dp_budget_and_validation():
             twopoint_dp(4, 1.0, a, b)
 
 
+# ---------------------------------------------------------------------------
+# Hitting-time sum
+# ---------------------------------------------------------------------------
+
+# integer step ratios p = 1..5, each sign of a - b, and steps off 1
+_INTEGER_RATIOS = [(2, 1), (1, 3), (3, 1), (1, 1), (5, 1), (1, 2), (4, 2), (0.5, 1.5)]
+
+
+def _agrees_with_the_dp(n, x, a, b, rel=1e-12):
+    got, want = hitting_time(n, x, a, b), twopoint_dp(n, x, a, b)
+    assert got.p_sum == want.p_sum, (n, x)  # one binomial sum, to the bit
+    assert got.p_max == pytest.approx(want.p_max, rel=rel, abs=0.0), (n, x)
+    assert (got.n, got.x, got.method) == (n, x, "lattice_dp")
+
+
+@pytest.mark.parametrize("a, b", _INTEGER_RATIOS)
+def test_hitting_time_matches_the_dp(a, b):
+    for n in range(1, 60):
+        for x in (0.0, 0.3, 1.0, 1.7, 3.0, 5.0):
+            _agrees_with_the_dp(n, x, a, b)
+
+
+@pytest.mark.parametrize("a, b", [(2, 1), (1, 3), (0.5, 1.5)])
+@pytest.mark.parametrize("n", [100, 160, 255])
+def test_hitting_time_matches_the_dp_at_large_n(a, b, n):
+    for x in (0.0, 1.3, 3.0):
+        _agrees_with_the_dp(n, x, a, b)
+
+
+@pytest.mark.parametrize("a, b", [(2, 1), (1, 2), (3, 1), (1, 3)])
+def test_hitting_time_keeps_exact_ties(a, b):
+    # x V_n on a lattice point for some final up-counts m: with a = 2, b = 1
+    # and x = 1, V_n^2 = n + 3m, a square at n = 24 for m = 0, 4, 9, ...;
+    # a float x off it by 1e-13 keeps the tie, one off by 2e-10 loses it
+    for n in (9, 16, 24, 25):
+        for x in (Fraction(1), Fraction(3, 2), Fraction(1, 3)):
+            want_max, want_sum = twopoint_reference(n, a, b, x)
+            for fuzz in (0.0, 1e-13, -1e-13):
+                got = hitting_time(n, float(x) * (1.0 + fuzz), a, b)
+                assert got.p_max == pytest.approx(want_max, rel=1e-12, abs=0.0), (n, x, fuzz)
+                assert got.p_sum == pytest.approx(want_sum, rel=1e-12, abs=0.0), (n, x, fuzz)
+            _agrees_with_the_dp(n, float(x) * (1.0 + 2e-10), a, b)
+
+
+@pytest.mark.parametrize("a, b", [(2, 1), (1, 2), (1, 1), (1, 4)])
+def test_hitting_time_at_x_zero(a, b):
+    # barrier 0: for a < b the walk climbs by unit steps, and a first step
+    # down must be climbed back
+    for n in (1, 2, 3, 7):
+        want_max, want_sum = brute_force(TwoPoint(a, b), n, 0.0)
+        got = hitting_time(n, 0.0, a, b)
+        assert got.p_max == pytest.approx(want_max, rel=1e-13, abs=0.0), n
+        assert got.p_sum == pytest.approx(want_sum, rel=1e-13, abs=0.0), n
+    for n in (30, 255):
+        _agrees_with_the_dp(n, 0.0, a, b)
+
+
+@pytest.mark.parametrize("c", [1.0, 0.3, 7.5])
+def test_hitting_time_on_equal_steps_is_the_closed_form(c):
+    for n in list(range(1, 129, 7)) + [128]:
+        for x in (0.0, 0.5, 1.0, 1.5, 2.5):
+            got, want = hitting_time(n, x, c, c), lattice_dp_max(n, x)
+            assert got.p_max == pytest.approx(want.p_max, rel=1e-13, abs=0.0), (n, x)
+    # the binomial pmf that p_sum shares with the DP carries up to 4e-13 at n = 255
+    for x in (0.5, 2.0):
+        got, want = hitting_time(255, x, c, c), lattice_dp_max(255, x)
+        assert got.p_max == pytest.approx(want.p_max, rel=1e-12, abs=0.0), x
+
+
+def test_hitting_time_budget_and_validation():
+    with pytest.raises(BudgetExceededError):
+        hitting_time(256, 1.0, 2.0, 1.0)
+    with pytest.raises(ConfigError):
+        hitting_time(0, 1.0, 2.0, 1.0)
+    for a, b in ((1.5, 0.8), (1.0, 1e-13), (1.5, 1.0), (2.0**33, 1.0), (0.0, 1.0), (1.0, math.inf)):
+        with pytest.raises(ConfigError):
+            hitting_time(4, 1.0, a, b)
+
+
+@pytest.mark.parametrize("a, b, engine", [
+    (2.0, 1.0, "hitting_time"),
+    (0.5, 1.5, "hitting_time"),
+    (1.0, 1.0, "hitting_time"),
+    (2.0**32, 1.0, "hitting_time"),
+    # 1.0 / 1e-13 rounds to an integer, but fmod(1.0, 1e-13) is 9.997e-14
+    (1.0, 1e-13, "twopoint_dp"),
+    # 0.5 / 0.1 rounds to 5, but fmod(0.5, 0.1) is 0.09999999999999998
+    (0.5, 0.1, "twopoint_dp"),
+    (1.5, 0.8, "twopoint_dp"),
+    (2.0**33, 1.0, "twopoint_dp"),  # levels past the exact integers of the sum
+])
+def test_exact_method_routes_integer_ratios_to_the_hitting_time_sum(monkeypatch, a, b, engine):
+    calls = []
+    for name in ("hitting_time", "twopoint_dp"):
+        monkeypatch.setattr(oracle, name, lambda *args, name=name: calls.append((name, args)))
+    for n in (1, 255):
+        oracle.exact_method(SequenceSpec(TwoPoint(a, b), n))(1.0)
+    assert calls == [(engine, (1, 1.0, a, b)), (engine, (255, 1.0, a, b))]
+    assert oracle.exact_method(SequenceSpec(TwoPoint(a, b), 256)) is None
+
+
 def test_huge_finite_x_gives_zero_without_overflow():
     # x sqrt(n) overflows to inf; the event is still well defined and empty
     with warnings.catch_warnings():
@@ -438,6 +540,9 @@ def test_huge_finite_x_gives_zero_without_overflow():
         assert (res.p_max, res.p_sum) == (0.0, 0.0)
         res = twopoint_dp(6, 1e308, 2.0, 1.0)
         assert (res.p_max, res.p_sum) == (0.0, 0.0)
+        for a, b in ((2.0, 1.0), (1.0, 3.0), (1.0, 1.0)):
+            res = hitting_time(6, 1e308, a, b)
+            assert (res.p_max, res.p_sum) == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, -0.5])
@@ -448,6 +553,8 @@ def test_oracles_reject_bad_x(x):
         enumerate_exact(SequenceSpec(Rademacher(1.0), 4), x)
     with pytest.raises(ConfigError, match="finite and >= 0"):
         twopoint_dp(4, x, 2.0, 1.0)
+    with pytest.raises(ConfigError, match="finite and >= 0"):
+        hitting_time(4, x, 2.0, 1.0)
 
 
 def test_dp_barrier_tie_counted_in():
@@ -478,7 +585,8 @@ def test_exact_methods_share_one_tie_rule(n, k, fuzz, c):
     x = (k + fuzz) / math.sqrt(n)
     assume(x >= 0.0)
     closed = lattice_dp_max(n, x)
-    for other in (enumerate_exact(SequenceSpec(Rademacher(c), n), x), twopoint_dp(n, x, c, c)):
+    for other in (enumerate_exact(SequenceSpec(Rademacher(c), n), x), twopoint_dp(n, x, c, c),
+                  hitting_time(n, x, c, c)):
         assert _agree(other.p_max, closed.p_max), (other, closed)
         assert _agree(other.p_sum, closed.p_sum), (other, closed)
 
@@ -486,12 +594,13 @@ def test_exact_methods_share_one_tie_rule(n, k, fuzz, c):
 def test_tie_rule_regressions():
     # 2 sits below the barrier 2.0000000004: only the paths through 3 or 4 hit
     for res in (lattice_dp_max(4, 1.0000000002), twopoint_dp(4, 1.0000000002, 1.0, 1.0),
+                hitting_time(4, 1.0000000002, 1.0, 1.0),
                 enumerate_exact(SequenceSpec(Rademacher(1.0), 4), 1.0000000002)):
         assert (res.p_max, res.p_sum) == (0.125, 0.0625)
     # steps far below 1e-12 keep their ties and stay scale free
     want = enumerate_exact(SequenceSpec(TwoPoint(2.0, 1.0), 6), 1.5)
     for got in (enumerate_exact(SequenceSpec(TwoPoint(2e-13, 1e-13), 6), 1.5),
-                twopoint_dp(6, 1.5, 2e-13, 1e-13)):
+                twopoint_dp(6, 1.5, 2e-13, 1e-13), hitting_time(6, 1.5, 2e-13, 1e-13)):
         assert _agree(got.p_max, want.p_max) and _agree(got.p_sum, want.p_sum), got
         assert got.p_max <= 1.0
 
