@@ -10,7 +10,8 @@ Four exact methods; :func:`exact_method` routes a schedule to the last three:
 * :func:`lattice_dp_max` evaluates the symmetric two-point walk, where
   ``V_n^2 = n c^2`` is deterministic, in closed form for ``n <=
   CLOSED_FORM_MAX_N``: the reflection principle turns the max event into
-  two binomial tails, computed as regularized incomplete beta functions.
+  two binomial tails, each an exact integer sum up to n = 128 and past it a
+  sum of pmf terms from Loader's saddle-point pmf, in ``math`` and numpy.
 * :func:`twopoint_dp` evaluates iid two-point steps ``{a, -b}``, where
   ``V_n`` is random but fixed by the up-count: a first-passage DP on the
   (steps, ups) lattice for each final up-count (budget ``n (n+1)^2 <=
@@ -52,7 +53,8 @@ __all__ = [
 ]
 
 ENUMERATION_BUDGET = 1 << 24
-# the incomplete beta drifts with n: 3e-11 relative at 2^30, 6e-8 at 2^53
+# a row's tails sum up to 5 sqrt(n) + 1 pmf terms in one array: 164k terms and
+# 0.7-3.7 ms a row at 2^30, where they are within 6.2e-15 of a 40-digit sum
 CLOSED_FORM_MAX_N = 1 << 30
 _ENUM_CHUNK = 1 << 15  # prefix outcomes scored per vector op
 
@@ -126,27 +128,109 @@ def enumerate_exact(seq: SequenceSpec, x: float) -> ExactResult:
     )
 
 
-def _walk_tail(n: int, t: int) -> float:
-    """P(S_n >= t) for the +-1 walk: S_n = 2U - n with U ~ Bin(n, 1/2), and
-    P(U >= k) = I_{1/2}(k, n - k + 1)."""
-    from scipy import special
+# Loader's stirlerr(k) = log k! - log(sqrt(2 pi k) (k / e)^k) for k < 16, to
+# the double (Loader 2000, "Fast and accurate computation of binomial
+# probabilities"); stirlerr(0) is never read
+_STIRLERR = (0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+             0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+             0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+             0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+             0.006408994188004207, 0.0059513701127588475, 0.005554733551962801)
 
-    k = -(-(n + t) // 2)
-    if k > n:
-        return 0.0
-    return float(special.betainc(k, n - k + 1, 0.5))
+
+def _stirlerr(k: int) -> float:
+    """log k! - log(sqrt(2 pi k) (k / e)^k): the table below 16, the Stirling
+    series from there (its next term is under 1.5e-18 at k = 16)."""
+    if k < len(_STIRLERR):
+        return _STIRLERR[k]
+    kk = float(k) * k
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - (1 / 1188 - 691 / 360360 / kk) / kk)
+                                 / kk) / kk) / kk) / k
 
 
-def _walk_max_tail(n: int, b: int) -> float:
-    """P(max_{1<=k<=n} S_k >= b) for the +-1 walk, with max over no steps
-    being -inf. For b >= 1 the reflection principle gives
-    P(S_n >= b) + P(S_n >= b + 1); b = 0 is reached at step 1 or, after a
-    first step down, by the remaining n - 1 steps climbing 1."""
+def _bd0(j: int, n: int) -> tuple[float, float]:
+    """Loader's deviance ``j log(2j / n) + n / 2 - j`` of ``1 <= j <= n`` from the
+    mean ``n / 2``, as two parts that sum to it. Within ``|v| < 1/2``, ``v =
+    (2j - n) / (2j + n)``, it is ``(2j - n)^2 / (2 (2j + n))``, one rounding
+    of exact integers, plus the series ``sum_i 2 j v^(2i+1) / (2i + 1)``, which
+    nothing cancels; outside, the direct form does not cancel much."""
+    twice_d, twice_s = 2 * j - n, 2 * j + n
+    if 2 * abs(twice_d) >= twice_s:
+        return j * math.log(2 * j / n), n / 2 - j
+    v = twice_d / twice_s
+    v2, term, rest, i = v * v, 2 * j * v, 0.0, 1
+    while True:
+        term *= v2
+        nxt = rest + term / (2 * i + 1)
+        if nxt == rest:
+            return twice_d * twice_d / (2 * twice_s), rest
+        rest, i = nxt, i + 1
+
+
+def _half_binomial_pmf(n: int, k: int) -> float:
+    """P(U = k) for U ~ Bin(n, 1/2) and ``0 < k < n``, by Loader's saddle point
+    form: the log of the pmf is summed in one rounding from its parts."""
+    lead_k, rest_k = _bd0(k, n)
+    lead_j, rest_j = _bd0(n - k, n)
+    log_pmf = math.fsum((_stirlerr(n), -_stirlerr(k), -_stirlerr(n - k),
+                         -lead_k, -rest_k, -lead_j, -rest_j))
+    return math.exp(log_pmf) * math.sqrt(n / (2.0 * math.pi * (k * (n - k))))
+
+
+def _half_binomial_upper(n: int, k: int) -> tuple[float, float]:
+    """P(U >= k) and P(U >= k + 1) for U ~ Bin(n, 1/2) and ``n / 2 <= k <=
+    n``: the pmf at ``k`` times ``1 + L`` and times ``L``, where ``L`` sums
+    the later terms over it, each from the one before by the ratio ``(n + 1
+    - j) / j``. Past ``d = k - n / 2`` that ratio is under ``exp(-4 (j - 1
+    - n / 2) / n)``, so ``i`` terms on, with ``i^2 + (2d - 1) i >= 25 n``,
+    they have fallen by ``e^-50`` and the rest is negligible."""
+    first = math.ldexp(1.0, -n) if k == n else _half_binomial_pmf(n, k)
+    lag = k - n / 2 - 0.5
+    count = min(n - k, math.ceil(math.sqrt(lag * lag + 25.0 * n) - lag))
+    j = np.arange(k + 1.0, k + count + 1.0)
+    later = float(np.cumprod((n + 1.0 - j) / j).sum())
+    return first * (1.0 + later), first * later
+
+
+# up to this n, :func:`_binomial_tails` sums the exact integer binomial row:
+# its answers are the correctly rounded ones (dyadic ones exactly). There the
+# two ways cost about the same, 7-15 us a pair of tails at n = 128; at n =
+# 256 the exact sum takes 16-34 us and :func:`_half_binomial_upper` 9-18 us
+_EXACT_TAIL_MAX_N = 128
+
+
+def _binomial_tails(n: int, k: int) -> tuple[float, float]:
+    """P(U >= k) and P(U >= k + 1) for U ~ Bin(n, 1/2) and ``0 <= k <= n``. Up
+    to ``_EXACT_TAIL_MAX_N`` they are exact integer sums over 2^n; past it
+    they come from :func:`_half_binomial_upper`, at or above the mean
+    directly and below it as the complements of the mirrored tails."""
+    if n <= _EXACT_TAIL_MAX_N:
+        row, beyond = 1, 0
+        for j in range(n, k, -1):  # C(n, j), from j = n down; then row = C(n, k)
+            beyond += row
+            row = row * j // (n - j + 1)
+        return (beyond + row) / (1 << n), beyond / (1 << n)
+    if 2 * k >= n:
+        return _half_binomial_upper(n, k)
+    upper, beyond = _half_binomial_upper(n, n - k)
+    return 1.0 - beyond, 1.0 - upper
+
+
+def _walk_tails(n: int, b: int) -> tuple[float, float]:
+    """P(max_{1<=k<=n} S_k >= b) and P(S_n >= b) for the +-1 walk, with max
+    over no steps being -inf. S_n = 2U - n with U ~ Bin(n, 1/2), so P(S_n >=
+    b) = P(U >= k), k = ceil((n + b) / 2). For b >= 1 the reflection
+    principle gives P(S_n >= b) + P(S_n >= b + 1), and the second tail is
+    P(U >= k + 1) when n + b is even, else the first again; b = 0 is
+    reached at step 1 or, after a first step down, by the remaining n - 1
+    steps climbing 1."""
     if n == 0:
-        return 0.0
+        return 0.0, 0.0
+    k = -(-(n + b) // 2)
+    tail, beyond = _binomial_tails(n, k) if k <= n else (0.0, 0.0)
     if b == 0:
-        return 0.5 + 0.5 * _walk_max_tail(n - 1, 1)
-    return _walk_tail(n, b) + _walk_tail(n, b + 1)
+        return 0.5 + 0.5 * _walk_tails(n - 1, 1)[0], tail
+    return tail + (beyond if (n + b) % 2 == 0 else tail), tail
 
 
 def lattice_dp_max(n: int, x: float) -> ExactResult:
@@ -163,7 +247,7 @@ def lattice_dp_max(n: int, x: float) -> ExactResult:
         raise BudgetExceededError(f"n={n} is past the closed form's range, {CLOSED_FORM_MAX_N}")
     check_finite("x", x, 0.0)
     barrier = math.ceil(_tie_cut(min(x * math.sqrt(n), n + 1.0), 1.0))
-    return ExactResult(_walk_max_tail(n, barrier), _walk_tail(n, barrier), n, x, "lattice_dp")
+    return ExactResult(*_walk_tails(n, barrier), n, x, "lattice_dp")
 
 
 def twopoint_dp_fits(n: int) -> bool:
@@ -195,24 +279,51 @@ def _check_twopoint(name: str, n: int, x: float, a: float, b: float) -> None:
         )
 
 
+def _binomial_pmf(n: int, a: float, b: float) -> np.ndarray:
+    """P(m ups) for ``m = 0..n`` of ``n`` iid steps ``{a, -b}`` with P(a) = b /
+    (a + b), to a few ulp wherever it is a normal double.
+
+    With ``a / b = P / Q`` in lowest terms it is ``C(n, m) Q^m P^(n-m) / (P +
+    Q)^n``, so steps with the same exact ratio get the same bits. The
+    binomial row is exact integers. The powers are of the mantissas of ``P``,
+    ``Q`` and ``P + Q``, which lie in [1/2, 1], so none leaves the normal
+    range; their binary exponents go back on by ``ldexp``. ``P`` and ``Q``
+    have at most 53 significant bits, so their mantissas are exact; the
+    rounding of ``P + Q``'s is put back in the scale, to first order."""
+    row = [1]
+    for j in range(n):
+        row.append(row[-1] * (n - j) // (j + 1))
+    (num_a, den_a), (num_b, den_b) = a.as_integer_ratio(), b.as_integer_ratio()
+    down, up = num_a * den_b, num_b * den_a
+    common = math.gcd(down, up)
+    down, up = down // common, up // common
+    total = down + up
+    (f_up, e_up), (f_down, e_down), (f_total, e_total) = (
+        (v / (1 << v.bit_length()), v.bit_length()) for v in (up, down, total))
+    num, den = f_total.as_integer_ratio()
+    rounded = num << e_total  # den f_total 2^e_total
+    excess = (total * den - rounded) / rounded  # (P + Q) / (f_total 2^e_total) - 1
+    scale = f_total ** -n * math.exp(-n * math.log1p(excess))
+    # Python's pow, which is libm's: numpy's power differs from it in the last
+    # bits on CPUs where it takes a SIMD loop
+    mantissas = [float(c) * f_up ** m * f_down ** (n - m) * scale for m, c in enumerate(row)]
+    m = np.arange(n + 1)
+    return np.ldexp(mantissas, e_up * m + e_down * (n - m) - e_total * n)
+
+
 def _twopoint_events(n: int, x: float, a: float, b: float):
     """``(a, b, cut, pmf, p_sum)`` for ``n`` iid steps in ``{a, -b}``: the steps
     rescaled to ``max(a, b) = 1`` (the events are scale free), the tie cut
-    of the barrier ``x V_n`` and the Bin(n, b / (a + b)) pmf for each final
+    of the barrier ``x V_n`` and the :func:`_binomial_pmf` for each final
     up-count ``m = 0..n``, and P(S_n >= x V_n). The tie cut's unit is the
     smaller step, as in :func:`enumerate_exact`, so no step fits in the
     cut, whatever the ratio."""
-    from scipy import special
-
+    pmf = _binomial_pmf(n, a, b)
     top = max(a, b)
     a, b = a / top, b / top
     m = np.arange(n + 1)
     with np.errstate(over="ignore"):  # a huge x gives an inf barrier: no hit
         cut = _tie_cut(x * np.sqrt(a * a * m + b * b * (n - m)), min(a, b))
-    pmf = np.exp(
-        special.gammaln(n + 1) - special.gammaln(m + 1) - special.gammaln(n - m + 1)
-        + special.xlogy(m, b / (a + b)) + special.xlogy(n - m, a / (a + b))
-    )
     return a, b, cut, pmf, math.fsum(pmf[a * m - b * (n - m) >= cut].tolist())
 
 
@@ -270,7 +381,7 @@ def _step_ratio(a: float, b: float):
     return int(hi / lo)
 
 
-def _first_passages(h, steps, last, m, p, skip_up, log_fact):
+def _first_passages(h, steps, last, m, p, skip_up, fact):
     """For each final up-count ``m`` of ``n`` steps, the share of its ``C(n,
     m)`` arrangements in which a walk first reaches ``h >= 1`` units by step
     ``last`` of a stretch of ``steps`` steps that holds all ``m`` ups. The
@@ -282,9 +393,10 @@ def _first_passages(h, steps, last, m, p, skip_up, log_fact):
     first at step ``i``; the other ``steps - i`` steps, holding ``m - j``
     ups, are free. With ``c`` skip steps among the first ``i``, ``i = h +
     (p + 1) c``, and ``j = c`` if the skip steps are the ups, else ``h + p
-    c``. All terms are positive, so nothing cancels.
+    c``. All terms are positive, so nothing cancels. ``fact`` is
+    :func:`_scaled_factorials` of ``n``.
     """
-    n = len(log_fact) - 1
+    n = len(fact) - 1
     c = np.arange(max(int(np.max(last - h, initial=-1)), -1) // (p + 1) + 1)
     i = h[:, None] + (p + 1) * c  # [row, c]
     j = c if skip_up else h[:, None] + p * c
@@ -292,12 +404,22 @@ def _first_passages(h, steps, last, m, p, skip_up, log_fact):
     row, col = np.nonzero((i <= np.reshape(last, (-1, 1))) & (j <= ups) & (ups - j <= rest))
     i, rest, ups = i[row, col], rest[row, col], m[row]
     j = col if skip_up else h[row] + p * col
-    log_terms = (
-        np.log(h[row] / i) + log_fact[i] - log_fact[j] - log_fact[i - j]
-        + log_fact[rest] - log_fact[ups - j] - log_fact[rest - ups + j]
-        - (log_fact[n] - log_fact[ups] - log_fact[n - ups])
-    )
-    return np.bincount(row, weights=np.exp(log_terms), minlength=len(h))
+    terms = (h[row] / i * (fact[i] / (fact[j] * fact[i - j]))
+             * (fact[rest] / (fact[ups - j] * fact[rest - ups + j]))
+             * (fact[ups] * fact[n - ups] / fact[n]))
+    return np.bincount(row, weights=terms, minlength=len(h))
+
+
+def _scaled_factorials(n: int) -> np.ndarray:
+    """``k! / 2^(7k)`` for ``k = 0..n``, ``n <= 255``: each exact integer
+    rounded once, and within [2^-180, 1], so no ratio of factorials in
+    :func:`_first_passages` leaves the normal range; the powers of 2 cancel
+    in each binomial coefficient, and small ones come out exact."""
+    fact, scaled = 1, [1.0]
+    for k in range(1, n + 1):
+        fact *= k
+        scaled.append(fact / (1 << 7 * k))
+    return np.array(scaled)
 
 
 def hitting_time(n: int, x: float, a: float, b: float) -> ExactResult:
@@ -329,8 +451,6 @@ def hitting_time(n: int, x: float, a: float, b: float) -> ExactResult:
     if p is None:
         raise ConfigError(f"hitting_time needs one step an integer multiple of the other, "
                           f"got a={a}, b={b}")
-    from scipy import special
-
     skip_up = a >= b
     up, down = (p, 1) if skip_up else (1, p)
     a, b, cut, pmf, p_sum = _twopoint_events(n, x, a, b)
@@ -338,16 +458,16 @@ def hitting_time(n: int, x: float, a: float, b: float) -> ExactResult:
     # the barrier in units; past the top of the walk (an inf one too) it is never hit
     with np.errstate(over="ignore"):
         level = np.ceil(np.minimum(cut / min(a, b), up * n + 1.0)).astype(np.int64)
-    log_fact = special.gammaln(np.arange(n + 1) + 1.0)
+    fact = _scaled_factorials(n)
     if skip_up:
         short = level - (up * m - down * (n - m))  # how far S_n ends below the barrier
         below = short > 0
         hit = (~below).astype(float)
-        hit[below] = _first_passages(short[below], n, n - 1, m[below], p, True, log_fact)
+        hit[below] = _first_passages(short[below], n, n - 1, m[below], p, True, fact)
     else:
         start = level == 0
         hit = np.where(start, m / n, 0.0) + _first_passages(
-            np.where(start, p, level), n - start, n - start, m, p, False, log_fact)
+            np.where(start, p, level), n - start, n - start, m, p, False, fact)
     return ExactResult(
         p_max=math.fsum((pmf * hit).tolist()),
         p_sum=p_sum,

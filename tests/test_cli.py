@@ -744,6 +744,14 @@ def test_which_commands_load_scipy_special(tmp_path):
                                ("rademacher", {"family": "rademacher"}))),
         ("sweep_uniform_mc", _sweep_config(tmp_path / "uniform.json", dist={"family": "uniform"},
                                            output="u.csv", engine="mc", mc_samples=1000)),
+        # the exact engines: the Rademacher tail and the two-point pmf are math-only
+        ("enumerate_rademacher", ["enumerate", "--dist", "rademacher", "--n", "30", "--x", "1"]),
+        ("enumerate_twopoint", ["enumerate", "--dist", json.dumps(_TWOPOINT), "--n", "8", "--x", "1"]),
+        ("sweep_oracle", _sweep_config(tmp_path / "oracle.json", dist=_TWOPOINT, output="o.csv")),
+        # the exact integer sum, the saddle-point tail past it, and a normal tail past x = 8
+        ("sweep_rademacher_oracle", _sweep_config(
+            tmp_path / "rademacher.json", dist={"family": "rademacher"}, output="r.csv",
+            n_grid=[64, 256, 1024, 4096, 16384], x_values=[0.0, 1.5, 9.0])),
     ]
     seen = _fresh_interpreter(_COMMANDS_PROBE, json.dumps(never), cwd=tmp_path)
     assert _loads(seen, "scipy.special") == {name: [0, False] for name, _ in never}
@@ -751,9 +759,6 @@ def test_which_commands_load_scipy_special(tmp_path):
     loads = [
         ("theory_student_t", ["theory", "--dist", "student_t", "--n", "50", "--x", "1.5"]),
         ("theory_exponential", ["theory", "--dist", "centered_exponential", "--n", "50", "--x", "1.5"]),
-        ("enumerate_rademacher", ["enumerate", "--dist", "rademacher", "--n", "30", "--x", "1"]),
-        ("enumerate_twopoint", ["enumerate", "--dist", json.dumps(_TWOPOINT), "--n", "8", "--x", "1"]),
-        ("sweep_oracle", _sweep_config(tmp_path / "oracle.json", dist=_TWOPOINT, output="o.csv")),
     ]
     for name, argv in loads:
         seen = _fresh_interpreter(_COMMANDS_PROBE, json.dumps([(name, argv)]), cwd=tmp_path)

@@ -89,8 +89,8 @@ DIGESTS = {
     "theory_student_t_scales": "79b6fd94eca311cc01d0d28de61729e16e49c7b91e2f950c81eb03b50e5f47c5",
     "theory_exponential_scales": "e919dba197b44ea0452fc1f4cfbed91717f2c60b2d275a68a7dddf950afc16b4",
     "enumerate_rademacher": "b42207a8581ca283be3476ce481f4cd733707b46943455c2e5e3231fe307175d",
-    "enumerate_twopoint": "8957873137dc3b50427d22c1d446e340a38d870fd567707cadc493d3d867aacd",
-    "enumerate_skewed": "eb81992f3788520b63ffd26f4986ed596b472d38562fd0690ba4243d09f30349",
+    "enumerate_twopoint": "052b0b99a26ba5183bcb1298de0e595b814bfdf820e4c418fb0a72818901aeb4",
+    "enumerate_skewed": "687ad61de4a28edcd3c1abd5519a2c6ef88351568d8b78762510b31a73f27791",
     "enumerate_rademacher_x0": "8f59e1dd3f321fe427c85fa394c9934aff4b789b1d9113d0c97b35d136c4df9b",
     "simulate_rademacher_naive": "5d9ec7b3e988abcabc241e359872aaa974d913c5136cd948d673efa35d09e19f",
     "simulate_rademacher_tilted": "fba55d19d786a79dcc7f4ae3e42b16f7c54b67b65880f0fc1c2d278aa6aa2cdc",
@@ -100,10 +100,10 @@ DIGESTS = {
     "simulate_uniform_tilted": "217a84b5dfea12d67b5d195df803fc1349d4465c3c1c42a984cd67bb69042119",
     "simulate_exponential_naive": "d94a968e958554b0358d1db08ecec9538a4c64744f1eac7f2e8db8ba61b95592",
     "simulate_student_t_naive": "e5e9accb3b67c5ab39a98cbc8cb36a648913ee97fc78bf1a0ea54feadb825085",
-    "sweep_rademacher_lattice": "5c6ae1c102fb689cada1e687dd0cd55d1a30ac01bf9ef82194da73b153615265",
-    "sweep_rademacher_lattice.csv": "37c4339b9fea8bfc04041f34c40ce748b44eb34a3009dedb6bc7ad4cd990e516",
-    "sweep_twopoint_dp": "8b699aedea93f7bfab5bebe99260d3d59ec961dbda20abd0259114a774ed4d5e",
-    "sweep_twopoint_dp.csv": "c69b97930b81653c732b81110a7ca1befecae297a625fee767534e29b72e038a",
+    "sweep_rademacher_lattice": "0b909a9eafff8fc3bf9aad5de86843f440c1cba19965d631ffbbf0bc6fc21a00",
+    "sweep_rademacher_lattice.csv": "062efdf71a918fc03240d4c025b5427f7b421595bd58d9855ca0993f9847d0ff",
+    "sweep_twopoint_dp": "5297f7b375f36671efe274f02c906bd022507bd4de1f3fe20d96888691823e53",
+    "sweep_twopoint_dp.csv": "ab5ed1bfcdbc7964a6186d1e02e4463160ed6b19dae9fcd2a59415f844e73b3e",
     "sweep_uniform_mc_fallback": "79e91ce1454c40cc60ffb8b9a5db13131470f8818a7049e839d0651e240bea05",
     "sweep_uniform_mc_fallback.csv": "eb10f9477a88b6c6d3950073dd30a434e4341d6b3a994f1dfe0b2b21699dac6e",
     "sweep_rademacher_mc_tilted": "eb1cd6cb2aead7450dce7e99a3231040018d6c146c5af705444da85428de87e3",

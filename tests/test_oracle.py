@@ -5,6 +5,7 @@ path counting)."""
 
 import itertools
 import math
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -273,8 +274,9 @@ def test_mp_reference_matches_exact_binomial_sums():
 
 @pytest.mark.parametrize("n", [2**20, 2**25, oracle.CLOSED_FORM_MAX_N])
 def test_closed_form_matches_the_mp_reference_up_to_its_range(n):
-    # scipy's incomplete beta drifts as n grows (3e-11 at 2^30, 6e-8 at
-    # 2^53, 0.0 at 1e23), so the closed form stops at CLOSED_FORM_MAX_N
+    # the tails are within 6.2e-15 of this reference up to 2^30, but their
+    # ratio sums grow as sqrt(n), to 164k terms at 2^30, so the closed form
+    # stops at CLOSED_FORM_MAX_N
     for x in (0.25, 1.0, 3.0, 5.0):
         b = math.ceil(x * math.sqrt(n) - 1e-9)
         want_sum = _mp_walk_tail(n, b)
@@ -313,6 +315,59 @@ def test_closed_form_matches_exact_binomial_sums(n):
         got = lattice_dp_max(n, x)
         assert got.p_max == pytest.approx(float(want_max), rel=1e-13, abs=0.0), x
         assert got.p_sum == pytest.approx(float(tail(b)), rel=1e-13, abs=0.0), x
+
+
+# the worst relative error of scipy.special.betainc, which the closed form
+# used before its tails were math-only, on the grid of the test below
+_BETAINC_DEEP_TAIL_ERROR = {256: 1.5e-14, 1024: 1.0e-13, 4096: 3.8e-13, 16384: 2.9e-13}
+
+
+@pytest.mark.parametrize("n", sorted(_BETAINC_DEEP_TAIL_ERROR))
+def test_binomial_tails_match_exact_sums_deep_in_the_tail(n):
+    # x = 0 to 30 reaches tails of 1e-300 and below: the log of the first pmf
+    # term is then several hundred, and its rounding is the tail's error
+    row = [1]
+    for j in range(n):
+        row.append(row[-1] * (n - j) // (j + 1))
+    at_least = list(itertools.accumulate(reversed(row)))[::-1] + [0]  # sum_{j >= k} C(n, j)
+    worst = 0.0
+    for x in np.arange(0.0, 30.25, 0.5):
+        k = -(-(n + math.ceil(x * math.sqrt(n) - 1e-9)) // 2)
+        if k > n:
+            continue
+        for got, want in zip(oracle._binomial_tails(n, k), at_least[k : k + 2]):
+            want = Fraction(want, 2**n)
+            if want >= sys.float_info.min:
+                worst = max(worst, float(abs(Fraction(got) - want) / want))
+    assert worst <= _BETAINC_DEEP_TAIL_ERROR[n]
+
+
+def _exact_tails(n, k):
+    """P(U >= k) and P(U >= k + 1) for U ~ Bin(n, 1/2), as Fractions."""
+    return tuple(Fraction(sum(math.comb(n, j) for j in range(i, n + 1)), 2**n) for i in (k, k + 1))
+
+
+def test_binomial_tails_are_the_rounded_exact_sums_up_to_the_crossover():
+    # there dyadic answers stay exact, whatever n and k
+    for n in (1, 2, 3, 4, 5, 16, 63, oracle._EXACT_TAIL_MAX_N):
+        for k in range(n + 1):
+            assert oracle._binomial_tails(n, k) == tuple(map(float, _exact_tails(n, k))), (n, k)
+
+
+def test_binomial_tails_are_continuous_at_the_crossover():
+    # the first n past the crossover, against the exact sums it would have taken
+    n = oracle._EXACT_TAIL_MAX_N + 1
+    for k in range(n + 1):
+        want = tuple(map(float, _exact_tails(n, k)))
+        assert oracle._binomial_tails(n, k) == pytest.approx(want, rel=1e-14, abs=0.0), k
+
+
+def test_stirling_errors_match_mpmath():
+    # the table below 16 and the series from 16 on, within two ulp
+    with mp.workdps(40):
+        for k in list(range(1, 40)) + [100, 1000, 10**6, 2**30]:
+            want = mp.loggamma(k + 1) - (k + mp.mpf(1) / 2) * mp.log(k) + k - mp.log(2 * mp.pi) / 2
+            assert abs(oracle._stirlerr(k) - want) <= 4e-16 * want, k
 
 
 def test_dp_sum_even_n_x0():
@@ -388,6 +443,23 @@ def test_twopoint_dp_matches_path_counting(n, a, b):
             assert got.p_max == pytest.approx(want_max, rel=1e-10, abs=0.0), (engine, x)
             assert got.p_sum == pytest.approx(want_sum, rel=1e-10, abs=0.0), (engine, x)
             assert (got.method, got.n, got.x) == ("lattice_dp", n, float(x))
+
+
+@pytest.mark.parametrize("a, b", [(2.0, 1.0), (1.0, 3.0), (1.0, 1.0), (7.0, 1.0), (2.0**20, 1.0),
+                                  (1.5, 0.8)])
+def test_binomial_pmf_matches_exact_fractions(a, b):
+    # the pmf that the DP and the hitting-time sum share, within 1e-15 of the
+    # law's exact value wherever that is a normal double; log-gamma weights
+    # were off by up to 4e-13 at n = 255
+    p = Fraction(b) / (Fraction(a) + Fraction(b))
+    for n in (20, 100, 255):
+        got = oracle._binomial_pmf(n, a, b)
+        for m in range(n + 1):
+            want = math.comb(n, m) * p**m * (1 - p) ** (n - m)
+            if want >= sys.float_info.min:
+                assert abs(Fraction(float(got[m])) - want) <= 1e-15 * want, (n, m)
+            else:
+                assert got[m] <= sys.float_info.min, (n, m)
 
 
 def test_twopoint_dp_scale_free_exact():
