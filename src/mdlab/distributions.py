@@ -8,22 +8,22 @@ module provides three services the rest of the package is built on:
   ``"below"``) and ``E|X|^p 1{|X| > c}`` (side ``"above"``) and the tail
   ``P(|X| >= t)``, all in closed form (special functions for the
   unbounded families) and evaluated elementwise over arrays of levels,
-* exponential tilting ``dP_t ~ exp(theta*x) dP``, which is what makes
-  rare-event importance sampling possible: a law can be tilted when it
-  implements the tilt methods, whose base versions raise
-  :class:`~mdlab.errors.TiltUnsupportedError`.
+* exponential tilting ``dP_t ~ exp(theta*x) dP`` of the bounded laws
+  (two-point and Uniform), which is what makes rare-event importance
+  sampling possible; :func:`mdlab.mc.choose_tilt` solves their tilts.
 
 Rademacher is the ``a = b`` case of the two-point law on ``{a, -b}``. A
 tilted two-point step is one raw 64-bit word of the generator's bit
 stream, which draws ``+a`` when it is below
 :meth:`~_TwoPointLaw.up_threshold` (see :meth:`~_TwoPointLaw.up_draws`).
 ``STREAM_VERSION`` names the layout of the Monte Carlo stream these draws
-and :mod:`mdlab.mc` define together; version 7 is this raw-word draw and
+and :mod:`mdlab.mc` define together; version 8 is this raw-word draw and
 the switched tilt of :mod:`mdlab.mc`, drawn from SFC64 bit generators,
-with the tilt of two-point laws solved in closed form, Uniform's by
-Newton's method on its series-accurate arithmetic, and Student t drawn by
-Bailey's polar method with one oversampled refill of the pairs off the
-disk. The README lists the earlier versions. Uniform and
+with the tilt of two-point laws solved in closed form and weighed by the
+two-point ``log_mgf`` (Rademacher's too), Uniform's solved by Newton's
+method in ``z = theta a`` on the series-accurate Langevin function, and
+Student t drawn by Bailey's polar method with one oversampled refill of
+the pairs off the disk. The README lists the earlier versions. Uniform and
 exponential draws are numpy's own ``uniform`` and ``exponential``, to the
 bit, formed from the generator's doubles and standard exponentials.
 
@@ -49,8 +49,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (ConfigError, InfeasibleError, InfiniteMomentError, TiltUnsupportedError,
-                     check_finite)
+from .errors import ConfigError, InfeasibleError, InfiniteMomentError, check_finite
 
 # scipy.special is imported inside the methods that call it: loading it is
 # about half of a cold start, and sampling and tilting never need it
@@ -67,7 +66,7 @@ __all__ = [
 ]
 
 # the Monte Carlo stream layout; bump it whenever a fixed seed can give other bytes
-STREAM_VERSION = 7
+STREAM_VERSION = 8
 _WORDS = 1 << 64  # the raw words of a 64-bit bit generator are uniform on [0, 2^64)
 _LOG_MAX = math.log(sys.float_info.max)  # the largest z for which exp(z) is finite
 
@@ -119,35 +118,11 @@ class Distribution:
     def sample(self, rng: np.random.Generator, size=None):
         raise NotImplementedError
 
-    # -- tilting (the laws that implement these methods) ----------------
+    # -- misc ----------------------------------------------------------
     def support_max(self) -> float:
-        """Supremum of the support; +inf for unbounded families."""
+        """Supremum of the support; +inf for the unbounded families, which no tilt serves."""
         return math.inf
 
-    def _tilt_unsupported(self) -> TiltUnsupportedError:
-        return TiltUnsupportedError(
-            f"{type(self).__name__} has unbounded support; tilting is "
-            "unsupported, use naive Monte Carlo"
-        )
-
-    def log_mgf(self, theta: float) -> float:
-        raise self._tilt_unsupported()
-
-    def tilted_mean(self, theta: float) -> float:
-        raise self._tilt_unsupported()
-
-    def tilted_variance(self, theta: float) -> float:
-        """The variance of the law tilted by ``theta``: the derivative of
-        :meth:`tilted_mean`."""
-        raise self._tilt_unsupported()
-
-    def tilted_sample(self, theta: float, rng: np.random.Generator, size=None, where=None):
-        """Draws of the law tilted by ``theta``. With ``where``, a boolean
-        array of the draws' shape, only the draws where it is True take the
-        tilt; the others are untilted draws from the same random words."""
-        raise self._tilt_unsupported()
-
-    # -- misc ----------------------------------------------------------
     def finite_support(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
         """(values, probabilities) for finite-support families, else None."""
         return None
@@ -200,13 +175,6 @@ class _TwoPointLaw(Distribution):
         _, wa, wb = self._tilt_weights(theta)
         return (self.a * wa - self.b * wb) / (wa + wb)
 
-    def tilted_variance(self, theta: float) -> float:
-        # (a - m)(m + b) for the tilted mean m, formed from the masses so that
-        # neither factor cancels near the hull
-        _, wa, wb = self._tilt_weights(theta)
-        total = wa + wb
-        return (self.a + self.b) ** 2 * (wa / total) * (wb / total)
-
     def up_threshold(self, theta: float) -> int:
         """The word ``T`` below which a raw 64-bit word draws ``+a`` under the
         tilt ``theta``: ``T / 2^64`` is the tilted ``P(X = a)`` to within
@@ -223,10 +191,8 @@ class _TwoPointLaw(Distribution):
         :meth:`up_threshold`, one per draw."""
         return rng.bit_generator.random_raw(size) < threshold
 
-    def tilted_sample(self, theta, rng, size=None, where=None):
+    def tilted_sample(self, theta, rng, size=None):
         threshold = np.uint64(self.up_threshold(theta))
-        if where is not None:
-            threshold = np.where(where, threshold, np.uint64(self.up_threshold(0.0)))
         return np.where(self.up_draws(rng, threshold, size), self.a, -self.b)[()]
 
     def finite_support(self):
@@ -246,15 +212,10 @@ class Rademacher(_TwoPointLaw):
 
     a = b = property(lambda self: self.scale)  # read-only, not config fields
 
-    # these two fix the bytes of the naive stream and of the tilted weights;
-    # the rest is the two-point arithmetic, exact at a = b while c^p is normal
+    # this fixes the bytes of the naive stream; the rest, the tilt included,
+    # is the two-point arithmetic, exact at a = b while c^p is normal
     def sample(self, rng, size=None):
         return self.scale * (2.0 * rng.integers(0, 2, size=size) - 1.0)
-
-    def log_mgf(self, theta: float) -> float:
-        # log cosh, overflow-safe
-        z = abs(theta * self.scale)
-        return z + math.log1p(math.exp(-2.0 * z)) - math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -316,26 +277,9 @@ class Uniform(Distribution):
         # log(sinh z / z) = z + log1p(-exp(-2z)) - log(2z)
         return z + math.log1p(-math.exp(-2.0 * z)) - math.log(2.0 * z)
 
-    def tilted_mean(self, theta: float) -> float:
-        z = theta * self.half_width
-        if abs(z) < _SERIES_MAX:
-            # the Langevin function coth(z) - 1/z = z tau / (1 + z^2 sigma)
-            sigma, tau = _sinhc_sums(z)
-            return self.half_width * (z * tau / (1.0 + z * z * sigma))
-        return self.half_width * (1.0 / math.tanh(z) - 1.0 / z)
-
-    def tilted_variance(self, theta: float) -> float:
-        z = abs(theta) * self.half_width
-        if z < _SERIES_MAX:
-            # 1/z^2 - 1/sinh^2 z = s (s + 2) / (z^2 (1 + s)^2), s = sinh(z)/z - 1
-            sigma = _sinhc_sums(z)[0]
-            s = z * z * sigma
-            return self.half_width**2 * (sigma * (s + 2.0) / (1.0 + s) ** 2)
-        # 1/sinh z as 2 exp(-z) / (1 - exp(-2z)), which does not overflow
-        inv_sinh = 2.0 * math.exp(-z) / -math.expm1(-2.0 * z)
-        return self.half_width**2 * (1.0 / (z * z) - inv_sinh * inv_sinh)
-
     def tilted_sample(self, theta, rng, size=None, where=None):
+        """Draws of the law tilted by ``theta``; with ``where``, a boolean array
+        of their shape, the others are untilted draws from the same doubles."""
         a = self.half_width
         if theta == 0.0:
             return self.sample(rng, size)
@@ -385,6 +329,29 @@ def _sinhc_sums(z: float) -> tuple[float, float]:
         sigma = sigma * w + c_sigma
         tau = tau * w + c_tau
     return sigma, tau
+
+
+def _langevin(z: float) -> float:
+    """The Langevin function ``L(z) = coth z - 1/z``, the mean of Uniform(1)
+    tilted by ``z``: Uniform(a) tilted by ``theta`` has mean ``a L(theta a)``."""
+    if abs(z) < _SERIES_MAX:
+        # z tau / (1 + z^2 sigma)
+        sigma, tau = _sinhc_sums(z)
+        return z * tau / (1.0 + z * z * sigma)
+    return 1.0 / math.tanh(z) - 1.0 / z
+
+
+def _langevin_slope(z: float) -> float:
+    """``L'(z) = 1/z^2 - 1/sinh^2 z``, the variance of Uniform(1) tilted by ``z``."""
+    z = abs(z)
+    if z < _SERIES_MAX:
+        # s (s + 2) / (z^2 (1 + s)^2), s = sinh(z)/z - 1
+        sigma = _sinhc_sums(z)[0]
+        s = z * z * sigma
+        return sigma * (s + 2.0) / (1.0 + s) ** 2
+    # 1/sinh z as 2 exp(-z) / (1 - exp(-2z)), which does not overflow
+    inv_sinh = 2.0 * math.exp(-z) / -math.expm1(-2.0 * z)
+    return 1.0 / (z * z) - inv_sinh * inv_sinh
 
 
 @dataclass(frozen=True)

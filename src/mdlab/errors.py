@@ -25,7 +25,7 @@ class InfiniteMomentError(MdlabError, ArithmeticError):
 
 
 class TiltUnsupportedError(MdlabError):
-    """Exponential tilting requested for a law without the tilt methods."""
+    """Exponential tilting requested for a law of unbounded support."""
 
 
 class BudgetExceededError(MdlabError):

@@ -47,8 +47,9 @@ from typing import Optional
 
 import numpy as np
 
-from .distributions import STREAM_VERSION, _TwoPointLaw
-from .errors import BudgetExceededError, ConfigError, InfeasibleError, check_finite
+from .distributions import STREAM_VERSION, _langevin, _langevin_slope, _TwoPointLaw
+from .errors import (BudgetExceededError, ConfigError, InfeasibleError, TiltUnsupportedError,
+                     check_finite)
 from .theory import SequenceSpec, _tie_cut, _tie_unit
 
 __all__ = [
@@ -69,7 +70,7 @@ DEFAULT_SEED = 715517
 PATH_STEP_BUDGET = 1 << 34
 _MAX_UINT64 = (1 << 64) - 1
 _DRIFT_TOL = 1e-10
-_STEP_TOL = 1e-12  # a Newton step this small, relative to theta, is near the drift's rounding
+_STEP_TOL = 1e-12  # a Newton step this small, relative to z, is near the rounding of L
 _MAX_NEWTON_STEPS = 200
 _BELOW_ONE = math.nextafter(1.0, 0.0)
 
@@ -167,84 +168,80 @@ def _two_point_tilt(dist: _TwoPointLaw, u: float) -> float:
     return (math.log1p(m / b) - math.log1p(-min(m / a, _BELOW_ONE))) / (a + b) / top
 
 
-def _newton_tilt(seq: SequenceSpec, total_drift, target: float, theta: float) -> float:
-    """The root of the increasing ``total_drift(theta) = target`` by Newton's
-    method from ``theta``, on the slope ``n tilted_variance(theta)``. Each
-    drift value narrows the bracket ``[lo, hi]`` that holds the root, and a
+def _langevin_root(y: float) -> float:
+    """The root ``z`` of the Langevin equation ``L(z) = coth z - 1/z = y``,
+    ``0 <= y < 1``, by Newton's method from Cohen's Pade inverse ``y (3 -
+    y^2) / (1 - y^2)`` (Cohen 1991, *Rheol. Acta* 30, 270-273). Each value
+    of ``L`` narrows the bracket ``[lo, hi]`` that holds the root, and a
     step that would leave it bisects it instead. A step within
-    ``_STEP_TOL`` of theta that no longer shrinks, or that would leave the
-    bracket, stops the iteration: the drift's rounding is reached. It stops
-    too where the slope is too flat for a finite step, and after
-    ``_MAX_NEWTON_STEPS``; the caller's residual check judges what it
-    returns."""
-    dist, n = seq.dist, seq.n
+    ``_STEP_TOL`` of ``z`` that no longer shrinks, or that would leave the
+    bracket, stops the iteration: the rounding of ``L`` is reached. So do
+    a slope too flat for a finite step and ``_MAX_NEWTON_STEPS`` steps;
+    the caller's residual check judges what it returns."""
+    z = y * (3.0 - y * y) / ((1.0 - y) * (1.0 + y))
     lo, hi, last = 0.0, math.inf, math.inf
     for _ in range(_MAX_NEWTON_STEPS):
-        gap = total_drift(theta) - target
+        gap = _langevin(z) - y
         if gap == 0.0:
             break
         if gap < 0.0:
-            lo = theta
+            lo = z
         else:
-            hi = theta
-        step = -gap / (n * dist.tilted_variance(theta))
-        inside = lo < theta + step < hi
-        if abs(step) <= _STEP_TOL * theta and (abs(step) >= last or not inside):
+            hi = z
+        step = -gap / _langevin_slope(z)
+        inside = lo < z + step < hi
+        if abs(step) <= _STEP_TOL * z and (abs(step) >= last or not inside):
             break
         if not inside:
             if hi == math.inf:
                 break
-            step = 0.5 * (lo + hi) - theta
+            step = 0.5 * (lo + hi) - z
         last = abs(step)
-        theta += step
-    return theta
+        z += step
+    return z
 
 
 def choose_tilt(seq: SequenceSpec, x: float) -> float:
     """The tilt ``theta >= 0`` that solves ``n tilted_mean(theta) = x *
-    B_n`` on iid steps; a scale schedule raises :class:`ConfigError`.
+    B_n`` on iid steps; a scale schedule raises :class:`ConfigError`, a
+    law of unbounded support :class:`TiltUnsupportedError`, and a target
+    outside the support hull :class:`InfeasibleError`.
 
     Two-point steps (Rademacher and TwoPoint) have a closed form, see
     :func:`_two_point_tilt`; on Rademacher it is ``atanh(x / sqrt(n)) /
-    c``. Uniform is solved by :func:`_newton_tilt` from Cohen's Pade
-    inverse of the Langevin function. Either way the drift equation must
-    hold to 1e-10. A target outside the support hull raises
-    :class:`InfeasibleError`; a law that does not implement the tilt
-    methods raises :class:`TiltUnsupportedError` from them.
+    c``. Uniform(a) drifts ``a L(theta a)`` per step, so its tilt is ``z /
+    a`` for the root ``z`` of ``L(z) = x / sqrt(3 n)``, from
+    :func:`_langevin_root`. The drift equation must hold to 1e-10 of the
+    target: in ``z`` for Uniform, and in units of ``sqrt(a b)`` for
+    two-point steps, where targets below one such unit are held to 1e-10
+    of it. A law scaled by a power of two gets the same verdict.
     """
     _check_iid(seq)
     check_finite("x", x, 0.0)
-    dist = seq.dist
-    total_target = x * math.sqrt(seq.variance_sum())
-
-    # supremum of the total achievable drift
-    hull = seq.n * dist.support_max()
-    if total_target >= hull:
-        raise InfeasibleError(
-            f"target drift {total_target:.6g} is outside the open support "
-            f"hull ({hull:.6g})"
-        )
-
-    def total_drift(t: float) -> float:
-        return seq.n * dist.tilted_mean(t)
-
-    if x == 0.0 or total_drift(0.0) >= total_target:  # a target within the rounding of no tilt
-        theta = 0.0
-    elif isinstance(dist, _TwoPointLaw):
-        theta = _two_point_tilt(dist, x / math.sqrt(seq.n))
+    dist, n = seq.dist, seq.n
+    if dist.support_max() == math.inf:
+        raise TiltUnsupportedError(f"{type(dist).__name__} has unbounded support; tilting is "
+                                   "unsupported, use naive Monte Carlo")
+    two_point = isinstance(dist, _TwoPointLaw)
+    target = x * math.sqrt(seq.variance_sum())
+    hull = n * dist.support_max()  # supremum of the total achievable drift
+    # the target's share of the hull; Uniform's, x / sqrt(3 n), is formed as
+    # Uniform(1) forms it, so that it does not depend on a
+    y = target / hull if two_point else x * math.sqrt(n * (1.0 / 3.0)) / n
+    if not y < 1.0:
+        raise InfeasibleError(f"target drift {target:.6g} is outside the open support "
+                              f"hull ({hull:.6g})")
+    if two_point:
+        within_rounding = x == 0.0 or n * dist.tilted_mean(0.0) >= target
+        theta = 0.0 if within_rounding else _two_point_tilt(dist, x / math.sqrt(n))
+        top = max(dist.a, dist.b)
+        unit = top * math.sqrt((dist.a / top) * (dist.b / top))  # sqrt(a b), scaled exactly
+        residual, scale = abs(n * dist.tilted_mean(theta) - target), max(unit, target)
     else:
-        # Uniform: Cohen's Pade inverse y (3 - y^2) / (1 - y^2) of the Langevin
-        # function coth z - 1/z (Cohen 1991, Rheol. Acta 30, 270-273)
-        y = total_target / hull
-        start = y * (3.0 - y * y) / ((1.0 - y) * (1.0 + y)) / dist.support_max()
-        theta = _newton_tilt(seq, total_drift, total_target, start)
-
-    achieved = total_drift(theta)
-    if not abs(achieved - total_target) <= _DRIFT_TOL * max(1.0, abs(total_target)):
-        raise InfeasibleError(
-            f"tilt solve residual {abs(achieved - total_target):.3g} "
-            "exceeds 1e-10"
-        )
+        z = _langevin_root(y)
+        theta, residual, scale = z / dist.half_width, abs(_langevin(z) - y), y
+    if not residual <= _DRIFT_TOL * scale:
+        raise InfeasibleError(f"tilt solve residual {residual:.3g} exceeds 1e-10 of {scale:.3g}")
     return theta
 
 

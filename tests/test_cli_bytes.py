@@ -94,10 +94,10 @@ DIGESTS = {
     "enumerate_rademacher_x0": "8f59e1dd3f321fe427c85fa394c9934aff4b789b1d9113d0c97b35d136c4df9b",
     "simulate_rademacher_naive": "5d9ec7b3e988abcabc241e359872aaa974d913c5136cd948d673efa35d09e19f",
     "simulate_rademacher_tilted": "fba55d19d786a79dcc7f4ae3e42b16f7c54b67b65880f0fc1c2d278aa6aa2cdc",
-    "simulate_rademacher_scaled_tilted": "7c784780e379ebc3445a5ba723a352cfb363377dfd8f28700ff696675fd1ff18",
+    "simulate_rademacher_scaled_tilted": "4ef0a1715759c80caeaedb70a2cc6b6e1c13e14d9a4a02fff5bd86958f0c2897",
     "simulate_twopoint_naive": "c61c9ea0aaa1b96fd7a50bcb6359e37628b013bfcbb575ae2ee0a75ccf75c85e",
     "simulate_twopoint_tilted": "ba7603cf37f88ce5f680dbd55610b4c59ddf984c4ea90ac77f6bbe82c0e38042",
-    "simulate_uniform_tilted": "217a84b5dfea12d67b5d195df803fc1349d4465c3c1c42a984cd67bb69042119",
+    "simulate_uniform_tilted": "468e130da806b93412d782276179565a87d270c2cf115cfefdd2d182e11384b8",
     "simulate_exponential_naive": "d94a968e958554b0358d1db08ecec9538a4c64744f1eac7f2e8db8ba61b95592",
     "simulate_student_t_naive": "e5e9accb3b67c5ab39a98cbc8cb36a648913ee97fc78bf1a0ea54feadb825085",
     "sweep_rademacher_lattice": "0b909a9eafff8fc3bf9aad5de86843f440c1cba19965d631ffbbf0bc6fc21a00",
@@ -106,8 +106,8 @@ DIGESTS = {
     "sweep_twopoint_dp.csv": "ab5ed1bfcdbc7964a6186d1e02e4463160ed6b19dae9fcd2a59415f844e73b3e",
     "sweep_uniform_mc_fallback": "79e91ce1454c40cc60ffb8b9a5db13131470f8818a7049e839d0651e240bea05",
     "sweep_uniform_mc_fallback.csv": "eb10f9477a88b6c6d3950073dd30a434e4341d6b3a994f1dfe0b2b21699dac6e",
-    "sweep_rademacher_mc_tilted": "eb1cd6cb2aead7450dce7e99a3231040018d6c146c5af705444da85428de87e3",
-    "sweep_rademacher_mc_tilted.csv": "cb0564aa8f40a5b8f9cd32932b9f70273c11521589f7d5bd900502235762200a",
+    "sweep_rademacher_mc_tilted": "c21e131d954c103f12a229a1cd29d8cffc3de488aeba6f9807846be8a036e21a",
+    "sweep_rademacher_mc_tilted.csv": "20ffdfa730fa58aadd12d210d9eb67079f263737b1995c2e45aa9935c27f919d",
     "sweep_rademacher_mc_naive": "62e81ccdaa051962d29a72cd01ad677d77cd3154819f1be6159c8c136d420ea6",
     "sweep_rademacher_mc_naive.csv": "e8d32a8ba917489d9df8d0ebc68f1d1c2bff6f6c24d7d9dd179cec8f2792817d",
 }

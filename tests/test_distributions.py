@@ -16,12 +16,15 @@ from scipy import stats as sps
 from mdlab import (
     CenteredExponential,
     Rademacher,
+    SequenceSpec,
     StudentT,
     TwoPoint,
     Uniform,
     from_literal,
 )
+from mdlab.distributions import _langevin, _langevin_slope
 from mdlab.errors import ConfigError, InfeasibleError, InfiniteMomentError, TiltUnsupportedError
+from mdlab.mc import choose_tilt
 
 ALL = [
     Rademacher(1.0),
@@ -498,6 +501,25 @@ def test_abs_tail_prob_matches_oracle(dist):
 # tilting
 # ---------------------------------------------------------------------------
 
+def _tilted_mean(dist, theta):
+    """The mean of ``dist`` tilted by ``theta``: ``a L(theta a)`` for
+    Uniform(a), with the Langevin function ``L``."""
+    if isinstance(dist, Uniform):
+        return dist.half_width * _langevin(theta * dist.half_width)
+    return dist.tilted_mean(theta)
+
+
+def _tilted_variance(dist, theta):
+    """The variance of ``dist`` tilted by ``theta``: ``a^2 L'(theta a)`` for
+    Uniform(a), and ``(a + b)^2 q (1 - q)`` for a two-point law on {a, -b},
+    with ``q`` its tilted mass of ``a`` from the exponentials themselves."""
+    if isinstance(dist, Uniform):
+        return dist.half_width**2 * _langevin_slope(theta * dist.half_width)
+    up = dist.p_plus * math.exp(theta * dist.a)
+    q = up / (up + (1.0 - dist.p_plus) * math.exp(-theta * dist.b))
+    return (dist.a + dist.b) ** 2 * q * (1.0 - q)
+
+
 def test_tilt_zero_is_identity():
     d = Rademacher(1.0)
     assert d.log_mgf(0.0) == 0.0
@@ -531,15 +553,15 @@ def test_uniform_log_mgf_value():
 def test_log_mgf_derivative_is_tilted_mean(dist, theta):
     h = 1e-5
     deriv = (dist.log_mgf(theta + h) - dist.log_mgf(theta - h)) / (2.0 * h)
-    assert deriv == pytest.approx(dist.tilted_mean(theta), abs=1e-6)
+    assert deriv == pytest.approx(_tilted_mean(dist, theta), abs=1e-6)
 
 
 @pytest.mark.parametrize("dist", BOUNDED, ids=BOUNDED_IDS)
 @pytest.mark.parametrize("theta", [0.0, 0.1, 0.5, 1.0, 2.0, -0.7])
 def test_tilted_mean_derivative_is_tilted_variance(dist, theta):
     h = 1e-5
-    deriv = (dist.tilted_mean(theta + h) - dist.tilted_mean(theta - h)) / (2.0 * h)
-    assert deriv == pytest.approx(dist.tilted_variance(theta), abs=1e-6)
+    deriv = (_tilted_mean(dist, theta + h) - _tilted_mean(dist, theta - h)) / (2.0 * h)
+    assert deriv == pytest.approx(_tilted_variance(dist, theta), abs=1e-6)
 
 
 def _uniform_tilt_exact(z):
@@ -560,20 +582,20 @@ def test_uniform_tilt_arithmetic_matches_50_digits_at_every_tilt():
     for z in zs.tolist():
         exact = _uniform_tilt_exact(z)
         for sign in (1.0, -1.0):
-            got = (dist.log_mgf(sign * z), sign * dist.tilted_mean(sign * z),
-                   dist.tilted_variance(sign * z))
+            got = (dist.log_mgf(sign * z), sign * _langevin(sign * z), _langevin_slope(sign * z))
             for value, want in zip(got, exact):
                 assert abs(value - want) <= 6e-16 * want, (z, sign, value, float(want))
 
 
 def test_uniform_tilt_arithmetic_at_zero_and_past_overflow():
     dist = Uniform(2.0)
-    assert (dist.log_mgf(0.0), dist.tilted_mean(0.0)) == (0.0, 0.0)
-    assert dist.tilted_variance(0.0) == pytest.approx(4.0 / 3.0, rel=1e-15)
-    # sinh overflows from z = 710 on; the variance is 1/theta^2 to the rounding
+    assert (dist.log_mgf(0.0), _langevin(0.0)) == (0.0, 0.0)
+    assert _langevin_slope(0.0) == pytest.approx(1.0 / 3.0, rel=1e-15)
+    # sinh overflows from z = 710 on; the slope is 1/z^2 to the rounding
     for theta in (400.0, 1e6, 1e150):
-        assert dist.tilted_variance(theta) == pytest.approx(1.0 / theta**2, rel=1e-15)
-        assert dist.tilted_mean(theta) == pytest.approx(2.0 - 1.0 / theta, rel=1e-15)
+        z = theta * dist.half_width
+        assert _langevin_slope(z) == pytest.approx(1.0 / z**2, rel=1e-15)
+        assert _langevin(z) == pytest.approx(1.0 - 1.0 / z, rel=1e-15)
 
 
 @pytest.mark.parametrize("theta", [354.0, 356.0, 1e6, 1e15])
@@ -591,14 +613,14 @@ def test_uniform_tilted_draws_past_the_overflow_of_expm1(theta):
     assert np.array_equal(draws[~where], untilted[~where])
     tilted = draws[where]
     # five standard errors, and the rounding of draws next to a = 1
-    bound = 5.0 * math.sqrt(dist.tilted_variance(theta) / tilted.size) + 4.0 * 2.0**-52
-    assert abs(float(np.mean(tilted)) - dist.tilted_mean(theta)) <= bound
+    bound = 5.0 * math.sqrt(_tilted_variance(dist, theta) / tilted.size) + 4.0 * 2.0**-52
+    assert abs(float(np.mean(tilted)) - _tilted_mean(dist, theta)) <= bound
 
 
 @pytest.mark.parametrize("dist", BOUNDED, ids=BOUNDED_IDS)
 def test_tilted_mean_strictly_increasing(dist):
     grid = np.linspace(-2.0, 2.0, 17)
-    means = [dist.tilted_mean(t) for t in grid]
+    means = [_tilted_mean(dist, t) for t in grid]
     assert all(b > a for a, b in zip(means, means[1:]))
 
 
@@ -610,7 +632,7 @@ def test_tilted_sampling_mean(dist):
     draws = np.asarray(dist.tilted_sample(theta, rng, n), dtype=float)
     spread = float(np.std(draws))
     assert float(np.mean(draws)) == pytest.approx(
-        dist.tilted_mean(theta), abs=5.0 * spread / math.sqrt(n)
+        _tilted_mean(dist, theta), abs=5.0 * spread / math.sqrt(n)
     )
 
 
@@ -630,10 +652,21 @@ def test_rademacher_is_the_symmetric_two_point_law(c):
     for theta in (0.3, 2.0):
         assert np.array_equal(rad.tilted_sample(theta, np.random.default_rng(8), 1000),
                               two.tilted_sample(theta, np.random.default_rng(8), 1000))
-        # Rademacher keeps its log-cosh and tanh forms; near theta*c = 0 both
-        # forms cancel, so they agree to rounding at the scale of their terms
+        # Rademacher is the two-point arithmetic, its log_mgf included
         assert abs(rad.log_mgf(theta) - two.log_mgf(theta)) <= 1e-15 * max(1.0, theta * c)
         assert abs(rad.tilted_mean(theta) - two.tilted_mean(theta)) <= 1e-15 * c
+
+
+def test_rademacher_log_mgf_matches_50_digit_log_cosh():
+    # the two-point log_mgf serves Rademacher's weights: relative to the
+    # larger of 1 and log cosh(theta c), it was within 1.6e-16 on this grid,
+    # where the log1p(exp(-2z)) form of log cosh it replaced was 2.1e-16 off
+    for c in (1e-3, 0.3, 1.0, 7.0):
+        dist = Rademacher(c)
+        for theta in np.geomspace(1e-8, 30.0, 400).tolist():
+            with mp.workdps(50):
+                want = mp.log(mp.cosh(mp.mpf(theta * c)))
+            assert abs(dist.log_mgf(theta) - want) <= 2e-16 * max(1, want), (c, theta)
 
 
 @pytest.mark.parametrize("dist", [TwoPoint(2.0, 1.0), Rademacher(0.3), TwoPoint(0.5, 4.0)],
@@ -677,10 +710,9 @@ def test_two_point_draws_are_raw_words_below_the_threshold():
                               np.where(words < threshold, 2.0, -1.0))
 
 
-@pytest.mark.parametrize("dist", [Uniform(1.5), TwoPoint(2.0, 1.0), Rademacher(0.3)],
-                         ids=["uniform", "twopoint", "rademacher"])
+@pytest.mark.parametrize("dist", [Uniform(1.5)], ids=["uniform"])
 def test_tilted_draw_takes_the_tilt_only_where_asked(dist):
-    # the draws off the mask are untilted draws from the same random words
+    # the draws off the mask are untilted draws from the same doubles
     size, theta = 1000, 0.8
     where = np.arange(size) % 3 != 0
     got = dist.tilted_sample(theta, np.random.default_rng(12), size, where)
@@ -693,15 +725,13 @@ def test_tilted_draw_takes_the_tilt_only_where_asked(dist):
 
 @pytest.mark.parametrize("dist", [CenteredExponential(1.0), StudentT(5.0)])
 def test_tilt_unbounded_raises(dist):
-    with pytest.raises(TiltUnsupportedError):
-        dist.log_mgf(0.5)
-    with pytest.raises(TiltUnsupportedError):
-        dist.tilted_mean(0.5)
-    with pytest.raises(TiltUnsupportedError):
-        dist.tilted_variance(0.5)
-    with pytest.raises(TiltUnsupportedError):
-        dist.tilted_sample(0.5, np.random.default_rng(0), 4)
-
+    # a law of unbounded support has no tilt arithmetic, and the tilt solve
+    # refuses it up front, pointing at naive Monte Carlo
+    for name in ("log_mgf", "tilted_mean", "tilted_variance", "tilted_sample"):
+        assert not hasattr(dist, name), name
+    for n, x in ((1, 0.0), (16, 0.5), (1000, 3.0)):
+        with pytest.raises(TiltUnsupportedError, match="naive"):
+            choose_tilt(SequenceSpec(dist, n), x)
 
 # ---------------------------------------------------------------------------
 # construction and literals

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from mdlab import CenteredExponential, Rademacher, SequenceSpec, StudentT, TwoPoint, Uniform, mc, oracle
+from mdlab.distributions import _langevin
 from mdlab.errors import BudgetExceededError, ConfigError, InfeasibleError, TiltUnsupportedError
 from mdlab.mc import (CHUNK_SIZE, PATH_STEP_BUDGET, STREAM_VERSION, _check_path_steps, _run_chunk,
                       _switched_tilt, choose_tilt, merge, simulate)
@@ -95,9 +96,9 @@ def test_worker_count_does_not_change_bits():
         (SequenceSpec(TwoPoint(2.0, 1.0), 64), 2.0, 5, "0x1.5376ab421717bp-3",
          ["0x1.edd53c70f2edbp-6", "0x1.319c14d1c6c50p-13",
           "0x1.130b610cd5694p-6", "0x1.0552ebfe15a91p-13"]),
-        (SequenceSpec(Uniform(1.0), 50), 1.5, 31, "0x1.7bad2b8e1c756p-2",
-         ["0x1.dc9c557dccc2dp-4", "0x1.e2f54b036c5a5p-12",
-          "0x1.124c8d4676aa3p-4", "0x1.88ca285c197b2p-12"]),
+        (SequenceSpec(Uniform(1.0), 50), 1.5, 31, "0x1.7bad2b8e1c757p-2",
+         ["0x1.dc9c557dccc17p-4", "0x1.e2f54b036c58dp-12",
+          "0x1.124c8d4676a98p-4", "0x1.88ca285c1979dp-12"]),
     ],
     ids=["twopoint_iid", "uniform_iid"],
 )
@@ -159,7 +160,7 @@ def test_merge_rejects_mismatches_and_duplicates():
 def test_merge_refuses_estimates_of_another_stream_version():
     seq = SequenceSpec(Rademacher(1.0), 16)
     est = simulate(seq, 1.0, 2000, seed=1)[0]
-    assert est.quantity[-1] == STREAM_VERSION == 7
+    assert est.quantity[-1] == STREAM_VERSION == 8
     # the same law, n and x drawn by the version-1 to -5 streams
     for version in (1, 2, 3, 4, 5):
         older = dataclasses.replace(est, quantity=est.quantity[:-1] + (version,),
@@ -257,20 +258,18 @@ def test_choose_tilt_uniform_by_root_finding():
     seq = SequenceSpec(dist, 100)
     x = 0.3 * math.sqrt(100)  # per-step drift target 0.3
     theta = choose_tilt(seq, x)
-    assert dist.tilted_mean(theta) == pytest.approx(0.3, abs=1e-10)
+    assert dist.half_width * _langevin(theta * dist.half_width) == pytest.approx(0.3, abs=1e-10)
     assert theta > 0.0
 
 
 def _newton_steps(monkeypatch, seq, x):
     """``(theta, Newton steps)`` of one tilt solve: each step reads the
-    slope, one ``tilted_variance``."""
+    slope, one ``_langevin_slope``."""
     calls = []
-    law = type(seq.dist)
-    variance = law.tilted_variance
-    monkeypatch.setattr(law, "tilted_variance",
-                        lambda self, t: calls.append(t) or variance(self, t))
+    slope = mc._langevin_slope
+    monkeypatch.setattr(mc, "_langevin_slope", lambda z: calls.append(z) or slope(z))
     theta = choose_tilt(seq, x)
-    monkeypatch.setattr(law, "tilted_variance", variance)
+    monkeypatch.setattr(mc, "_langevin_slope", slope)
     return theta, len(calls)
 
 
@@ -297,8 +296,9 @@ def test_newton_tilt_of_iid_uniform_matches_the_exact_root(monkeypatch):
 
 
 @pytest.mark.parametrize("seq", [SequenceSpec(Uniform(1.0), 30), SequenceSpec(Uniform(1.0), 1),
-                                 SequenceSpec(Uniform(1e3), 30), SequenceSpec(Uniform(1.0), 1000)],
-                         ids=["uniform_iid", "one_step", "wide", "long"])
+                                 SequenceSpec(Uniform(1e3), 30), SequenceSpec(Uniform(1.0), 1000),
+                                 SequenceSpec(Uniform(1e-3), 30)],
+                         ids=["uniform_iid", "one_step", "wide", "long", "narrow"])
 def test_newton_tilt_answers_next_to_the_hull(monkeypatch, seq):
     # Brent's method refused Uniform from 1e-9 below the hull on ("failed to
     # bracket"); every target below it now has a tilt that passes the 1e-10
@@ -313,6 +313,47 @@ def test_newton_tilt_answers_next_to_the_hull(monkeypatch, seq):
         for est in simulate(seq, x, 1000, method="tilted"):
             assert math.isfinite(est.p_hat) and math.isfinite(est.stderr)
     assert all(0.0 < a < b < math.inf for a, b in zip(thetas, thetas[1:]))
+
+
+def test_uniform_tilt_is_scale_free(monkeypatch):
+    # z = theta a solves L(z) = x / sqrt(3 n) whatever a is: theta a is the
+    # same to the bit where dividing by a is exact, and the root z itself is
+    # the same at every a; 1e-9 below the hull the solve in theta took 200
+    # steps on Uniform(1e-3), and its theta a differed by 6e-8 relative
+    # between a = 1e-3 and a = 1
+    roots = []
+    solve = mc._langevin_root
+    monkeypatch.setattr(mc, "_langevin_root", lambda y: roots.append(solve(y)) or roots[-1])
+    for n in (1, 30, 10**4):
+        hull_x = math.sqrt(3.0 * n)
+        for x in (0.5, 1.0, 0.5 * hull_x, hull_x * (1.0 - 1e-9)):
+            def scaled(widths):
+                return [choose_tilt(SequenceSpec(Uniform(a), n), x) * a for a in widths]
+
+            assert len(set(scaled((2.0**-10, 1.0, 2.0**10)))) == 1, (n, x)
+            del roots[:]
+            near = scaled((1e-3, 0.1, 1e3))
+            assert len(set(roots)) == 1, (n, x, roots)
+            # theta a is z / a * a, two roundings off z
+            assert all(abs(t - roots[0]) <= 2.0**-51 * roots[0] for t in near), (n, x, near)
+
+
+@pytest.mark.parametrize("dist, solver", [(Uniform(1e-12), "_langevin_root"),
+                                          (TwoPoint(1e-12, 2e-12), "_two_point_tilt")],
+                         ids=["uniform", "two_point"])
+@pytest.mark.parametrize("scale", [2.0**-30, 1.0, 2.0**30])
+def test_a_root_off_by_1e_6_is_refused_at_every_scale(monkeypatch, dist, solver, scale):
+    # the targets here are about 2e-11 and 4e-11 for scale 1, where an
+    # absolute 1e-10 residual bound passed theta = 0; the check is relative
+    # to the target in the law's own units, so scaling the law by a power of
+    # two keeps its verdict
+    fields = {k: v * scale for k, v in dataclasses.asdict(dist).items()}
+    seq = SequenceSpec(type(dist)(**fields), 100)
+    assert choose_tilt(seq, 3.0) > 0.0
+    solve = getattr(mc, solver)
+    monkeypatch.setattr(mc, solver, lambda *args: solve(*args) * (1.0 + 1e-6))
+    with pytest.raises(InfeasibleError, match="residual"):
+        choose_tilt(seq, 3.0)
 
 
 def _exact_drift(dist, n, theta):
