@@ -6,8 +6,11 @@ module provides three services the rest of the package is built on:
 * deterministic sampling through a caller-owned ``numpy.random.Generator``,
 * raw and truncated absolute moments ``E|X|^p 1{|X| <= c}`` (side
   ``"below"``) and ``E|X|^p 1{|X| > c}`` (side ``"above"``) and the tail
-  ``P(|X| >= t)``, all in closed form (special functions for the
-  unbounded families) and evaluated elementwise over arrays of levels,
+  ``P(|X| >= t)``, all in closed form and evaluated elementwise over
+  arrays of levels; the unbounded families take theirs from the special
+  functions of :mod:`mdlab.special`, ``math`` and numpy only, whose value
+  at a level has the same bits alone or in an array and at every SIMD
+  level numpy dispatches to,
 * exponential tilting ``dP_t ~ exp(theta*x) dP`` of the bounded laws
   (two-point and Uniform), which is what makes rare-event importance
   sampling possible; :func:`mdlab.mc.choose_tilt` solves their tilts.
@@ -50,9 +53,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, InfeasibleError, InfiniteMomentError, check_finite
-
-# scipy.special is imported inside the methods that call it: loading it is
-# about half of a cold start, and sampling and tilting never need it
+from .special import hyp1f1_unit, incomplete_beta, incomplete_gamma, power
 
 __all__ = [
     "STREAM_VERSION",
@@ -370,45 +371,34 @@ class CenteredExponential(Distribution):
         return 1.0 / self.rate
 
     def variance(self) -> float:
-        # 1 / rate^2 within half an ulp; E X^2 through abs_moment's special
-        # functions is up to 2.4 ulps off
+        # 1 / rate^2 within half an ulp, and abs_moment(2)'s bits: its moment
+        # in units of 1/rate rounds to 1
         return self.rate**-2.0
 
     def abs_moment(self, p: float) -> float:
         return self.truncated_abs_moment(p, math.inf, "below")
 
-    def _negative_part(self, p, a):
-        """E|X|^p 1{-a <= X < 0} for 0 <= a <= 1/rate, from the density
-        rate * e^-1 * e^(-rate*x) on the negative half-line; rate * a^(p+1) is
-        formed as (rate*a)^(p+1) * (1/rate)^p, so no factor exceeds the value."""
-        from scipy import special
-
-        lam = self.rate
-        return (
-            math.exp(-1.0) * (lam * a) ** (p + 1.0) * self.shift**p / (p + 1.0)
-            * special.hyp1f1(p + 1.0, p + 2.0, lam * a)
-        )
-
     def _truncated(self, p, c, side):
-        from scipy import special
-
-        lam, mu = self.rate, self.shift
-        # E X^p 1{X > 0} = e^-1 rate^-p Gamma(p+1), cut at c by the
-        # regularized incomplete gamma function
-        positive = math.exp(-1.0) * lam**-p * math.gamma(p + 1.0)
-        # E|X|^p 1{X < 0} once, on a one-element array so that it runs the
-        # numpy loops of the per-level values; E|X|^p 1{-c <= X < 0} is that
-        # constant from c = 1/rate on and is evaluated only at the other
-        # levels (NaN ones among them)
-        whole = self._negative_part(p, np.full(1, mu))[0]
-        part = np.full_like(c, whole)
-        inside = ~(c >= mu)
-        part[inside] = self._negative_part(p, c[inside])
+        # in units of 1/rate, X is E - 1 for a standard exponential E; with
+        # z = rate * c, the parts of E|E - 1|^p on either side of E = 1 are
+        #   below it, e^-1 N(min(z, 1)), N(z) = int_0^z y^p e^y dy, and
+        #   above it, e^-1 Gamma(p+1) P(p+1, z), P the regularized incomplete gamma function
+        z = self.rate * c
+        # N(1) and N(z) at the levels below z = 1 (NaN ones among them) in one
+        # call, which runs the same numpy loops for each; N(min(z, 1)) is
+        # N(1) from z = 1 on
+        inside = ~(z >= 1.0)
+        whole, *below_one = _rising_moment(p, np.append(1.0, z[inside]))
+        part = np.full_like(z, whole)
+        part[inside] = below_one
+        below, above = incomplete_gamma(p + 1.0, z)
         if side == "below":
-            return part + positive * special.gammainc(p + 1.0, lam * c)
-        # the negative difference first: the positive tail may be tiny; it is
-        # exactly 0 once c >= 1/rate
-        return (whole - part) + positive * special.gammaincc(p + 1.0, lam * c)
+            units = part + math.gamma(p + 1.0) * below
+        else:
+            # the negative difference first: the positive tail may be tiny;
+            # it is exactly 0 once z >= 1
+            units = (whole - part) + math.gamma(p + 1.0) * above
+        return self.rate**-p * (math.exp(-1.0) * units)
 
     def _tail(self, t):
         lam, mu = self.rate, self.shift
@@ -422,6 +412,12 @@ class CenteredExponential(Distribution):
         return rng.standard_exponential(size) * self.shift - self.shift
 
 
+def _rising_moment(p, z):
+    """``int_0^z y^p e^y dy = z^(p+1) 1F1(p+1; p+2; z) / (p+1)`` for levels
+    ``0 <= z <= 1``."""
+    return power(z, p + 1.0) * hyp1f1_unit(p + 1.0, z) / (p + 1.0)
+
+
 @dataclass(frozen=True)
 class StudentT(Distribution):
     """Student t with nu > 3 degrees of freedom, unit scale parameter.
@@ -429,9 +425,11 @@ class StudentT(Distribution):
     E|X|^p is finite exactly for p < nu; raw moments use the gamma-function
     identity. With u = c^2/(nu+c^2), a = (p+1)/2 and b = (nu-p)/2,
     E|X|^p 1{|X| <= c} = E|X|^p * I_u(a, b), the regularized incomplete
-    beta function, evaluated on the smaller of u and 1-u so that neither
-    side loses digits to cancellation. Truncated moments, like the raw
-    one, refuse orders p >= nu on either side.
+    beta function, and the moment above c is E|X|^p * (1 - I_u(a, b)); u
+    and 1 - u are each formed directly, and each of I and 1 - I where it
+    does not cancel, so neither side loses digits. The two-sided tail is
+    P(|X| >= t) = I_(1-u)(nu/2, 1/2) at u = t^2/(nu+t^2). Truncated
+    moments, like the raw one, refuse orders p >= nu on either side.
 
     Draws use Bailey's polar method (Bailey 1994, *Math. Comp.* 62,
     779-781), exact for every nu: for ``(U, V)`` uniform on the unit disk
@@ -468,31 +466,22 @@ class StudentT(Distribution):
         return nu ** (p / 2.0) * math.exp(loggamma)
 
     def _truncated(self, p, c, side):
-        from scipy import special
-
-        nu = self.nu
         total = self.abs_moment(p)  # raises for p >= nu, where I_u(a, b) has b <= 0
-        a, b = (p + 1.0) / 2.0, (nu - p) / 2.0
-        # u and v = 1 - u without overflow; an infinite level acts as the
-        # largest finite one, where v underflows to 0
-        c = np.minimum(c, np.finfo(float).max)
-        h = np.hypot(c, math.sqrt(nu))
-        u, v = (c / h) ** 2, (math.sqrt(nu) / h) ** 2
-        # each level evaluates only the branch it reads: the other one's
-        # incomplete beta, at the larger of u and v, is the slow one
-        near, far = ((special.betainc, special.betaincc) if side == "below"
-                     else (special.betaincc, special.betainc))
-        small = u <= v
-        frac = np.empty_like(u)
-        frac[small] = near(a, b, u[small])
-        frac[~small] = far(b, a, v[~small])
-        return total * frac
+        below, above = incomplete_beta((p + 1.0) / 2.0, (self.nu - p) / 2.0, *self._split(c))
+        return total * (below if side == "below" else above)
 
     def _tail(self, t):
-        from scipy import special
+        # P(|X| >= t) = 2 F(-t) = I_v(nu/2, 1/2)
+        u, v = self._split(t)
+        return np.where(t > 0.0, incomplete_beta(self.nu / 2.0, 0.5, v, u)[0], 1.0)
 
-        # two-sided tail from the t CDF, P(|X| >= t) = 2 F(-t)
-        return np.where(t > 0.0, 2.0 * special.stdtr(self.nu, -t), 1.0)
+    def _split(self, c):
+        """``(u, v)`` with ``u = c^2 / (nu + c^2)`` and ``v = 1 - u``, each
+        formed without overflow or cancellation; an infinite level acts as
+        the largest finite one, where v underflows to 0."""
+        c = np.minimum(c, sys.float_info.max)
+        h = np.hypot(c, math.sqrt(self.nu))
+        return (c / h) ** 2, (math.sqrt(self.nu) / h) ** 2
 
     def sample(self, rng, size=None):
         # the polar method of the class docstring

@@ -9,7 +9,10 @@ one row per (n, x), preferring exact oracles and falling back to Monte
 Carlo when an instance exceeds the oracle budgets. Rows are appended to
 the CSV in row-index order as they complete, with floats serialized at 17
 significant digits, so a rerun with the same config and seed reproduces
-the file byte for byte and an interrupted sweep resumes cleanly.
+the file byte for byte and an interrupted sweep resumes cleanly. A
+manifest next to the CSV records the config, the Monte Carlo stream
+version and the Python and numpy versions the bytes depend on; no output
+depends on scipy.
 
 The per-row ``probe`` column reports the normalized third-moment error
 ``(ratio_max - 2) * (E X^2)^(3/2) / ((1 + x^3) E|X|^3)``; values are
@@ -366,12 +369,9 @@ def _read_completed(csv_path: str) -> tuple[list[str], int]:
 
 def _library_versions() -> dict:
     """The versions a sweep's bytes depend on besides ``STREAM_VERSION``:
-    numpy's bit generators and samplers, scipy's special functions, and
-    the Python that runs them."""
-    import scipy
-
-    return {"python": ".".join(map(str, sys.version_info[:3])), "numpy": np.__version__,
-            "scipy": scipy.__version__}
+    numpy's bit generators and samplers, and the Python whose libm
+    evaluates the special functions."""
+    return {"python": ".".join(map(str, sys.version_info[:3])), "numpy": np.__version__}
 
 
 def _warn_on_other_versions(manifest: dict, path: str):
@@ -447,8 +447,8 @@ def run_sweep(
     whose manifest recorded another config (after normalizing both), whose
     rows do not match the config's jobs, or whose Monte Carlo rows
     come from another stream version than this one, is refused untouched.
-    A resume whose manifest recorded other Python, numpy or scipy
-    versions than the running ones says so in one stderr line.
+    A resume whose manifest recorded other Python or numpy versions than
+    the running ones says so in one stderr line.
     """
     workers = cfg.workers if workers is None else workers
     if workers < 1:

@@ -30,6 +30,7 @@ Results are scale free: the events only involve ``S_k / V_n``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -394,7 +395,7 @@ def _first_passages(h, steps, last, m, p, skip_up, fact):
     ups, are free. With ``c`` skip steps among the first ``i``, ``i = h +
     (p + 1) c``, and ``j = c`` if the skip steps are the ups, else ``h + p
     c``. All terms are positive, so nothing cancels. ``fact`` is
-    :func:`_scaled_factorials` of ``n``.
+    :func:`_scaled_factorials` up to ``n``.
     """
     n = len(fact) - 1
     c = np.arange(max(int(np.max(last - h, initial=-1)), -1) // (p + 1) + 1)
@@ -410,16 +411,16 @@ def _first_passages(h, steps, last, m, p, skip_up, fact):
     return np.bincount(row, weights=terms, minlength=len(h))
 
 
-def _scaled_factorials(n: int) -> np.ndarray:
-    """``k! / 2^(7k)`` for ``k = 0..n``, ``n <= 255``: each exact integer
-    rounded once, and within [2^-180, 1], so no ratio of factorials in
+@functools.cache
+def _scaled_factorials() -> np.ndarray:
+    """``k! / 2^(7k)`` for ``k = 0..255``, the ``n`` of every
+    :func:`hitting_time` row, built once: each exact integer rounded once,
+    and within [2^-180, 1], so no ratio of factorials in
     :func:`_first_passages` leaves the normal range; the powers of 2 cancel
     in each binomial coefficient, and small ones come out exact."""
-    fact, scaled = 1, [1.0]
-    for k in range(1, n + 1):
-        fact *= k
-        scaled.append(fact / (1 << 7 * k))
-    return np.array(scaled)
+    table = np.array([math.factorial(k) / (1 << 7 * k) for k in range(256)])
+    table.flags.writeable = False
+    return table
 
 
 def hitting_time(n: int, x: float, a: float, b: float) -> ExactResult:
@@ -458,7 +459,7 @@ def hitting_time(n: int, x: float, a: float, b: float) -> ExactResult:
     # the barrier in units; past the top of the walk (an inf one too) it is never hit
     with np.errstate(over="ignore"):
         level = np.ceil(np.minimum(cut / min(a, b), up * n + 1.0)).astype(np.int64)
-    fact = _scaled_factorials(n)
+    fact = _scaled_factorials()[:n + 1]
     if skip_up:
         short = level - (up * m - down * (n - m))  # how far S_n ends below the barrier
         below = short > 0

@@ -621,8 +621,7 @@ def test_module_invocation_subprocess():
 
 
 def test_cli_import_loads_neither_quadrature_nor_stats():
-    # nor any other scipy module: scipy.special is loaded by the functions
-    # that evaluate it, and scipy by the manifest's version record
+    # nor any other scipy module: no command loads one
     probe = ("import json, sys, mdlab.cli; "
              "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'scipy']))")
     assert _fresh_interpreter(probe) == []
@@ -649,7 +648,7 @@ def test_cli_import_leaves_out_the_root_finder():
 
 
 # runs each (name, argv) of argv[1] through cli.main in one interpreter and
-# reports {name: [exit code, the watched modules loaded after it]}
+# reports {name: [exit code, the scipy modules loaded after it]}
 _COMMANDS_PROBE = """
 import contextlib, io, json, sys
 from mdlab.cli import main
@@ -657,7 +656,7 @@ seen = {}
 for name, argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
-    seen[name] = [code, [m for m in ("scipy.optimize", "scipy.special") if m in sys.modules]]
+    seen[name] = [code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]
 print(json.dumps(seen))
 """
 
@@ -726,10 +725,9 @@ def _simulate(dist, method, x, n=16, samples=1 << 12):
             "--samples", str(samples), "--method", method, "--workers", "2"]
 
 
-def test_which_commands_load_scipy_special(tmp_path):
-    # moving a command from one list to the other is a change of its start-up
-    # cost: loading scipy.special is about half of a cold start
-    never = [
+def _every_command(tmp_path):
+    """(name, argv) of commands of every kind, with the configs their sweeps read in ``tmp_path``."""
+    return [
         # the benchmark's simulate_mc commands, at its tiny size
         ("simulate_rademacher_tilted", _simulate({"family": "rademacher", "scale": 1.0}, "tilted", 2.5)),
         ("simulate_twopoint_tilted", _simulate(_TWOPOINT, "tilted", 2.5)),
@@ -739,11 +737,18 @@ def test_which_commands_load_scipy_special(tmp_path):
         ("simulate_student_t_naive", _simulate({"family": "student_t", "nu": 5.0}, "naive", 1.5)),
         ("simulate_uniform_tilted", _simulate({"family": "uniform"}, "tilted", 1.0, n=8, samples=1000)),
         ("simulate_twopoint_naive", _simulate(_TWOPOINT, "naive", 1.0, n=8, samples=1000)),
+        # the special functions of the heavy-tailed laws are math and numpy only
         *((f"theory_{family}", ["theory", "--dist", json.dumps(dist), "--n", "50", "--x", "1.5"])
           for family, dist in (("uniform", {"family": "uniform"}), ("twopoint", _TWOPOINT),
-                               ("rademacher", {"family": "rademacher"}))),
+                               ("rademacher", {"family": "rademacher"}),
+                               ("student_t", {"family": "student_t"}),
+                               ("exponential", {"family": "centered_exponential"}))),
+        ("theory_student_t_scales", ["theory", "--dist", "student_t", "--n", str(len(_SCALES)),
+                                     "--x", "1.2", "--scales", "scales.json"]),
         ("sweep_uniform_mc", _sweep_config(tmp_path / "uniform.json", dist={"family": "uniform"},
                                            output="u.csv", engine="mc", mc_samples=1000)),
+        ("sweep_student_t_mc", _sweep_config(tmp_path / "student_t.json", dist={"family": "student_t"},
+                                             output="t.csv", engine="mc", mc_samples=1000)),
         # the exact engines: the Rademacher tail and the two-point pmf are math-only
         ("enumerate_rademacher", ["enumerate", "--dist", "rademacher", "--n", "30", "--x", "1"]),
         ("enumerate_twopoint", ["enumerate", "--dist", json.dumps(_TWOPOINT), "--n", "8", "--x", "1"]),
@@ -753,13 +758,20 @@ def test_which_commands_load_scipy_special(tmp_path):
             tmp_path / "rademacher.json", dist={"family": "rademacher"}, output="r.csv",
             n_grid=[64, 256, 1024, 4096, 16384], x_values=[0.0, 1.5, 9.0])),
     ]
-    seen = _fresh_interpreter(_COMMANDS_PROBE, json.dumps(never), cwd=tmp_path)
-    assert _loads(seen, "scipy.special") == {name: [0, False] for name, _ in never}
-    # each in a fresh interpreter, so that none rides on another's import
-    loads = [
-        ("theory_student_t", ["theory", "--dist", "student_t", "--n", "50", "--x", "1.5"]),
-        ("theory_exponential", ["theory", "--dist", "centered_exponential", "--n", "50", "--x", "1.5"]),
-    ]
-    for name, argv in loads:
-        seen = _fresh_interpreter(_COMMANDS_PROBE, json.dumps([(name, argv)]), cwd=tmp_path)
-        assert _loads(seen, "scipy.special") == {name: [0, True]}
+
+
+def test_which_commands_load_scipy_special(tmp_path):
+    # none: loading scipy.special was about half of a cold start
+    (tmp_path / "scales.json").write_text(json.dumps(_SCALES))
+    commands = _every_command(tmp_path)
+    seen = _fresh_interpreter(_COMMANDS_PROBE, json.dumps(commands), cwd=tmp_path)
+    assert _loads(seen, "scipy.special") == {name: [0, False] for name, _ in commands}
+
+
+def test_no_command_loads_scipy(tmp_path):
+    # nor any other scipy module: the sweeps write a manifest, which recorded
+    # scipy's version once
+    (tmp_path / "scales.json").write_text(json.dumps(_SCALES))
+    commands = _every_command(tmp_path)
+    seen = _fresh_interpreter(_COMMANDS_PROBE, json.dumps(commands), cwd=tmp_path)
+    assert seen == {name: [0, []] for name, _ in commands}

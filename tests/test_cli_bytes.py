@@ -11,12 +11,22 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
+import subprocess
+import sys
 import tempfile
 
+import numpy as np
 import pytest
 
+import mdlab
 from mdlab.cli import main
+
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 _TWOPOINT = '{"family": "twopoint", "a": 2.0, "b": 1.0}'
 _SKEWED = '{"family": "twopoint", "a": 1.5, "b": 0.8}'
@@ -82,7 +92,7 @@ DIGESTS = {
     "theory_rademacher": "3c09455076a77da2db4cb8b0083bc60ab2eae700a1aea402b3efc72495ca9092",
     "theory_twopoint": "35ecc216981583a5a062590229557177cda08890c30cad9ff9145975a961e143",
     "theory_uniform": "f6385ab664a75dbc49731a6baf90cfeeb802ce6c2c305fea2726d7c298ba9f53",
-    "theory_exponential": "7084163534ef9ddb0adf01030f8482e57f43aca83d39881ba60609a9bbbe6d01",
+    "theory_exponential": "033f0fa3f7edfb3e85748572070383898b8f4f505a7ce9945e91206c0329f1ab",
     "theory_student_t": "7e313a39f624bdf60489458c48c71d99c5b7fd523a255ca399a17f87dd6e9f6c",
     "theory_scales": "e9adad34e88102a2cd23c2b036616267c972af02ff442056df1ca235c6153175",
     "theory_rademacher_scales": "b37f0b55283b062ab1e9f63680fa05512e7b39ecc956a0620e8c35e374f43ce8",
@@ -151,6 +161,70 @@ def run_probe(name: str, workdir: str) -> dict:
 def test_cli_output_bytes_are_pinned(name, tmp_path):
     got = run_probe(name, str(tmp_path))
     assert got == {k: DIGESTS[k] for k in got}
+
+
+def moment_digest() -> str:
+    """sha256 of the heavy-tailed laws' truncated moments and of the normal
+    tail on dense grids of levels: every level's bits, where the probes'
+    sums and rounding to 17 digits hide most of them."""
+    from mdlab import CenteredExponential, StudentT
+    from mdlab.theory import normal_tail
+
+    # from Python's pow, not np.logspace, whose np.power is one of the loops that differ
+    levels = np.array([10.0 ** (k / 200.0) for k in range(-1200, 1201)] + [0.0, math.inf])
+    sha = hashlib.sha256()
+    for dist in (StudentT(3.5), StudentT(5.0), StudentT(30.0),
+                 CenteredExponential(0.3), CenteredExponential(1.0), CenteredExponential(2.5)):
+        for p in (2.0, 2.5, 3.0):
+            for side in ("below", "above"):
+                sha.update(dist.truncated_abs_moment(p, levels, side).tobytes())
+    sha.update(np.array([normal_tail(x) for x in np.linspace(0.0, 40.0, 4001).tolist()]).tobytes())
+    return sha.hexdigest()
+
+
+# prints the digests of the probes named in argv[2], run with argv[1] as the
+# current directory, and that of moment_digest
+_FRESH_PROBES = """
+import json, sys
+import test_cli_bytes
+digests = {key: digest for name in json.loads(sys.argv[2])
+           for key, digest in test_cli_bytes.run_probe(name, sys.argv[1]).items()}
+print(json.dumps({**digests, "moments": test_cli_bytes.moment_digest()}))
+"""
+_TARGETS = ["default", *__cpu_dispatch__]
+
+
+def _fresh_digests(target, workdir, names=()):
+    """:data:`_FRESH_PROBES` in a fresh interpreter whose numpy runs the loops
+    of the level below ``target``, with it and every target above it
+    disabled; skipped where the CPU lacks ``target``."""
+    env = {key: value for key, value in os.environ.items() if key != "NPY_DISABLE_CPU_FEATURES"}
+    if target != "default":
+        if not __cpu_features__.get(target):
+            pytest.skip(f"this CPU lacks {target}")
+        env["NPY_DISABLE_CPU_FEATURES"] = " ".join(__cpu_dispatch__[__cpu_dispatch__.index(target):])
+    src = os.path.dirname(os.path.dirname(mdlab.__file__))
+    env["PYTHONPATH"] = os.pathsep.join([src, os.path.dirname(__file__), env.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", _FRESH_PROBES, str(workdir), json.dumps(list(names))],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("target", _TARGETS)
+def test_theory_bytes_at_every_numpy_dispatch_level(target, tmp_path):
+    # numpy's log, exp and power round differently at different levels; the
+    # special functions take theirs from libm
+    names = sorted(name for name in PROBES if name.startswith("theory"))
+    got = _fresh_digests(target, tmp_path, names)
+    assert {name: got[name] for name in names} == {name: DIGESTS[name] for name in names}
+
+
+@pytest.mark.parametrize("target", _TARGETS)
+def test_special_function_bits_at_every_numpy_dispatch_level(target, tmp_path):
+    # every level's bits, against this process's, where the probes above
+    # see few of them
+    assert _fresh_digests(target, tmp_path)["moments"] == moment_digest()
 
 
 if __name__ == "__main__":

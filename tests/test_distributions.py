@@ -22,7 +22,8 @@ from mdlab import (
     Uniform,
     from_literal,
 )
-from mdlab.distributions import _langevin, _langevin_slope
+from mdlab import special
+from mdlab.distributions import _langevin, _langevin_slope, _rising_moment
 from mdlab.errors import ConfigError, InfeasibleError, InfiniteMomentError, TiltUnsupportedError
 from mdlab.mc import choose_tilt
 
@@ -379,34 +380,29 @@ def test_array_levels_equal_scalar_calls(dist, side):
 
 
 def _every_branch_truncated(dist, p, c, side):
-    """StudentT and CenteredExponential truncated moments with every special
-    function evaluated at every level, both branches kept and picked per
-    level afterwards."""
-    from scipy import special
-
-    if isinstance(dist, StudentT):
-        nu = dist.nu
-        a, b = (p + 1.0) / 2.0, (nu - p) / 2.0
-        c = np.minimum(c, np.finfo(float).max)
-        h = np.hypot(c, math.sqrt(nu))
-        u, v = (c / h) ** 2, (math.sqrt(nu) / h) ** 2
-        if side == "below":
-            frac = np.where(u <= v, special.betainc(a, b, u), special.betaincc(b, a, v))
-        else:
-            frac = np.where(u <= v, special.betaincc(a, b, u), special.betainc(b, a, v))
-        return dist.abs_moment(p) * frac
-    lam, mu = dist.rate, dist.shift
-
-    def negative_part(a):
-        return (math.exp(-1.0) * (lam * a) ** (p + 1.0) * mu**p / (p + 1.0)
-                * special.hyp1f1(p + 1.0, p + 2.0, lam * a))
-
-    positive = math.exp(-1.0) * lam**-p * math.gamma(p + 1.0)
-    cut = np.minimum(c, mu)
+    """StudentT and CenteredExponential truncated moments with both sides of
+    every special function of :mod:`mdlab.special` evaluated at every level,
+    each picked per level afterwards."""
+    with np.errstate(all="ignore"):  # each side away from where it converges
+        if isinstance(dist, StudentT):
+            a, b = (p + 1.0) / 2.0, (dist.nu - p) / 2.0
+            u, v = dist._split(c)
+            lower = u < (a + 1.0) / (a + b + 2.0)
+            i, j = special._beta_side(a, b, u, v), special._beta_side(b, a, v, u)
+            below, above = np.where(lower, i, 1.0 - j), np.where(lower, 1.0 - i, j)
+            return dist.abs_moment(p) * (below if side == "below" else above)
+        z = dist.rate * c
+        y = np.minimum(z, sys.float_info.max)
+        series = y < p + 2.0
+        lower, upper = special._gamma_series(p + 1.0, y), special._gamma_side(p + 1.0, y)
+        below, above = np.where(series, lower, 1.0 - upper), np.where(series, 1.0 - lower, upper)
+    whole = _rising_moment(p, np.ones(1))[0]
+    part = np.where(z >= 1.0, whole, _rising_moment(p, np.minimum(z, 1.0)))
     if side == "below":
-        return negative_part(cut) + positive * special.gammainc(p + 1.0, lam * c)
-    negative = negative_part(np.full_like(cut, mu)) - negative_part(cut)
-    return negative + positive * special.gammaincc(p + 1.0, lam * c)
+        units = part + math.gamma(p + 1.0) * below
+    else:
+        units = (whole - part) + math.gamma(p + 1.0) * above
+    return dist.rate**-p * (math.exp(-1.0) * units)
 
 
 @pytest.mark.parametrize(

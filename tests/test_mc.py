@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from mdlab import CenteredExponential, Rademacher, SequenceSpec, StudentT, TwoPoint, Uniform, mc, oracle
-from mdlab.distributions import _langevin
+from mdlab.distributions import _langevin, _langevin_slope
 from mdlab.errors import BudgetExceededError, ConfigError, InfeasibleError, TiltUnsupportedError
 from mdlab.mc import (CHUNK_SIZE, PATH_STEP_BUDGET, STREAM_VERSION, _check_path_steps, _run_chunk,
                       _switched_tilt, choose_tilt, merge, simulate)
@@ -336,6 +336,25 @@ def test_uniform_tilt_is_scale_free(monkeypatch):
             assert len(set(roots)) == 1, (n, x, roots)
             # theta a is z / a * a, two roundings off z
             assert all(abs(t - roots[0]) <= 2.0**-51 * roots[0] for t in near), (n, x, near)
+
+
+@pytest.mark.parametrize("y", [0.05, 0.3, 0.6, 0.9, 0.999])
+def test_newton_steps_that_leave_the_bracket_bisect_it(monkeypatch, y):
+    # a slope a quarter of L's sends every Newton step three times past the
+    # root, out of the bracket the values of L have narrowed, so the root
+    # comes from the bisections that replace those steps
+    zs = []
+    monkeypatch.setattr(mc, "_langevin", lambda z: zs.append(z) or _langevin(z))
+    monkeypatch.setattr(mc, "_langevin_slope", lambda z: 0.25 * _langevin_slope(z))
+    z = mc._langevin_root(y)
+    lo, hi, bisections = 0.0, math.inf, 0
+    for t in zs:
+        bisections += t == 0.5 * (lo + hi)
+        lo, hi = (t, hi) if _langevin(t) < y else (lo, t)
+    assert bisections >= 3
+    with mp.workdps(50):
+        want = mp.findroot(lambda t: mp.coth(t) - 1 / t - y, mp.mpf(z))
+        assert abs(z - want) <= 1e-12 * want
 
 
 @pytest.mark.parametrize("dist, solver", [(Uniform(1e-12), "_langevin_root"),
