@@ -53,7 +53,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, InfeasibleError, InfiniteMomentError, check_finite
-from .special import hyp1f1_unit, incomplete_beta, incomplete_gamma, power
+from .special import (_STIRLING_MIN, _stirling_excess, hyp1f1_unit, incomplete_beta,
+                      incomplete_gamma, power)
 
 __all__ = [
     "STREAM_VERSION",
@@ -418,6 +419,14 @@ def _rising_moment(p, z):
     return power(z, p + 1.0) * hyp1f1_unit(p + 1.0, z) / (p + 1.0)
 
 
+# the nu above which StudentT.abs_moment takes Gamma((nu - p)/2) / Gamma(nu/2)
+# from Stirling's series: against 40-digit values at p = 2, 2.5 and 3 the
+# lgamma difference is 1e-16 to 8e-15 off from nu = 15 to 35, and 4e-14 at
+# 200, and the series is within 4e-16 from nu = 25 on. Up to nu = 30, where
+# the pinned moments are, the lgamma bits stay
+_STIRLING_NU = 30.0
+
+
 @dataclass(frozen=True)
 class StudentT(Distribution):
     """Student t with nu > 3 degrees of freedom, unit scale parameter.
@@ -457,6 +466,12 @@ class StudentT(Distribution):
             raise InfiniteMomentError(
                 f"E|X|^{p} is infinite for student_t(nu={nu})"
             )
+        x, s = nu / 2.0, p / 2.0
+        if nu > _STIRLING_NU and x - s > _STIRLING_MIN:
+            # Gamma(x - s) / Gamma(x) = (x - s)^-s exp(excess), so nu^s times
+            # it is (nu / (x - s))^s exp(excess): no lgamma of size nu
+            return (math.pow(nu / (x - s), s) * math.exp(_stirling_excess(x, s))
+                    * (math.gamma((p + 1.0) / 2.0) / math.sqrt(math.pi)))
         loggamma = (
             math.lgamma((p + 1.0) / 2.0)
             + math.lgamma((nu - p) / 2.0)

@@ -25,12 +25,10 @@ Config files are flat JSON documents; see :class:`SweepConfig`.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
@@ -40,11 +38,21 @@ from . import __version__
 from .distributions import STREAM_VERSION, Distribution, TwoPoint, from_literal
 from .errors import (BudgetExceededError, ConfigError, InfeasibleError, MdlabError, check_finite,
                      read_json)
-from .mc import DEFAULT_SEED, _check_path_steps, _check_seed, choose_tilt, simulate
+from .mc import DEFAULT_SEED, _check_path_steps, _check_seed, _thread_map, choose_tilt, simulate
 from .oracle import DP_THREAD_MIN_N, _step_ratio, exact_method
 from .oracle import lattice_dp_max  # noqa: F401  (the benchmark tracer asserts this alias)
 from .theory import (SequenceSpec, _dnr, check_parameters, compute_quantities, error_envelope,
                      normal_tail)
+
+# the interpreter's own sha256, as random.py takes its sha512: hashlib
+# loads OpenSSL's libcrypto, about 3.6 MB of RSS, for this one digest
+try:
+    from _sha2 import sha256 as _sha256  # Python 3.12 on
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:  # an interpreter built without its own sha256
+        from hashlib import sha256 as _sha256
 
 __all__ = [
     "SweepConfig",
@@ -213,7 +221,7 @@ class SweepConfig:
 
     def config_hash(self) -> str:
         blob = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
+        return _sha256(blob.encode()).hexdigest()
 
     def manifest_path(self) -> str:
         return self.output + ".manifest.json"
@@ -505,17 +513,16 @@ def run_sweep(
     # a resume cuts a partial trailing line off in place and appends to the
     # header and rows on disk, which no failed write can then lose; a file
     # without a complete line gets the header first. New rows follow as map
-    # yields them: in row-index order. The pool starts no thread unless a
-    # row is submitted to it
+    # yields them: in row-index order
     try:
         if kept:
             os.truncate(cfg.output, kept)
         fh = open(cfg.output, "a" if kept else "w", newline="")
-        with fh, ThreadPoolExecutor(max_workers=workers) as pool:
+        with fh, _thread_map(workers if pooled else 1) as run_rows:
             if not kept:
                 fh.write(",".join(CSV_COLUMNS) + "\n")
                 fh.flush()
-            for row in (pool.map if pooled else map)(lambda job: compute_row(cfg, *job), pending):
+            for row in run_rows(lambda job: compute_row(cfg, *job), pending):
                 fh.write(row.to_csv_line() + "\n")
                 fh.flush()
     except OSError as exc:

@@ -39,9 +39,10 @@ from different stream layouts do not merge; the README lists the versions.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -51,6 +52,13 @@ from .distributions import STREAM_VERSION, _langevin, _langevin_slope, _TwoPoint
 from .errors import (BudgetExceededError, ConfigError, InfeasibleError, TiltUnsupportedError,
                      check_finite)
 from .theory import SequenceSpec, _tie_cut, _tie_unit
+
+# concurrent.futures loads logging, about 0.6 MB, so the pool class is bound
+# here by the first pool (_thread_map), or now if the package is loaded
+# already: a pool class patched in over this name before the first pool
+# (as benchmarks/tracer.py does) is then the one that runs
+if "concurrent.futures" in sys.modules:
+    from concurrent.futures import ThreadPoolExecutor
 
 __all__ = [
     "CHUNK_SIZE",
@@ -432,13 +440,28 @@ def simulate(
     tilt = _switched_tilt(seq, x) if method == "tilted" else None
     unit = _tie_unit(seq)
     # map yields in submission order, so the records never depend on workers
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(lambda chunk: _run_chunk(seq, x, seed, *chunk, tilt, unit),
-                                layout))
+    with _thread_map(workers if len(layout) > 1 else 1) as run_chunks:
+        results = list(run_chunks(lambda chunk: _run_chunk(seq, x, seed, *chunk, tilt, unit),
+                                  layout))
 
     quantity = (json.dumps(seq.dist.literal(), sort_keys=True), seq.n, x, STREAM_VERSION)
     return tuple(TailEstimate(method, event, quantity, tuple(r[i] for r in results))
                  for i, event in enumerate(("max", "sum")))
+
+
+@contextlib.contextmanager
+def _thread_map(workers: int):
+    """The ``map`` that runs a function over items, yielding in submission
+    order: the builtin one, in the calling thread, for one worker, else
+    that of a pool of ``workers`` threads, shut down on exit."""
+    global ThreadPoolExecutor
+    if workers == 1:
+        yield map
+        return
+    if "ThreadPoolExecutor" not in globals():
+        from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        yield pool.map
 
 
 def merge(a: TailEstimate, b: TailEstimate) -> TailEstimate:

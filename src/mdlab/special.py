@@ -5,7 +5,11 @@ from ``math`` and numpy alone.
   b)``, for Student t;
 * :func:`incomplete_gamma`, the regularized ``P(a, y)`` and ``Q(a, y) = 1 -
   P(a, y)``, and :func:`hyp1f1_unit`, ``1F1(a; a + 1; z)`` on ``0 <= z <=
-  1``, for the centered exponential.
+  1``, for the centered exponential;
+* :func:`_stirling_excess`, the part of ``log(Gamma(x - s) / Gamma(x))``
+  beyond ``-s log(x - s)``, for the gamma ratios of Student t at large
+  ``nu``, where a difference of ``lgamma`` values keeps about ``nu``
+  ulps of rounding.
 
 The methods are the textbook ones (Press et al. 2007, *Numerical Recipes*,
 3rd ed., sections 6.2 and 6.4): the continued fraction of ``I_x(a, b)``
@@ -49,6 +53,16 @@ _HYP1F1_TERMS = 25
 _MAX_WHOLE_POWER = 32.0
 # y^a e^-y as exp(-y) y^a up to this y, where 700^100 and e^-700 are normal
 _SPLIT_MAX, _SPLIT_MAX_A = 700.0, 100.0
+# B_2k / (2k (2k - 1)), k = 1..6: Stirling's series of log Gamma(z) past
+# (z - 1/2) log z - z + log(2 pi) / 2. Above _STIRLING_MIN the first term
+# left out, 1 / (156 z^13), is below 6e-17
+_STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0, 1.0 / 1188.0,
+             -691.0 / 360360.0)
+_STIRLING_MIN = 12.0
+# the largest shift s = min(a, b) that _beta_side takes through
+# _stirling_excess: (a + b - s)^s then overflows at most a factor Gamma(s) <= 6
+# before the prefactor Gamma(a + b) / (Gamma(a) Gamma(b)) does
+_STIRLING_MAX_SHIFT = 4.0
 
 
 def _libm(fn, x: np.ndarray, *args) -> np.ndarray:
@@ -91,6 +105,23 @@ def _depth(evaluate, worst: float, *params) -> int:
     return depth
 
 
+def _stirling_tail(z: float) -> float:
+    """The terms of :data:`_STIRLING` at ``z``, by Horner's rule in ``1 / z^2``."""
+    w, t = 1.0 / (z * z), 0.0
+    for c in reversed(_STIRLING):
+        t = t * w + c
+    return t / z
+
+
+def _stirling_excess(x: float, s: float) -> float:
+    """``log Gamma(x - s) - log Gamma(x) + s log(x - s)`` for ``x`` and ``x -
+    s`` above ``_STIRLING_MIN``: ``(x - 1/2) log1p(-s / x) + s`` and the
+    difference of the two series tails. It is small, about ``s (1 - s) /
+    (2 x)``, and rounds to about ``s`` ulps of 1, so ``Gamma(x - s) /
+    Gamma(x) = (x - s)^-s exp(excess)`` keeps a few ulps at every ``x``."""
+    return (x - 0.5) * math.log1p(-s / x) + s + (_stirling_tail(x - s) - _stirling_tail(x))
+
+
 def _beta_fraction(a: float, b: float, x: np.ndarray, depth: int) -> np.ndarray:
     """The continued fraction ``1 / (1 + d_1 / (1 + d_2 / (1 + ...)))`` of
     ``I_x(a, b)``, with ``d_(2m+1) = -(a+m)(a+b+m) x / ((a+2m)(a+2m+1))``
@@ -110,8 +141,12 @@ def _beta_side(a: float, b: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """``I_x(a, b)`` from its continued fraction, for ``y = 1 - x``: ``x^a
     y^b / (a B(a, b))`` times :func:`_beta_fraction`, which converges in the
     depth of :func:`_depth` where ``x < (a + 1) / (a + b + 2)``."""
+    s = min(a, b)
     if a + b < _GAMMA_MAX:
         scale = math.gamma(a + b) / (math.gamma(a) * math.gamma(b)) / a
+    elif s <= _STIRLING_MAX_SHIFT:
+        # Gamma(a + b) / Gamma(a + b - s) = (a + b - s)^s exp(-excess)
+        scale = math.pow(a + b - s, s) * math.exp(-_stirling_excess(a + b, s)) / math.gamma(s) / a
     else:
         scale = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)) / a
     depth = _depth(_beta_fraction, (a + 1.0) / (a + b + 2.0), a, b)

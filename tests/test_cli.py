@@ -3,6 +3,8 @@
 import contextlib
 import dataclasses
 import errno
+import functools
+import importlib.util
 import io
 import json
 import math
@@ -16,7 +18,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import mdlab
-from mdlab.cli import main
+from mdlab import cli
+from mdlab.cli import build_parser, main
 from mdlab.experiments import CSV_COLUMNS, SweepConfig, run_sweep
 from mdlab.oracle import lattice_dp_max
 
@@ -632,11 +635,14 @@ _ROOT_FINDER_MODULES = ("scipy.optimize", "scipy.linalg", "scipy.sparse", "scipy
 _SCALES = [0.5, 1.0, 2.0, 1.5, 0.75, 3.0, 1.25, 0.9]
 
 
-def _fresh_interpreter(probe, *args, cwd=None):
+def _mdlab_env():
     src = os.path.dirname(os.path.dirname(mdlab.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
+def _fresh_interpreter(probe, *args, cwd=None):
     proc = subprocess.run([sys.executable, "-c", probe, *args], capture_output=True, text=True,
-                          env=env, cwd=cwd, timeout=300)
+                          env=_mdlab_env(), cwd=cwd, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
@@ -647,16 +653,18 @@ def test_cli_import_leaves_out_the_root_finder():
     assert _fresh_interpreter(probe) == []
 
 
-# runs each (name, argv) of argv[1] through cli.main in one interpreter and
-# reports {name: [exit code, the scipy modules loaded after it]}
+# runs each (name, argv) of argv[1] through cli.main in one interpreter (a
+# null argv runs nothing: the import alone) and reports {name: [exit code,
+# the scipy modules and those of the optional JSON list argv[2] loaded after it]}
 _COMMANDS_PROBE = """
 import contextlib, io, json, sys
 from mdlab.cli import main
+watched = set(json.loads(sys.argv[2])) if len(sys.argv) > 2 else set()
 seen = {}
 for name, argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
-        code = main(argv)
-    seen[name] = [code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]
+        code = 0 if argv is None else main(argv)
+    seen[name] = [code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m in watched)]
 print(json.dumps(seen))
 """
 
@@ -775,3 +783,122 @@ def test_no_command_loads_scipy(tmp_path):
     commands = _every_command(tmp_path)
     seen = _fresh_interpreter(_COMMANDS_PROBE, json.dumps(commands), cwd=tmp_path)
     assert seen == {name: [0, []] for name, _ in commands}
+
+
+# hashlib maps OpenSSL's libcrypto; a sweep hashes its config with the
+# interpreter's own sha256 where it has one
+_BUILTIN_SHA256 = any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256"))
+
+
+def test_commands_without_threads_load_neither_openssl_nor_the_thread_pool(tmp_path):
+    # concurrent.futures loads logging: only a command that starts a thread
+    # imports it, and an oracle sweep's rows run in the calling thread
+    (tmp_path / "scales.json").write_text(json.dumps(_SCALES))
+    commands = [
+        ("import", None),
+        *((f"theory_{family}", ["theory", "--dist", json.dumps(dist), "--n", "50", "--x", "1.5"])
+          for family, dist in (("uniform", {"family": "uniform"}), ("twopoint", _TWOPOINT),
+                               ("student_t", {"family": "student_t"}),
+                               ("exponential", {"family": "centered_exponential"}))),
+        ("theory_student_t_scales", ["theory", "--dist", "student_t", "--n", str(len(_SCALES)),
+                                     "--x", "1.2", "--scales", "scales.json"]),
+        ("enumerate_rademacher", ["enumerate", "--dist", "rademacher", "--n", "30", "--x", "1"]),
+        ("enumerate_twopoint", ["enumerate", "--dist", json.dumps(_TWOPOINT), "--n", "8", "--x", "1"]),
+        ("sweep_oracle_workers_2", [*_sweep_config(tmp_path / "oracle.json", dist=_TWOPOINT,
+                                                   output="o.csv"), "--workers", "2"]),
+    ]
+    watched = ["concurrent.futures", *(["_hashlib"] if _BUILTIN_SHA256 else [])]
+    seen = _fresh_interpreter(_COMMANDS_PROBE, json.dumps(commands), json.dumps(watched),
+                              cwd=tmp_path)
+    assert seen == {name: [0, []] for name, _ in commands}
+    rows = (tmp_path / "o.csv").read_text().splitlines()[1:]
+    assert len(rows) == 4 and all(",lattice_dp," in row or ",enumeration," in row for row in rows)
+
+
+def test_simulate_imports_the_thread_pool_only_to_start_a_thread():
+    # one worker, or one chunk of paths, runs in the calling thread; the
+    # last command, two chunks on two workers, starts the pool
+    commands = [
+        ("default", ["simulate", "--dist", "rademacher", "--n", "8", "--x", "1", "--samples", "1000"]),
+        ("one_chunk_two_workers", _simulate(_TWOPOINT, "tilted", 1.0, n=8, samples=1000)),
+        ("one_worker_two_chunks", ["simulate", "--dist", "uniform", "--n", "4", "--x", "1",
+                                   "--samples", str(3 << 15)]),
+        ("two_chunks_two_workers", _simulate(_TWOPOINT, "naive", 1.0, n=4, samples=3 << 15)),
+    ]
+    seen = _fresh_interpreter(_COMMANDS_PROBE, json.dumps(commands), json.dumps(["concurrent.futures"]))
+    assert seen == {name: [0, ["concurrent.futures"] if name == "two_chunks_two_workers" else []]
+                    for name, _ in commands}
+
+
+# usage errors, a bad --dist and each subcommand, alternated, so that every
+# call follows a call of another kind on the reused parser
+_PARSER_ARGVS = [
+    [],
+    ["theory", "--dist", "rademacher", "--n", "100", "--x", "2"],
+    ["theory", "--dist", "no_such_family", "--n", "10", "--x", "1"],
+    ["enumerate", "--dist", "rademacher", "--n", "6", "--x", "1"],
+    ["simulate", "--dist", "rademacher", "--n", "8", "--x", "1", "--samples", "1000",
+     "--method", "bogus"],
+    ["simulate", "--dist", "rademacher", "--n", "8", "--x", "1", "--samples", "1000"],
+    ["enumerate", "--dist", '{"family": "uniform"', "--n", "4", "--x", "1"],
+    ["sweep", "--config", "sweep.json", "--workers", "2"],
+    ["theory", "--n", "5", "--x", "1"],
+    ["theory", "--help"],
+    ["no_such_command"],
+]
+_PARSER_ORDER = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 5, 0, 7, 2, 1, 8, 3, 6, 9, 4]
+
+# runs the argvs of argv[1] through cli.main in one interpreter and reports
+# [exit code, stdout, stderr] of each
+_SEQUENCE_PROBE = """
+import contextlib, io, json, sys
+from mdlab.cli import main
+report = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    report.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(report))
+"""
+
+
+def test_the_reused_parser_answers_as_a_fresh_interpreter_does(tmp_path):
+    # the parser is built once per process: alternated calls in one
+    # interpreter print the bytes, and exit with the codes, of one fresh
+    # interpreter per call
+    config = {"n_grid": [4, 12], "x_values": [0.5, 1.5], "seed": 3,
+              "dist": _TWOPOINT, "output": "o.csv"}
+    fresh = []
+    for i, argv in enumerate(_PARSER_ARGVS):
+        (tmp_path / str(i)).mkdir()
+        (tmp_path / str(i) / "sweep.json").write_text(json.dumps(config))
+        proc = subprocess.run([sys.executable, "-m", "mdlab", *argv], capture_output=True,
+                              env=_mdlab_env(), cwd=tmp_path / str(i), timeout=300)
+        fresh.append([proc.returncode, proc.stdout, proc.stderr])
+    assert sorted({code for code, _, _ in fresh}) == [0, 2]
+    (tmp_path / "sequence").mkdir()
+    (tmp_path / "sequence" / "sweep.json").write_text(json.dumps(config))
+    sequence = _fresh_interpreter(_SEQUENCE_PROBE, json.dumps([_PARSER_ARGVS[i] for i in _PARSER_ORDER]),
+                                  cwd=tmp_path / "sequence")
+    assert len(sequence) == len(_PARSER_ORDER)
+    for i, (code, out, err) in zip(_PARSER_ORDER, sequence):
+        assert [code, out.encode(), err.encode()] == fresh[i], _PARSER_ARGVS[i]
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    built = []
+    init = cli.argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "__init__", counted)
+    monkeypatch.setattr(cli, "_parser", functools.cache(build_parser))
+    assert main(["enumerate", "--dist", "rademacher", "--n", "4", "--x", "1"]) == 0
+    assert main(["theory", "--n", "5"]) == 2
+    assert built.count("mdlab") == 1
+    # the public builder still builds a new parser on every call
+    assert build_parser() is not build_parser()
+    assert built.count("mdlab") == 3

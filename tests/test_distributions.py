@@ -456,6 +456,32 @@ def test_student_t_raw_moment_beta_identity():
     assert oracle_abs_moment(d, 3.0) == pytest.approx(3.1440968484635165, rel=1e-8)
 
 
+_NU_ABOVE_30 = [math.nextafter(30.0, math.inf), 30.5, 31.0, 33.0,
+                *np.geomspace(30.0, 1e8, 29)[1:].tolist()]
+
+
+@pytest.mark.parametrize("p", [2.0, 2.5, 3.0])
+def test_student_t_raw_moment_to_a_few_ulps_at_large_nu(p):
+    # above nu = 30 the gamma ratio comes from Stirling's series: a
+    # difference of lgamma values was 2.6e-11 off at nu = 1e5
+    with mp.workdps(40):
+        for nu in _NU_ABOVE_30:
+            got = StudentT(nu).abs_moment(p)
+            mnu, mp_ = mp.mpf(nu), mp.mpf(p)
+            want = (mnu ** (mp_ / 2) * mp.gamma((mp_ + 1) / 2) * mp.gamma((mnu - mp_) / 2)
+                    / (mp.sqrt(mp.pi) * mp.gamma(mnu / 2)))
+            assert abs(mp.mpf(got) - want) <= 2e-15 * want, (nu, got, want)
+
+
+@pytest.mark.parametrize("nu", [3.01, 3.5, 5.0, 7.0, 15.0, 29.5, 30.0])
+@pytest.mark.parametrize("p", [0.5, 2.0, 2.5, 3.0])
+def test_student_t_raw_moment_keeps_its_bits_up_to_nu_30(nu, p):
+    # where the pinned moments are: the lgamma difference, bit for bit
+    loggamma = (math.lgamma((p + 1.0) / 2.0) + math.lgamma((nu - p) / 2.0)
+                - math.lgamma(nu / 2.0) - 0.5 * math.log(math.pi))
+    assert StudentT(nu).abs_moment(p) == nu ** (p / 2.0) * math.exp(loggamma)
+
+
 def test_student_t_infinite_moment_errors():
     d = StudentT(3.5)
     with pytest.raises(InfiniteMomentError):

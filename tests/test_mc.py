@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import threading
 import tracemalloc
 
 import mpmath as mp
@@ -88,6 +89,27 @@ def test_worker_count_does_not_change_bits():
     for other in runs[1:]:
         assert other[0] == runs[0][0]
         assert other[1] == runs[0][1]
+
+
+@pytest.mark.parametrize("workers, n_samples, pooled", [
+    (1, 3 * CHUNK_SIZE, False),  # one worker
+    (4, CHUNK_SIZE, False),      # one chunk
+    (2, 3 * CHUNK_SIZE, True),
+])
+def test_chunks_run_in_the_calling_thread_unless_two_threads_share_them(
+        monkeypatch, workers, n_samples, pooled):
+    threads = []
+
+    def recorded(*args):
+        threads.append(threading.get_ident())
+        return _run_chunk(*args)
+
+    monkeypatch.setattr(mc, "_run_chunk", recorded)
+    est = simulate(SequenceSpec(Rademacher(1.0), 8), 1.0, n_samples, seed=7, workers=workers)
+    assert len(threads) == -(-n_samples // CHUNK_SIZE)
+    assert (threading.get_ident() not in threads) is pooled
+    monkeypatch.undo()
+    assert est == simulate(SequenceSpec(Rademacher(1.0), 8), 1.0, n_samples, seed=7, workers=1)
 
 
 @pytest.mark.parametrize(

@@ -46,6 +46,24 @@ def test_incomplete_beta_matches_50_digits(nu, p):
             _assert_close(j[k], _mp_beta(b, a, y[k], x[k]))
 
 
+@pytest.mark.parametrize("nu", [344.0, 400.0, 1e3, 1e4, 1e5, 1e6, 1e8])
+@pytest.mark.parametrize("p", [2.0, 2.5, 3.0, "tail"])
+def test_incomplete_beta_keeps_its_prefactor_at_large_nu(nu, p):
+    # a + b >= 171: Gamma(a + b) / Gamma(b) from Stirling's series, where a
+    # difference of lgamma values was up to 1.7e-7 off at nu = 1e8. The
+    # levels are exact, x + y == 1, so that only the function's own
+    # rounding shows
+    a, b = (0.5, nu / 2.0) if p == "tail" else ((p + 1.0) / 2.0, (nu - p) / 2.0)
+    first = math.ceil(-math.log2((a + 1.0) / (a + b + 2.0)))
+    x = np.ldexp(1.0, -np.arange(first, first + 30, 3))
+    i, _ = incomplete_beta(a, b, x, 1.0 - x)
+    with mp.workdps(40):
+        for k in range(len(x)):
+            level = mp.mpf(x[k])
+            want = level**a * mp.hyp2f1(a, 1 - b, a + 1, level, maxterms=10**6) / (a * mp.beta(a, b))
+            assert abs(mp.mpf(i[k]) - want) <= 2e-15 * want, (x[k], i[k], want)
+
+
 @pytest.mark.parametrize("a", [2.0, 3.0, 3.5, 4.0, 20.0])
 def test_incomplete_gamma_matches_50_digits(a):
     # both sides of the switch at y = a + 1, out to where Q leaves the normal range
