@@ -7,7 +7,7 @@ Subpackages by responsibility:
   truncated moments and tail probabilities, exponential tilting
 * :mod:`mdlab.theory` - moment functionals, regime flags, normal tails
 * :mod:`mdlab.oracle` - exact enumeration, Rademacher reflection closed
-  form, TwoPoint first-passage DP
+  form, TwoPoint first-passage DP and hitting-time sum
 * :mod:`mdlab.mc` - reproducible (SFC64, seeded per chunk) Monte Carlo with
   importance sampling by an exponential tilt switched off at the first
   passage of the barrier

@@ -157,7 +157,8 @@ class _TwoPointLaw(Distribution):
         )
 
     def sample(self, rng, size=None):
-        return self.tilted_sample(0.0, rng, size)
+        threshold = np.uint64(self.up_threshold(0.0))
+        return np.where(self.up_draws(rng, threshold, size), self.a, -self.b)[()]
 
     def support_max(self) -> float:
         return self.a
@@ -192,10 +193,6 @@ class _TwoPointLaw(Distribution):
         stream below ``threshold``, a ``uint64`` or an array of them from
         :meth:`up_threshold`, one per draw."""
         return rng.bit_generator.random_raw(size) < threshold
-
-    def tilted_sample(self, theta, rng, size=None):
-        threshold = np.uint64(self.up_threshold(theta))
-        return np.where(self.up_draws(rng, threshold, size), self.a, -self.b)[()]
 
     def finite_support(self):
         return (np.array([self.a, -self.b]), np.array([self.p_plus, 1.0 - self.p_plus]))

@@ -38,6 +38,7 @@ import numpy as np
 
 from .distributions import Rademacher, TwoPoint
 from .errors import BudgetExceededError, ConfigError, check_finite
+from .special import _stirling_tail
 from .theory import SequenceSpec, _tie_cut, _tie_unit
 
 __all__ = [
@@ -142,11 +143,7 @@ _STIRLERR = (0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
 def _stirlerr(k: int) -> float:
     """log k! - log(sqrt(2 pi k) (k / e)^k): the table below 16, the Stirling
     series from there (its next term is under 1.5e-18 at k = 16)."""
-    if k < len(_STIRLERR):
-        return _STIRLERR[k]
-    kk = float(k) * k
-    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - (1 / 1188 - 691 / 360360 / kk) / kk)
-                                 / kk) / kk) / kk) / k
+    return _STIRLERR[k] if k < len(_STIRLERR) else _stirling_tail(float(k))
 
 
 def _bd0(j: int, n: int) -> tuple[float, float]:
@@ -193,10 +190,18 @@ def _half_binomial_upper(n: int, k: int) -> tuple[float, float]:
     return first * (1.0 + later), first * later
 
 
+def _binomial_row(n: int) -> list[int]:
+    """The exact integers ``C(n, 0..n)``."""
+    row = [1]
+    for j in range(n):
+        row.append(row[-1] * (n - j) // (j + 1))
+    return row
+
+
 # up to this n, :func:`_binomial_tails` sums the exact integer binomial row:
-# its answers are the correctly rounded ones (dyadic ones exactly). There the
-# two ways cost about the same, 7-15 us a pair of tails at n = 128; at n =
-# 256 the exact sum takes 16-34 us and :func:`_half_binomial_upper` 9-18 us
+# its answers are the correctly rounded ones (dyadic ones exactly). A pair of
+# tails takes 15-17 us that way at n = 128 and 8-9 us by
+# :func:`_half_binomial_upper`; at n = 256 the row alone takes 38 us
 _EXACT_TAIL_MAX_N = 128
 
 
@@ -206,11 +211,9 @@ def _binomial_tails(n: int, k: int) -> tuple[float, float]:
     they come from :func:`_half_binomial_upper`, at or above the mean
     directly and below it as the complements of the mirrored tails."""
     if n <= _EXACT_TAIL_MAX_N:
-        row, beyond = 1, 0
-        for j in range(n, k, -1):  # C(n, j), from j = n down; then row = C(n, k)
-            beyond += row
-            row = row * j // (n - j + 1)
-        return (beyond + row) / (1 << n), beyond / (1 << n)
+        row = _binomial_row(n)
+        beyond = sum(row[k + 1:])
+        return (beyond + row[k]) / (1 << n), beyond / (1 << n)
     if 2 * k >= n:
         return _half_binomial_upper(n, k)
     upper, beyond = _half_binomial_upper(n, n - k)
@@ -291,9 +294,6 @@ def _binomial_pmf(n: int, a: float, b: float) -> np.ndarray:
     range; their binary exponents go back on by ``ldexp``. ``P`` and ``Q``
     have at most 53 significant bits, so their mantissas are exact; the
     rounding of ``P + Q``'s is put back in the scale, to first order."""
-    row = [1]
-    for j in range(n):
-        row.append(row[-1] * (n - j) // (j + 1))
     (num_a, den_a), (num_b, den_b) = a.as_integer_ratio(), b.as_integer_ratio()
     down, up = num_a * den_b, num_b * den_a
     common = math.gcd(down, up)
@@ -307,7 +307,8 @@ def _binomial_pmf(n: int, a: float, b: float) -> np.ndarray:
     scale = f_total ** -n * math.exp(-n * math.log1p(excess))
     # Python's pow, which is libm's: numpy's power differs from it in the last
     # bits on CPUs where it takes a SIMD loop
-    mantissas = [float(c) * f_up ** m * f_down ** (n - m) * scale for m, c in enumerate(row)]
+    mantissas = [float(c) * f_up ** m * f_down ** (n - m) * scale
+                 for m, c in enumerate(_binomial_row(n))]
     m = np.arange(n + 1)
     return np.ldexp(mantissas, e_up * m + e_down * (n - m) - e_total * n)
 
@@ -382,32 +383,29 @@ def _step_ratio(a: float, b: float):
     return int(hi / lo)
 
 
-def _first_passages(h, steps, last, m, p, skip_up, fact):
-    """For each final up-count ``m`` of ``n`` steps, the share of its ``C(n,
-    m)`` arrangements in which a walk first reaches ``h >= 1`` units by step
-    ``last`` of a stretch of ``steps`` steps that holds all ``m`` ups. The
-    walk moves one unit toward the level or ``p`` units away from it;
-    ``skip_up`` says the ``p``-unit steps are the ups.
+def _first_passages(h, steps, last, units, p, fact):
+    """For each count ``units`` of unit steps among ``n`` steps, the share of
+    its ``C(n, units)`` arrangements in which a walk first reaches ``h >= 1``
+    units by step ``last`` of a stretch of ``steps`` steps that holds them
+    all. The walk moves one unit toward the level or ``p`` units away.
 
     By the hitting-time theorem, of the ``C(i, j)`` arrangements of ``i``
-    steps holding ``j`` ups that end ``h`` units on, ``h / i`` reach it
-    first at step ``i``; the other ``steps - i`` steps, holding ``m - j``
-    ups, are free. With ``c`` skip steps among the first ``i``, ``i = h +
-    (p + 1) c``, and ``j = c`` if the skip steps are the ups, else ``h + p
-    c``. All terms are positive, so nothing cancels. ``fact`` is
-    :func:`_scaled_factorials` up to ``n``.
+    steps with ``j`` unit steps that end ``h`` units on, ``h / i`` reach it
+    first at step ``i``; the other ``steps - i`` steps, with the other
+    ``units - j``, are free. With ``c`` ``p``-unit steps among the first
+    ``i``, ``i = h + (p + 1) c`` and ``j = h + p c``. All terms are positive,
+    so nothing cancels. ``fact`` is :func:`_scaled_factorials` up to ``n``.
     """
     n = len(fact) - 1
     c = np.arange(max(int(np.max(last - h, initial=-1)), -1) // (p + 1) + 1)
     i = h[:, None] + (p + 1) * c  # [row, c]
-    j = c if skip_up else h[:, None] + p * c
-    rest, ups = np.reshape(steps, (-1, 1)) - i, m[:, None]
-    row, col = np.nonzero((i <= np.reshape(last, (-1, 1))) & (j <= ups) & (ups - j <= rest))
-    i, rest, ups = i[row, col], rest[row, col], m[row]
-    j = col if skip_up else h[row] + p * col
+    j = h[:, None] + p * c
+    rest, u = np.reshape(steps, (-1, 1)) - i, units[:, None]
+    row, col = np.nonzero((i <= np.reshape(last, (-1, 1))) & (j <= u) & (u - j <= rest))
+    i, j, rest, u = i[row, col], j[row, col], rest[row, col], units[row]
     terms = (h[row] / i * (fact[i] / (fact[j] * fact[i - j]))
-             * (fact[rest] / (fact[ups - j] * fact[rest - ups + j]))
-             * (fact[ups] * fact[n - ups] / fact[n]))
+             * (fact[rest] / (fact[u - j] * fact[rest - u + j]))
+             * (fact[u] * fact[n - u] / fact[n]))
     return np.bincount(row, weights=terms, minlength=len(h))
 
 
@@ -452,23 +450,22 @@ def hitting_time(n: int, x: float, a: float, b: float) -> ExactResult:
     if p is None:
         raise ConfigError(f"hitting_time needs one step an integer multiple of the other, "
                           f"got a={a}, b={b}")
-    skip_up = a >= b
-    up, down = (p, 1) if skip_up else (1, p)
+    up, down = (p, 1) if a >= b else (1, p)
     a, b, cut, pmf, p_sum = _twopoint_events(n, x, a, b)
     m = np.arange(n + 1)
     # the barrier in units; past the top of the walk (an inf one too) it is never hit
     with np.errstate(over="ignore"):
         level = np.ceil(np.minimum(cut / min(a, b), up * n + 1.0)).astype(np.int64)
     fact = _scaled_factorials()[:n + 1]
-    if skip_up:
+    if up >= down:  # b | a: T's unit steps are the n - m downs
         short = level - (up * m - down * (n - m))  # how far S_n ends below the barrier
         below = short > 0
         hit = (~below).astype(float)
-        hit[below] = _first_passages(short[below], n, n - 1, m[below], p, True, fact)
+        hit[below] = _first_passages(short[below], n, n - 1, n - m[below], p, fact)
     else:
         start = level == 0
         hit = np.where(start, m / n, 0.0) + _first_passages(
-            np.where(start, p, level), n - start, n - start, m, p, False, fact)
+            np.where(start, p, level), n - start, n - start, m, p, fact)
     return ExactResult(
         p_max=math.fsum((pmf * hit).tolist()),
         p_sum=p_sum,

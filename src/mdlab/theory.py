@@ -101,20 +101,20 @@ class SequenceSpec:
             return self.scales
         return np.ones(self.n)
 
+    def _sum(self, term) -> float:
+        """sum_j term(scale_j): ``n term(1)`` for iid steps."""
+        if self.is_iid:
+            return self.n * term(1.0)
+        return float(np.sum(term(self.scales)))
+
     # -- plain moment sums ----------------------------------------------
     def abs_moment_sum(self, p: float) -> float:
         """sum_j E|X_j|^p."""
-        base = self.dist.abs_moment(p)
-        if self.is_iid:
-            return self.n * base
-        return base * float(np.sum(self.scales**p))
+        return self.dist.abs_moment(p) * self._sum(lambda s: s**p)
 
     def variance_sum(self) -> float:
         """sum_j E X_j^2, from ``dist.variance()``."""
-        v = self.dist.variance()
-        if self.is_iid:
-            return self.n * v
-        return v * float(np.sum(self.scales**2.0))
+        return self.dist.variance() * self._sum(lambda s: s**2.0)
 
     def max_variance(self) -> float:
         v = self.dist.variance()
@@ -131,16 +131,11 @@ class SequenceSpec:
     # -- truncated moment sums -------------------------------------------
     def truncated_sum(self, p: float, level: float, side: str) -> float:
         """sum_j E|X_j|^p 1{|X_j| <= level} (below) or 1{|X_j| > level}."""
-        if self.is_iid:
-            return self.n * self.dist.truncated_abs_moment(p, level, side)
-        s = self.scales
-        return float(np.sum(s**p * self.dist.truncated_abs_moment(p, level / s, side)))
+        return self._sum(lambda s: s**p * self.dist.truncated_abs_moment(p, level / s, side))
 
     def tail_prob_sum(self, level: float) -> float:
         """sum_j P(|X_j| >= level)."""
-        if self.is_iid:
-            return self.n * self.dist.abs_tail_prob(level)
-        return float(np.sum(self.dist.abs_tail_prob(level / self.scales)))
+        return self._sum(lambda s: self.dist.abs_tail_prob(level / s))
 
 
 def _tie_unit(seq: SequenceSpec) -> float:

@@ -70,6 +70,9 @@ PROBES = {
     "enumerate_twopoint": ["enumerate", "--dist", _TWOPOINT, "--n", "12", "--x", "1.3"],
     "enumerate_skewed": ["enumerate", "--dist", _SKEWED, "--n", "10", "--x", "0.7"],
     "enumerate_rademacher_x0": ["enumerate", "--dist", _RADEMACHER_03, "--n", "6", "--x", "0"],
+    # past n = 128 the closed form sums pmf terms from Loader's saddle-point pmf
+    "enumerate_rademacher_loader": ["enumerate", "--dist", "rademacher", "--n", "4097", "--x",
+                                    "1.5"],
     "simulate_rademacher_naive": _sim("rademacher", 16, "1.5", "naive"),
     "simulate_rademacher_tilted": _sim("rademacher", 16, "2", "tilted"),
     "simulate_rademacher_scaled_tilted": _sim('{"family": "rademacher", "scale": 0.5}', 32, "2",
@@ -80,6 +83,7 @@ PROBES = {
     "simulate_exponential_naive": _sim(_EXPONENTIAL, 16, "1.5", "naive"),
     "simulate_student_t_naive": _sim(_STUDENT, 16, "1", "naive"),
     "sweep_rademacher_lattice": _sweep('{"family": "rademacher"}', [4, 16, 64], [0.0, 1.0, 2.5]),
+    "sweep_rademacher_loader": _sweep('{"family": "rademacher"}', [129, 1024, 16384], [0.5, 3.0]),
     "sweep_twopoint_dp": _sweep(_SKEWED, [4, 12, 30], [0.5, 1.5]),
     "sweep_uniform_mc_fallback": _sweep(_UNIFORM, [8, 16, 32], [1.0], mc_samples=4096),
     "sweep_rademacher_mc_tilted": _sweep('{"family": "rademacher"}', [16, 32, 64], [1.5],
@@ -102,6 +106,7 @@ DIGESTS = {
     "enumerate_twopoint": "052b0b99a26ba5183bcb1298de0e595b814bfdf820e4c418fb0a72818901aeb4",
     "enumerate_skewed": "687ad61de4a28edcd3c1abd5519a2c6ef88351568d8b78762510b31a73f27791",
     "enumerate_rademacher_x0": "8f59e1dd3f321fe427c85fa394c9934aff4b789b1d9113d0c97b35d136c4df9b",
+    "enumerate_rademacher_loader": "806b7d449048dd8b661804f547cfea60c67e3830ad12e7b30d829563c3a3b3ba",
     "simulate_rademacher_naive": "5d9ec7b3e988abcabc241e359872aaa974d913c5136cd948d673efa35d09e19f",
     "simulate_rademacher_tilted": "fba55d19d786a79dcc7f4ae3e42b16f7c54b67b65880f0fc1c2d278aa6aa2cdc",
     "simulate_rademacher_scaled_tilted": "4ef0a1715759c80caeaedb70a2cc6b6e1c13e14d9a4a02fff5bd86958f0c2897",
@@ -112,6 +117,8 @@ DIGESTS = {
     "simulate_student_t_naive": "e5e9accb3b67c5ab39a98cbc8cb36a648913ee97fc78bf1a0ea54feadb825085",
     "sweep_rademacher_lattice": "0b909a9eafff8fc3bf9aad5de86843f440c1cba19965d631ffbbf0bc6fc21a00",
     "sweep_rademacher_lattice.csv": "062efdf71a918fc03240d4c025b5427f7b421595bd58d9855ca0993f9847d0ff",
+    "sweep_rademacher_loader": "86a77c64962a1501edfd20999167a6f95389a94453e286fcfab13b0a47545d48",
+    "sweep_rademacher_loader.csv": "52d43e8f66b2621f2a4f0c55e5a64f82e1a55b1db0b39fe20002aff90147803b",
     "sweep_twopoint_dp": "5297f7b375f36671efe274f02c906bd022507bd4de1f3fe20d96888691823e53",
     "sweep_twopoint_dp.csv": "ab5ed1bfcdbc7964a6186d1e02e4463160ed6b19dae9fcd2a59415f844e73b3e",
     "sweep_uniform_mc_fallback": "79e91ce1454c40cc60ffb8b9a5db13131470f8818a7049e839d0651e240bea05",

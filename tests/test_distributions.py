@@ -523,6 +523,16 @@ def test_abs_tail_prob_matches_oracle(dist):
 # tilting
 # ---------------------------------------------------------------------------
 
+def _tilted_draws(dist, theta, rng, size):
+    """Draws of ``dist`` tilted by ``theta``: a two-point law's as the Monte
+    Carlo kernel draws them, raw words below ``up_threshold(theta)``, and
+    Uniform's from its ``tilted_sample``."""
+    if isinstance(dist, Uniform):
+        return dist.tilted_sample(theta, rng, size)
+    threshold = np.uint64(dist.up_threshold(theta))
+    return np.where(dist.up_draws(rng, threshold, size), dist.a, -dist.b)
+
+
 def _tilted_mean(dist, theta):
     """The mean of ``dist`` tilted by ``theta``: ``a L(theta a)`` for
     Uniform(a), with the Langevin function ``L``."""
@@ -555,7 +565,7 @@ def test_rademacher_tilted_probability():
     p_plus = math.exp(theta) / (math.exp(theta) + math.exp(-theta))
     assert d.tilted_mean(theta) == pytest.approx(2.0 * p_plus - 1.0, abs=1e-14)
     rng = np.random.default_rng(5)
-    draws = d.tilted_sample(theta, rng, 200_000)
+    draws = _tilted_draws(d, theta, rng, 200_000)
     freq = float(np.mean(draws > 0))
     assert abs(freq - p_plus) <= 5.0 * math.sqrt(p_plus * (1 - p_plus) / 200_000)
 
@@ -651,7 +661,7 @@ def test_tilted_sampling_mean(dist):
     theta = 0.7
     rng = np.random.default_rng(99)
     n = 200_000
-    draws = np.asarray(dist.tilted_sample(theta, rng, n), dtype=float)
+    draws = np.asarray(_tilted_draws(dist, theta, rng, n), dtype=float)
     spread = float(np.std(draws))
     assert float(np.mean(draws)) == pytest.approx(
         _tilted_mean(dist, theta), abs=5.0 * spread / math.sqrt(n)
@@ -672,8 +682,8 @@ def test_rademacher_is_the_symmetric_two_point_law(c):
         assert np.array_equal(got, want)
     assert rad.support_max() == two.support_max() == c
     for theta in (0.3, 2.0):
-        assert np.array_equal(rad.tilted_sample(theta, np.random.default_rng(8), 1000),
-                              two.tilted_sample(theta, np.random.default_rng(8), 1000))
+        assert np.array_equal(_tilted_draws(rad, theta, np.random.default_rng(8), 1000),
+                              _tilted_draws(two, theta, np.random.default_rng(8), 1000))
         # Rademacher is the two-point arithmetic, its log_mgf included
         assert abs(rad.log_mgf(theta) - two.log_mgf(theta)) <= 1e-15 * max(1.0, theta * c)
         assert abs(rad.tilted_mean(theta) - two.tilted_mean(theta)) <= 1e-15 * c
@@ -703,7 +713,7 @@ def test_up_threshold_is_the_tilted_up_mass(dist, theta):
 def test_naive_two_point_draw_is_the_untilted_draw():
     dist = TwoPoint(2.0, 1.0)
     assert np.array_equal(dist.sample(np.random.default_rng(4), 100),
-                          dist.tilted_sample(0.0, np.random.default_rng(4), 100))
+                          _tilted_draws(dist, 0.0, np.random.default_rng(4), 100))
     assert dist.sample(np.random.default_rng(4)) in (2.0, -1.0)
 
 
@@ -715,7 +725,7 @@ def test_threshold_ends_fit_a_word_and_draw_in_the_support(dist, threshold):
     assert dist.up_threshold(0.0) == threshold
     for theta in (0.0, 2.0, -2.0):
         assert 0 <= dist.up_threshold(theta) <= 2**64 - 1
-        draws = dist.tilted_sample(theta, np.random.default_rng(6), 10_000)
+        draws = _tilted_draws(dist, theta, np.random.default_rng(6), 10_000)
         assert set(np.unique(draws)) <= {dist.a, -dist.b}
     assert set(np.unique(dist.sample(np.random.default_rng(6), 10_000))) <= {dist.a, -dist.b}
 
@@ -728,8 +738,10 @@ def test_two_point_draws_are_raw_words_below_the_threshold():
         threshold = np.uint64(dist.up_threshold(theta))
         assert np.array_equal(dist.up_draws(np.random.default_rng(4), threshold, 100),
                               words < threshold)
-        assert np.array_equal(dist.tilted_sample(theta, np.random.default_rng(4), 100),
+        assert np.array_equal(_tilted_draws(dist, theta, np.random.default_rng(4), 100),
                               np.where(words < threshold, 2.0, -1.0))
+    assert np.array_equal(dist.sample(np.random.default_rng(4), 100),
+                          np.where(words < np.uint64(dist.up_threshold(0.0)), 2.0, -1.0))
 
 
 @pytest.mark.parametrize("dist", [Uniform(1.5)], ids=["uniform"])
