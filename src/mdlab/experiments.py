@@ -141,9 +141,10 @@ class SweepConfig:
             raise ConfigError(f"mc_samples must be >= 1000, got {self.mc_samples}")
         if not os.path.basename(self.output):
             raise ConfigError(f"output must name a file, got {self.output!r}")
-        # every value a row uses is checked, and the parts of every row that
-        # can fail are evaluated, here: before any file is written. The
-        # theory fields are kept, by row index, for compute_row
+        # every value a row uses is checked here, before any file is written,
+        # and each row is derived once: its sequence, normal tail, exact engine
+        # (None for a Monte Carlo row) and theory fields, kept by row index
+        # for compute_row and run_sweep
         check_parameters(self.r, self.delta, self.a0_constant)
         dist = self.distribution()
         object.__setattr__(self, "dist", dist.literal())
@@ -152,19 +153,25 @@ class SweepConfig:
             jobs = self.jobs()
         except OverflowError:
             raise ConfigError("x_c * n^x_power overflows a double") from None
-        theory = []
+        rows = []
         for idx, n, x in jobs:
             # past the normal doubles the tail loses digits
-            if normal_tail(check_finite("x", x, 0.0)) < sys.float_info.min:
+            tail = normal_tail(check_finite("x", x, 0.0))
+            if tail < sys.float_info.min:
                 raise InfeasibleError(f"1 - Phi({x}) is below the normal double range")
-            theory.append(_theory_fields(dist, n, x, self))
             seq = SequenceSpec(dist, n)
-            if _oracle(self, seq) is None:
+            theory = _theory_fields(seq, x, self)
+            engine = None if self.engine == "mc" else exact_method(seq)
+            if engine is None:
+                if self.engine == "oracle" and not self.mc_fallback:
+                    raise BudgetExceededError(
+                        f"n={n} exceeds every oracle budget and mc_fallback is off")
                 _check_seed(self.seed + idx, f"the seed of Monte Carlo row {idx} (seed + {idx})")
                 _check_path_steps(n, self.mc_samples)
                 if self.mc_method == "tilted":
                     choose_tilt(seq, x)
-        object.__setattr__(self, "_theory", theory)  # not a field: no hash or manifest sees it
+            rows.append((seq, tail, engine, theory))
+        object.__setattr__(self, "_rows", rows)  # not a field: no hash or manifest sees it
 
     @classmethod
     def _field_values(cls, raw: dict) -> dict:
@@ -278,60 +285,46 @@ def _wilson_interval(p_hat: float, n: int) -> tuple[float, float]:
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _theory_fields(dist: Distribution, n: int, x: float, cfg: SweepConfig):
+def _theory_fields(seq: SequenceSpec, x: float, cfg: SweepConfig):
     """(delta_nx, dnr, n0, epsilon); the x = 0 limit is handled explicitly
     because the functionals divide by x."""
-    seq = SequenceSpec(dist, n)
     if x == 0.0:
         try:  # the moments compute_quantities checks at x > 0; E|X|^3 is the probe's
             lnr = seq.abs_moment_sum(2.0 + cfg.r)
-            dist.abs_moment(3.0)
+            seq.dist.abs_moment(3.0)
         except OverflowError:
-            raise InfeasibleError(f"the moments of {dist} overflow a double") from None
+            raise InfeasibleError(f"the moments of {seq.dist} overflow a double") from None
         return 0.0, _dnr(seq.variance_sum(), lnr, cfg.r), 0, math.inf
     q = compute_quantities(seq, x, cfg.r, cfg.delta, cfg.a0_constant)
     return q.delta_nx, q.dnr, q.n0, q.epsilon
 
 
-def _oracle(cfg: SweepConfig, seq: SequenceSpec):
-    """The exact method ``x -> ExactResult`` of the rows of ``seq``, or None
-    when they run Monte Carlo."""
-    if cfg.engine == "mc":
-        return None
-    engine = exact_method(seq)
-    if engine is None and not cfg.mc_fallback:
-        raise BudgetExceededError(f"n={seq.n} exceeds every oracle budget and mc_fallback is off")
-    return engine
-
-
-def _gains_from_a_thread(cfg: SweepConfig, n: int) -> bool:
-    """Whether the rows at ``n`` finish sooner beside another row in a second
-    thread: Monte Carlo rows and :func:`~mdlab.oracle.twopoint_dp` rows from
-    ``DP_THREAD_MIN_N`` on do. Shorter rows, :func:`~mdlab.oracle.hitting_time`
-    ones at every n among them, hold the GIL for most of their time."""
-    seq = SequenceSpec(cfg.distribution(), n)
-    if _oracle(cfg, seq) is None:
+def _gains_from_a_thread(seq: SequenceSpec, engine) -> bool:
+    """Whether a row of ``seq`` run by ``engine`` finishes sooner beside
+    another row in a second thread: Monte Carlo rows (no engine) and
+    :func:`~mdlab.oracle.twopoint_dp` rows from ``DP_THREAD_MIN_N`` on do.
+    Shorter rows, :func:`~mdlab.oracle.hitting_time` ones at every n among
+    them, hold the GIL for most of their time."""
+    if engine is None:
         return True
     dist = seq.dist
     on_the_dp = isinstance(dist, TwoPoint) and _step_ratio(dist.a, dist.b) is None
-    return on_the_dp and n >= DP_THREAD_MIN_N
+    return on_the_dp and seq.n >= DP_THREAD_MIN_N
 
 
 def compute_row(cfg: SweepConfig, row_index: int, n: int, x: float) -> RatioRow:
     """Evaluate job ``(row_index, n, x)`` of ``cfg.jobs()``; deterministic
-    given the config.
+    given the config. The row's law, tail, engine and theory fields were
+    derived when the config was read; this runs the engine or simulates.
 
     Monte Carlo rows use ``seed + row_index`` so every row owns an
     independent, resume-stable stream family.
     """
-    dist = cfg.distribution()
-    seq = SequenceSpec(dist, n)
+    seq, tail, engine, (delta_nx, dnr, n0, epsilon) = cfg._rows[row_index]
     row_seed = cfg.seed + row_index
-    tail = normal_tail(x)
 
-    oracle = _oracle(cfg, seq)
-    if oracle is not None:
-        res = oracle(x)
+    if engine is not None:
+        res = engine(x)
         p_max, p_sum, method, samples = res.p_max, res.p_sum, res.method, 0
         ci_low = ci_high = p_max / tail
     else:
@@ -348,10 +341,8 @@ def compute_row(cfg: SweepConfig, row_index: int, n: int, x: float) -> RatioRow:
     ratio_max = p_max / tail
     ratio_sum = p_sum / tail
 
-    ex2 = dist.variance()
-    ex3 = dist.abs_moment(3.0)
-    probe = (ratio_max - 2.0) * ex2**1.5 / ((1.0 + x**3) * ex3)
-    delta_nx, dnr, n0, epsilon = cfg._theory[row_index]
+    dist = seq.dist
+    probe = (ratio_max - 2.0) * dist.variance()**1.5 / ((1.0 + x**3) * dist.abs_moment(3.0))
     return RatioRow(
         n=n, x=x, p_max=p_max, p_sum=p_sum, tail=tail, ratio_max=ratio_max,
         ratio_sum=ratio_sum, ci_low=ci_low, ci_high=ci_high, probe=probe,
@@ -442,7 +433,8 @@ def run_sweep(
     workers: Optional[int] = None,
     stop_after_rows: Optional[int] = None,
 ) -> list[RatioRow]:
-    """Run (or resume) a sweep, returning all rows in row-index order.
+    """Run (or resume) a sweep, returning all rows in row-index order: those
+    already on disk, as parsed and checked for the resume, then those written.
 
     Rows run one after another in the calling thread unless ``workers > 1``
     and some row still to run gains from a second thread (a Monte Carlo
@@ -473,7 +465,7 @@ def run_sweep(
         done_lines, kept = _read_completed(cfg.output)
         if len(done_lines) > len(jobs):
             raise ConfigError(f"{cfg.output} holds more rows than the config defines")
-        mc_rows = 0
+        done_rows, mc_rows = [], 0
         for line, (idx, n, x) in zip(done_lines, jobs):
             row = RatioRow.from_csv_line(line)
             if (row.n, _fmt(row.x)) != (n, _fmt(x)):  # -0.0 == 0.0, but not in the CSV
@@ -482,6 +474,7 @@ def run_sweep(
                     f"expected (n={n}, x={x}); refusing to resume"
                 )
             mc_rows += row.method in ("naive", "tilted")
+            done_rows.append(row)
         # a manifest from before stream versions were recorded is version 1
         version = manifest.get("stream_version", 1)
         if version != STREAM_VERSION:
@@ -503,12 +496,13 @@ def run_sweep(
         except OSError as exc:
             raise ConfigError(f"cannot make the directory of {cfg.output}: {exc}") from exc
         _write_manifest(cfg)
-        done_lines, kept = [], 0
+        done_rows, kept = [], 0
 
-    pending = jobs[len(done_lines):]
+    pending = jobs[len(done_rows):]
     if stop_after_rows is not None:
         pending = pending[:stop_after_rows]
-    pooled = workers > 1 and any(_gains_from_a_thread(cfg, n) for _, n, _ in pending)
+    derived = (cfg._rows[idx] for idx, _, _ in pending)
+    pooled = workers > 1 and any(_gains_from_a_thread(seq, engine) for seq, _, engine, _ in derived)
 
     # a resume cuts a partial trailing line off in place and appends to the
     # header and rows on disk, which no failed write can then lose; a file
@@ -525,10 +519,11 @@ def run_sweep(
             for row in run_rows(lambda job: compute_row(cfg, *job), pending):
                 fh.write(row.to_csv_line() + "\n")
                 fh.flush()
+                done_rows.append(row)
     except OSError as exc:
         raise ConfigError(f"cannot write {cfg.output}: {exc}") from exc
 
-    return [RatioRow.from_csv_line(line) for line in _read_completed(cfg.output)[0]]
+    return done_rows
 
 
 def convergence_report(rows: list[RatioRow], delta: float = 1.0) -> dict:

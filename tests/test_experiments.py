@@ -294,33 +294,60 @@ def test_light_rows_run_in_the_calling_thread(tmp_path, monkeypatch, make_cfg):
     assert threads == [threading.get_ident()] * len(cfg.jobs())
 
 
+def _rows_on_disk(path):
+    """Every data line of the CSV at ``path``, parsed."""
+    return [RatioRow.from_csv_line(line) for line in path.read_text().splitlines()[1:]]
+
+
 @pytest.mark.parametrize("make_cfg", [_MIXED, _HEAVY_DP])
 def test_a_sweep_with_a_heavy_row_runs_in_the_pool(tmp_path, monkeypatch, make_cfg):
     # a Monte Carlo row, or a DP row at the crossover, and the light row before it
     threads = _row_threads(monkeypatch)
-    run_sweep(make_cfg(tmp_path, name="h.csv"), workers=2)
+    rows = run_sweep(make_cfg(tmp_path, name="h.csv"), workers=2)
     assert len(threads) == 2 and threading.get_ident() not in threads
+    assert rows == _rows_on_disk(tmp_path / "h.csv")
 
 
-def _theory_calls(monkeypatch):
-    """The (n, x) of every ``compute_quantities`` call the sweep code makes."""
-    calls = []
-    real = experiments.compute_quantities
+def _derivations(monkeypatch):
+    """What the sweep code derives per row: the (n, x) of every
+    ``compute_quantities`` call, the n of every ``exact_method`` call and the
+    x of every ``normal_tail`` call."""
+    calls = {"theory": [], "engine": [], "tail": []}
+    real_theory, real_engine, real_tail = (experiments.compute_quantities, experiments.exact_method,
+                                           experiments.normal_tail)
 
-    def counted(seq, x, *args, **kwargs):
-        calls.append((seq.n, x))
-        return real(seq, x, *args, **kwargs)
+    def theory(seq, x, *args, **kwargs):
+        calls["theory"].append((seq.n, x))
+        return real_theory(seq, x, *args, **kwargs)
 
-    monkeypatch.setattr(experiments, "compute_quantities", counted)
+    def engine(seq):
+        calls["engine"].append(seq.n)
+        return real_engine(seq)
+
+    def tail(x):
+        calls["tail"].append(x)
+        return real_tail(x)
+
+    monkeypatch.setattr(experiments, "compute_quantities", theory)
+    monkeypatch.setattr(experiments, "exact_method", engine)
+    monkeypatch.setattr(experiments, "normal_tail", tail)
     return calls
+
+
+def _assert_derived_once_per_job(calls, cfg):
+    jobs = cfg.jobs()
+    assert calls["theory"] == [(n, x) for _, n, x in jobs]
+    assert calls["engine"] == [n for _, n, _ in jobs]
+    assert calls["tail"] == [x for _, _, x in jobs]
 
 
 def test_each_row_computes_its_theory_once(tmp_path, monkeypatch):
     real = experiments.compute_quantities
-    calls = _theory_calls(monkeypatch)
+    calls = _derivations(monkeypatch)
     cfg = oracle_cfg(tmp_path, x_values=[1.0, 1.5])
     rows = run_sweep(cfg, workers=2)
-    assert sorted(calls) == sorted((n, x) for _, n, x in cfg.jobs())
+    _assert_derived_once_per_job(calls, cfg)
+    assert rows == _rows_on_disk(tmp_path / "o.csv")
     for row in rows:
         q = real(SequenceSpec(cfg.distribution(), row.n), row.x, cfg.r, cfg.delta, cfg.a0_constant)
         assert (row.delta_nx, row.dnr, row.n0, row.epsilon) == (q.delta_nx, q.dnr, q.n0, q.epsilon)
@@ -328,12 +355,15 @@ def test_each_row_computes_its_theory_once(tmp_path, monkeypatch):
 
 def test_a_resume_computes_each_row_theory_once(tmp_path, monkeypatch):
     # the recorded config is compared, not rebuilt: rebuilding it ran every
-    # row's theory a second time
+    # row's theory a second time; and the rows still to run reuse what
+    # reading the config derived
     run_sweep(oracle_cfg(tmp_path, name="r.csv"), stop_after_rows=1)
-    calls = _theory_calls(monkeypatch)
+    calls = _derivations(monkeypatch)
     cfg = oracle_cfg(tmp_path, name="r.csv")
-    assert len(run_sweep(cfg)) == 3
-    assert sorted(calls) == sorted((n, x) for _, n, x in cfg.jobs())
+    rows = run_sweep(cfg)
+    assert len(rows) == 3
+    _assert_derived_once_per_job(calls, cfg)
+    assert rows == _rows_on_disk(tmp_path / "r.csv")
 
 
 @pytest.mark.parametrize("make_cfg", [
